@@ -9,7 +9,8 @@ produces byte-identical JSON.
 
 Exit codes: 0 success, 2 unreadable/unparsable scenario, 3 validation
 failure (schema or domain invariants), 4 computation failure (for
-example conditioning on a zero-probability outcome).
+example conditioning on a zero-probability outcome, or a scenario too
+large for the available memory).
 """
 
 from __future__ import annotations
@@ -386,6 +387,9 @@ def run(scenario_path, output_format: str = "json", out_path=None) -> int:
         return _report_error("validation", EXIT_VALIDATION, str(exc))
     except ComputationError as exc:
         return _report_error("computation", EXIT_COMPUTATION, str(exc))
+    except MemoryError as exc:
+        return _report_error("computation", EXIT_COMPUTATION,
+                             f"not enough memory for this scenario: {exc}")
     if out_path is None:
         sys.stdout.write(rendered)
     else:

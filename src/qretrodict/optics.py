@@ -3,9 +3,10 @@
 Single modes are truncated at a maximum photon number N (dimension N+1).
 The beam-splitter coupling conserves total photon number, so its unitary
 is assembled exactly block-by-block and results whose physics lives
-entirely in the low-photon sectors carry no truncation error at all; the
-detector operators are truncated with a geometric tail that shrinks as N
-grows.
+entirely in the low-photon sectors carry no truncation error at all;
+projection synthesis and the scissors device touch only the block their
+photon counts select.  The detector operators are truncated with a
+geometric tail that shrinks as N grows.
 
 Included here: ladder operators, the two-mode beam-splitter unitary, the
 reduction of a joint photon-count measurement behind a beam splitter to
@@ -121,6 +122,12 @@ def number_projector(space: FockSpace, n: int) -> Operator:
     return Operator(mat)
 
 
+def _block_counts(space: FockSpace, total: int) -> np.ndarray:
+    """Mode-b photon numbers of the two-mode states with ``total`` photons."""
+    return np.arange(max(0, total - space.truncation),
+                     min(total, space.truncation) + 1)
+
+
 def total_photon_blocks(space: FockSpace):
     """Two-mode basis indices grouped by total photon number.
 
@@ -130,10 +137,27 @@ def total_photon_blocks(space: FockSpace):
     dim = space.dim
     blocks = []
     for total in range(2 * space.truncation + 1):
-        lo = max(0, total - space.truncation)
-        hi = min(total, space.truncation)
-        blocks.append([nb * dim + (total - nb) for nb in range(lo, hi + 1)])
+        nb = _block_counts(space, total)
+        blocks.append((nb * dim + (total - nb)).tolist())
     return blocks
+
+
+def _photon_block(bs: BeamSplitter, space: FockSpace, total: int):
+    """Mode-b counts ``nb`` and the beam-splitter block for ``total`` photons.
+
+    Row and column ``i`` of the block address |nb[i], total - nb[i]>.  The
+    generator b'c + c'b is tridiagonal within the block, with entries
+    sqrt(nb+1) sqrt(total-nb); it is kept complex so that ``eigh`` takes
+    the same Hermitian route for every block and the blocks match a
+    dense two-mode construction entry for entry.
+    """
+    nb = _block_counts(space, total)
+    hop = np.sqrt(nb[:-1] + 1.0) * np.sqrt(float(total) - nb[:-1])
+    generator = np.zeros((nb.size, nb.size), dtype=complex)
+    generator[np.arange(1, nb.size), np.arange(nb.size - 1)] = hop
+    generator[np.arange(nb.size - 1), np.arange(1, nb.size)] = hop
+    w, v = np.linalg.eigh(generator)
+    return nb, (v * np.exp(1j * bs.theta * w)) @ v.conj().T
 
 
 def beam_splitter_unitary(bs: BeamSplitter, space: FockSpace) -> Operator:
@@ -144,13 +168,11 @@ def beam_splitter_unitary(bs: BeamSplitter, space: FockSpace) -> Operator:
     free of truncation error.
     """
     dim = space.dim
-    b = annihilation(space).mat
-    generator = np.kron(b.conj().T, b) + np.kron(b, b.conj().T)
     u = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for idx in total_photon_blocks(space):
-        block = generator[np.ix_(idx, idx)]
-        w, v = np.linalg.eigh(block)
-        u[np.ix_(idx, idx)] = (v * np.exp(1j * bs.theta * w)) @ v.conj().T
+    for total in range(2 * space.truncation + 1):
+        nb, block = _photon_block(bs, space, total)
+        idx = nb * dim + (total - nb)
+        u[np.ix_(idx, idx)] = block
     return Operator(u, ModeDims((dim, dim)))
 
 
@@ -247,9 +269,19 @@ def projection_synthesis_retro(ref: ReferenceState, n: int, m: int,
         raise ValidationError(
             f"counts ({n}, {m}) must be nonnegative with n+m <= {space.truncation}"
         )
-    element = compose_measurement_pom(
-        ref.projector(space), number_projector(space, n),
-        number_projector(space, m), bs, space)
+    # Counting (n, m) selects the block with n+m photons: only inputs
+    # |i, total-i> reach |n, m>, so with u the block's row n the element is
+    # conj(u_i) u_j rho[total-j, total-i] on the block's support and zero
+    # elsewhere.
+    total = n + m
+    ket = ref.ket(space)
+    _, block = _photon_block(bs, space, total)
+    u = block[n]
+    rev = ket[total::-1]
+    rho = np.outer(rev, rev.conj()).T
+    out = np.zeros((space.dim, space.dim), dtype=complex)
+    out[:total + 1, :total + 1] = u.conj()[:, None] * (u[None, :] * rho)
+    element = Operator((out + out.conj().T) / 2.0)
     try:
         return retrodict.retro_state(element, trace_tol)
     except ZeroProbabilityError:
@@ -269,14 +301,19 @@ def scissors_output(ref: ReferenceState, bs: BeamSplitter, space: FockSpace,
     result truncates the reference to its vacuum and one-photon parts,
     reweighted by the beam-splitter angle.
     """
-    dim = space.dim
     retro = projection_synthesis_retro(ref, 1, 0, bs, space, trace_tol)
-    resource_bs = BeamSplitter(math.pi / 4.0)
-    one_photon_in = np.zeros(dim * dim, dtype=complex)
-    one_photon_in[1 * dim + 0] = 1.0
-    psi = (beam_splitter_unitary(resource_bs, space).mat @ one_photon_in)
-    psi_mat = psi.reshape(dim, dim)  # [n_d, n_b] amplitudes
-    out = psi_mat @ retro.mat.T @ psi_mat.conj().T
+    # The resource U|1,0> is column 1 of the one-photon block: psi[a] is
+    # the amplitude of |n_d = a, n_b = 1-a>.  Projecting mode b onto the
+    # retrodictive state leaves psi[a] retro[1-b, 1-a] psi[b]* on n_d <= 1.
+    # The four products are taken one by one, as a matrix product over the
+    # dense two-mode amplitudes takes them; numpy's vectorized complex
+    # multiply may fuse them and change the last bits of the output.
+    _, block = _photon_block(BeamSplitter(math.pi / 4.0), space, 1)
+    psi = block[:, 1]
+    out = np.zeros((space.dim, space.dim), dtype=complex)
+    for a in range(2):
+        for b in range(2):
+            out[a, b] = psi[a] * retro.mat[1 - b, 1 - a] * np.conj(psi[b])
     tr = float(np.trace(out).real)
     if tr <= trace_tol:
         raise ZeroProbabilityError(

@@ -1,5 +1,6 @@
 """Tests for the scenario-driven command line front end."""
 
+import hashlib
 import json
 import math
 
@@ -19,6 +20,25 @@ from qretrodict.cli import (
     render_json,
     validate_document,
 )
+
+
+#: SHA-256 of ``render_json`` for every bundled scenario, recorded before
+#: the optics moved to per-photon-number blocks (the same values the
+#: benchmark's perfbench/golden.json pins).  Refactors keep them byte-identical.
+GOLDEN_DIGESTS = {
+    "bb84-intercept-resend": "ea35f37ca4cb8de36ae3f82c9279f9decca07d92e057b2304fe595726ba19f3e",
+    "bb84-monte-carlo": "9d88e5a19900cb9840816955244630a23aec04172b318b5f8bf807e54422f5e0",
+    "bb84-retrodict": "b6befbb9503f1fbd29cac272c3ec5bd916d6b25a4903edcb9a59a5dd711a8deb",
+    "bb84-tables": "0103c1bd5b4b02678e4ff8228e50bf4ebb96f2454f8762affbbf4c8ec21bf562",
+    "biased-qubit": "63f41067c1a2df63132b526702594d2637bac4a4ea51779a735a3876c590787b",
+    "bus-train": "f5bbee223fcb24954db7590cda7a7879ddce14b6447e38cf1e72fb76ad9f9880",
+    "detector-perfect": "92bb3eab65ad8afb77cfd3c3733b7b1ca67dd10fe8c8562fa35924ee3c9d6ece",
+    "detector-single-count": "8815e5b982aa580efa496193cadbf858f601977a6a686a8eed9a7e5b7d1eb16d",
+    "horse-race": "3a85eee42947f0b03723dd31e5ea3b1863120def393ce8442afdea1840c57ad1",
+    "scissors-eq41": "825a529f4c6b230ba403ae69534af81d38e556ea1fe99b9910e0b740885b147d",
+    "synthesis-single-photon": "e6339b74485e5896704bbfb61a71571ea70a91e43d64281aad284342ac0eb1ed",
+    "vacuum-synthesis": "424fed9687f558bf2c746777da503ef2489744451bb2a15354a61cffd01a7cb5",
+}
 
 
 def write_scenario(tmp_path, doc, name="scenario.json"):
@@ -68,6 +88,15 @@ class TestBundledScenarios:
         lines = [ln for ln in capsys.readouterr().out.splitlines() if ln]
         assert len(lines) == len(list_examples())
         assert any(line.startswith("bus-train [bayes]") for line in lines)
+
+    def test_outputs_match_recorded_digests(self):
+        digests = {
+            info.name: hashlib.sha256(
+                render_json(execute(load_scenario(info.path))).encode("utf-8")
+            ).hexdigest()
+            for info in list_examples()
+        }
+        assert digests == GOLDEN_DIGESTS
 
     def test_repeated_runs_are_byte_identical(self):
         info = next(i for i in list_examples() if i.name == "bb84-monte-carlo")
@@ -148,6 +177,19 @@ class TestExitCodes:
         assert main(["run", str(path)]) == EXIT_COMPUTATION
         report = json.loads(capsys.readouterr().err)
         assert report["error"]["category"] == "computation"
+
+    def test_out_of_memory_exits_4(self, tmp_path, capsys, monkeypatch):
+        def exhaust_memory(params, result):
+            raise MemoryError("Unable to allocate 149. GiB for an array")
+
+        monkeypatch.setitem(cli._RUNNERS, "bayes", exhaust_memory)
+        path = write_scenario(tmp_path, bus_train_doc())
+        assert main(["run", path]) == EXIT_COMPUTATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        report = json.loads(captured.err)
+        assert report["error"]["category"] == "computation"
+        assert report["error"]["exit_code"] == EXIT_COMPUTATION
 
     def test_csv_without_tables_exits_3(self, capsys):
         info = next(i for i in list_examples() if i.kind == "detector")

@@ -1,6 +1,7 @@
 """Tests for truncated Fock-space optics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,6 +50,48 @@ def compose_by_primitives(rho_c, pi_b, pi_c, bs, space):
     m = hilbert.matmul(hilbert.matmul(hilbert.matmul(weighted, hilbert.adjoint(u)),
                                       joint), u)
     return hilbert.partial_trace(m, 1)
+
+
+def kron_beam_splitter_unitary(bs, space):
+    """Beam-splitter unitary cut block by block from the dense two-mode generator.
+
+    Oracle for the per-block builder: b'c + c'b is assembled with
+    Kronecker products over both modes, and each photon-number block is
+    sliced out of it and exponentiated.
+    """
+    dim = space.dim
+    b = annihilation(space).mat
+    generator = np.kron(b.conj().T, b) + np.kron(b, b.conj().T)
+    u = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for idx in total_photon_blocks(space):
+        block = generator[np.ix_(idx, idx)]
+        w, v = np.linalg.eigh(block)
+        u[np.ix_(idx, idx)] = (v * np.exp(1j * bs.theta * w)) @ v.conj().T
+    return u
+
+
+def dense_synthesis_retro(ref, n, m, bs, space):
+    """Synthesized retrodictive state through the dense composed element."""
+    element = compose_measurement_pom(ref.projector(space), number_projector(space, n),
+                                      number_projector(space, m), bs, space)
+    return retrodict.retro_state(element)
+
+
+def dense_scissors_output(ref, bs, space):
+    """Scissors output with the resource U|1,0> taken from the full unitary."""
+    dim = space.dim
+    retro = dense_synthesis_retro(ref, 1, 0, bs, space)
+    one_photon_in = np.zeros(dim * dim, dtype=complex)
+    one_photon_in[1 * dim + 0] = 1.0
+    psi = kron_beam_splitter_unitary(BeamSplitter(math.pi / 4), space) @ one_photon_in
+    psi_mat = psi.reshape(dim, dim)  # [n_d, n_b] amplitudes
+    out = psi_mat @ retro.mat.T @ psi_mat.conj().T
+    return (out + out.conj().T) / (2.0 * np.trace(out).real)
+
+
+def random_reference(rng, length):
+    amps = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+    return ReferenceState(tuple(amps / np.linalg.norm(amps)))
 
 
 class TestTypes:
@@ -163,6 +206,14 @@ class TestBeamSplitterUnitary:
             block = u[np.ix_(idx, idx)]
             gram = block.conj().T @ block
             assert np.max(np.abs(gram - np.eye(len(idx)))) <= 1e-10
+
+    def test_block_assembly_equals_kron_generator_assembly(self):
+        for n_trunc in (1, 2, 5, 9):
+            space = FockSpace(n_trunc)
+            for theta in (0.0, 0.3, math.pi / 4, 1.2, -2.1):
+                got = beam_splitter_unitary(BeamSplitter(theta), space).mat
+                expected = kron_beam_splitter_unitary(BeamSplitter(theta), space)
+                assert np.array_equal(got, expected), (n_trunc, theta)
 
     def test_full_truncated_matrix_is_unitary(self):
         u = beam_splitter_unitary(BeamSplitter(0.4), FockSpace(5))
@@ -393,6 +444,28 @@ class TestProjectionSynthesisRetro:
             overlap = np.trace(small.mat @ large.mat[:6, :6]).real
             assert overlap >= 1 - 1e-9
 
+    @pytest.mark.parametrize("n_trunc", [6, 12, 24])
+    def test_matches_dense_composed_element(self, n_trunc):
+        # Oracle: the dense element U+ (Pi_n x Pi_m) U traced against the
+        # reference, normalized by retro_state.
+        rng = np.random.default_rng(100 + n_trunc)
+        space = FockSpace(n_trunc)
+        pairs = [(0, 0), (1, 0), (0, 1), (2, 1), (1, 3),
+                 (n_trunc // 2, n_trunc - n_trunc // 2)]
+        for n, m in pairs:
+            for _ in range(2):
+                ref = random_reference(rng, int(rng.integers(1, space.dim + 1)))
+                bs = BeamSplitter(float(rng.uniform(-math.pi, math.pi)))
+                got = projection_synthesis_retro(ref, n, m, bs, space)
+                expected = dense_synthesis_retro(ref, n, m, bs, space)
+                np.testing.assert_allclose(got.mat, expected.mat, rtol=0,
+                                           atol=1e-14, err_msg=f"{(n, m)}")
+
+    def test_reference_longer_than_truncation(self):
+        with pytest.raises(DimensionMismatch):
+            projection_synthesis_retro(ReferenceState((0.6, 0.0, 0.0, 0.8)), 1, 0,
+                                       BeamSplitter(0.5), FockSpace(2))
+
     def test_zero_probability_outcome(self):
         # A two-photon reference cannot trigger the (1, 0) outcome.
         space = FockSpace(4)
@@ -450,3 +523,36 @@ class TestScissorsOutput:
         with pytest.raises(ZeroProbabilityError):
             scissors_output(ReferenceState((0.0, 1.0)), BeamSplitter(0.0),
                             FockSpace(3))
+
+    @pytest.mark.parametrize("n_trunc", [6, 12, 24])
+    def test_matches_dense_resource_route(self, n_trunc):
+        rng = np.random.default_rng(200 + n_trunc)
+        space = FockSpace(n_trunc)
+        for _ in range(4):
+            ref = random_reference(rng, int(rng.integers(2, space.dim + 1)))
+            bs = BeamSplitter(float(rng.uniform(-math.pi, math.pi)))
+            got = scissors_output(ref, bs, space)
+            np.testing.assert_allclose(got.mat, dense_scissors_output(ref, bs, space),
+                                       rtol=0, atol=1e-14)
+
+
+def test_large_truncation_needs_no_dense_two_mode_matrices():
+    # At N = 200 one dense two-mode unitary alone takes 16 * 201**4 bytes,
+    # about 26 GB; the photon-number blocks need only the output operator.
+    space = FockSpace(200)
+    ref = ReferenceState((0.5, 0.5j, -0.5, 0.5))
+    bs = BeamSplitter(0.6)
+    tracemalloc.start()
+    try:
+        synthesized = projection_synthesis_retro(ref, 2, 2, bs, space)
+        scissors = scissors_output(ref, bs, space)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+    small = FockSpace(6)
+    np.testing.assert_allclose(synthesized.mat[:7, :7],
+                               projection_synthesis_retro(ref, 2, 2, bs, small).mat,
+                               atol=1e-14)
+    np.testing.assert_allclose(scissors.mat[:7, :7],
+                               scissors_output(ref, bs, small).mat, atol=1e-14)
