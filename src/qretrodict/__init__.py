@@ -51,7 +51,6 @@ from .hilbert import (
     is_hermitian,
     is_psd,
     is_unitary,
-    matrix_exp,
     partial_trace,
     tensor,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "tensor",
     "partial_trace",
     "adjoint",
-    "matrix_exp",
     "is_hermitian",
     "is_psd",
     "is_unitary",

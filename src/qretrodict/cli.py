@@ -8,15 +8,17 @@ diagnostics.  Output is deterministic: the same scenario file always
 produces byte-identical JSON.
 
 Exit codes: 0 success, 2 unreadable/unparsable scenario, 3 validation
-failure (schema or domain invariants), 4 computation failure (for
-example conditioning on a zero-probability outcome, or a scenario too
-large for the available memory).
+failure (schema or domain invariants; the schema caps ``truncation`` at
+2000 photons, so a truncation of 10^5 exits 3 before any allocation),
+4 computation failure (for example conditioning on a zero-probability
+outcome, or a scenario too large for the available memory).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -49,15 +51,17 @@ TABLE_ROW_SUM_TOL = 1e-9
 
 KINDS = ("bayes", "retrodict", "detector", "synthesis", "scissors", "bb84")
 
-_schema_cache = None
 
+@functools.cache
+def _validator():
+    """The shipped schema's validator, built once per process.
 
-def _schema() -> dict:
-    global _schema_cache
-    if _schema_cache is None:
-        ref = resources.files("qretrodict").joinpath("schema", SCHEMA_RESOURCE)
-        _schema_cache = json.loads(ref.read_text(encoding="utf-8"))
-    return _schema_cache
+    The schema itself is checked against its meta-schema by the test
+    suite, not on every run.
+    """
+    ref = resources.files("qretrodict").joinpath("schema", SCHEMA_RESOURCE)
+    schema = json.loads(ref.read_text(encoding="utf-8"))
+    return jsonschema.validators.validator_for(schema)(schema)
 
 
 @dataclass(frozen=True, eq=False)
@@ -312,12 +316,11 @@ _RUNNERS = {
 
 def validate_document(doc) -> Scenario:
     """Check a parsed scenario document against the shipped schema."""
-    try:
-        jsonschema.validate(doc, _schema())
-    except jsonschema.ValidationError as exc:
+    error = jsonschema.exceptions.best_match(_validator().iter_errors(doc))
+    if error is not None:
         raise ValidationError(
-            f"scenario does not match the schema at {exc.json_path}: {exc.message}"
-        ) from None
+            f"scenario does not match the schema at {error.json_path}: {error.message}"
+        )
     return Scenario(kind=doc["kind"], parameters=doc.get("parameters", {}),
                     description=doc.get("description", ""), document=doc)
 

@@ -18,9 +18,8 @@ from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
-import scipy.linalg
 
-from .errors import ConvergenceError, DimensionMismatch, ValidationError
+from .errors import DimensionMismatch, ValidationError
 
 #: Default absolute tolerance for the numerical predicates.
 DEFAULT_TOL = 1e-9
@@ -174,19 +173,6 @@ def scale(op: Operator, c: complex) -> Operator:
 def add(a: Operator, b: Operator) -> Operator:
     _check_same_dims(a, b, "add")
     return Operator(a.mat + b.mat, a.dims)
-
-
-def matrix_exp(op: Operator) -> Operator:
-    """Matrix exponential.
-
-    Uses scaling-and-squaring (scipy); for anti-hermitian input the result
-    is unitary to well below the default predicate tolerance.  A non-finite
-    result (overflow for extreme norms) raises :class:`ConvergenceError`.
-    """
-    out = scipy.linalg.expm(op.mat)
-    if not np.all(np.isfinite(out)):
-        raise ConvergenceError("matrix exponential did not converge to a finite result")
-    return Operator(out, op.dims)
 
 
 def is_hermitian(op: Operator, tol: float = DEFAULT_TOL) -> bool:

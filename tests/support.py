@@ -1,9 +1,24 @@
 """Shared helpers for building random test instances."""
 
 import numpy as np
+import scipy.linalg
 
+from qretrodict.errors import ConvergenceError
 from qretrodict.hilbert import Operator
 from qretrodict.retrodict import Pom, PreparationEnsemble
+
+
+def matrix_exp(op: Operator) -> Operator:
+    """Matrix exponential, the tests' scipy oracle.
+
+    Uses scaling-and-squaring (scipy); for anti-hermitian input the result
+    is unitary to well below the default predicate tolerance.  A non-finite
+    result (overflow for extreme norms) raises :class:`ConvergenceError`.
+    """
+    out = scipy.linalg.expm(op.mat)
+    if not np.all(np.isfinite(out)):
+        raise ConvergenceError("matrix exponential did not converge to a finite result")
+    return Operator(out, op.dims)
 
 
 def random_psd(rng, d):

