@@ -36,7 +36,6 @@ from .bb84 import (
 from .errors import (
     BiasedSourceError,
     ComputationError,
-    ConvergenceError,
     DimensionMismatch,
     NumericIntegrityError,
     QRetrodictError,
@@ -92,7 +91,6 @@ __all__ = [
     "ComputationError",
     "ZeroProbabilityError",
     "NumericIntegrityError",
-    "ConvergenceError",
     # operators
     "ModeDims",
     "Operator",

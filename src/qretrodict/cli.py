@@ -9,9 +9,16 @@ produces byte-identical JSON.
 
 Exit codes: 0 success, 2 unreadable/unparsable scenario, 3 validation
 failure (schema or domain invariants; the schema caps ``truncation`` at
-2000 photons, so a truncation of 10^5 exits 3 before any allocation),
+2000 photons and BB84 ``slots`` at 10^7, or 10^6 with records, so
+oversized documents exit 3 before any allocation; an integer beyond the
+double-precision range where a real number is expected also exits 3),
 4 computation failure (for example conditioning on a zero-probability
 outcome, or a scenario too large for the available memory).
+
+Validation is one pass over the matrix and vector entries: a shallow
+copy of the shipped schema checks everything but those entries, and a
+plain loop checks the entries.  Any rejection re-runs the full schema,
+which alone writes the error message.
 """
 
 from __future__ import annotations
@@ -52,16 +59,92 @@ TABLE_ROW_SUM_TOL = 1e-9
 KINDS = ("bayes", "retrodict", "detector", "synthesis", "scissors", "bb84")
 
 
+#: Where the schema puts ``$defs/matrix`` and ``$defs/vector``: per kind,
+#: a path into its parameters (``"*"`` for every item of an array) and
+#: the definition found there.  The shallow validator checks these only
+#: down to their outer array; :func:`_entries_ok` checks the rest.
+_ENTRY_SITES = {
+    "retrodict": {("events", "*", "state"): "matrix",
+                  ("pom", "*", "element"): "matrix"},
+    "synthesis": {("reference",): "vector"},
+    "scissors": {("reference",): "vector"},
+}
+
+#: Python types of a JSON number, as a parsed document holds them.
+_NUMBER_TYPES = frozenset((int, float))
+
+
+@functools.cache
+def _schema() -> dict:
+    ref = resources.files("qretrodict").joinpath("schema", SCHEMA_RESOURCE)
+    return json.loads(ref.read_text(encoding="utf-8"))
+
+
+def _compile(schema: dict):
+    return jsonschema.validators.validator_for(schema)(schema)
+
+
 @functools.cache
 def _validator():
     """The shipped schema's validator, built once per process.
 
-    The schema itself is checked against its meta-schema by the test
-    suite, not on every run.
+    Only a rejected document needs it.  The schema itself is checked
+    against its meta-schema by the test suite, not on every run.
     """
-    ref = resources.files("qretrodict").joinpath("schema", SCHEMA_RESOURCE)
-    schema = json.loads(ref.read_text(encoding="utf-8"))
-    return jsonschema.validators.validator_for(schema)(schema)
+    return _compile(_schema())
+
+
+@functools.cache
+def _shallow_validator():
+    """The shipped schema with matrices and vectors cut to their outer array."""
+    schema = _schema()
+    defs = dict(schema["$defs"])
+    for name in _ENTRY_CHECKS:
+        defs[name] = {k: v for k, v in defs[name].items() if k != "items"}
+    return _compile(dict(schema, **{"$defs": defs}))
+
+
+def _at(node, path):
+    """Every value at ``path`` below ``node``; ``"*"`` walks array items."""
+    if not path:
+        yield node
+    elif path[0] == "*":
+        for item in node:
+            yield from _at(item, path[1:])
+    elif path[0] in node:
+        yield from _at(node[path[0]], path[1:])
+
+
+def _complex_entries_ok(entries) -> bool:
+    """Whether every entry matches ``$defs/complex``: two numbers, no bool."""
+    for z in entries:
+        if (type(z) is not list or len(z) != 2
+                or type(z[0]) not in _NUMBER_TYPES
+                or type(z[1]) not in _NUMBER_TYPES):
+            return False
+    return True
+
+
+def _matrix_ok(rows) -> bool:
+    return all(type(row) is list and row and _complex_entries_ok(row)
+               for row in rows)
+
+
+_ENTRY_CHECKS = {"matrix": _matrix_ok, "vector": _complex_entries_ok}
+
+
+def _entries_ok(doc) -> bool:
+    """The part of the schema the shallow validator leaves out.
+
+    Only called on documents the shallow validator accepts, so the kind
+    is known and its parameters exist.  Stricter than jsonschema on
+    Python objects no JSON text parses to (a list subclass, a complex
+    number): those take the full schema's route.
+    """
+    sites = _ENTRY_SITES.get(doc["kind"], {})
+    return all(_ENTRY_CHECKS[name](value)
+               for path, name in sites.items()
+               for value in _at(doc["parameters"], path))
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,18 +202,34 @@ class ResultDocument:
                     )
 
 
-def _parse_complex(pair) -> complex:
-    return complex(float(pair[0]), float(pair[1]))
+def _out_of_range(where: str) -> ValidationError:
+    return ValidationError(
+        f"{where} holds a number outside the double-precision range")
 
 
-def _parse_vector(entries) -> tuple:
-    return tuple(_parse_complex(pair) for pair in entries)
+def _real(value, where: str) -> float:
+    """A JSON number as a float.
 
-
-def _parse_matrix(rows) -> np.ndarray:
+    JSON integers are unbounded, so one that passes the schema as a
+    ``number`` can still be too large for a double.
+    """
     try:
-        return np.array([[_parse_complex(entry) for entry in row] for row in rows],
-                        dtype=complex)
+        return float(value)
+    except OverflowError:
+        raise _out_of_range(where) from None
+
+
+def _parse_vector(entries, where: str) -> tuple:
+    try:
+        return tuple(complex(float(re), float(im)) for re, im in entries)
+    except OverflowError:
+        raise _out_of_range(where) from None
+
+
+def _parse_matrix(rows, where: str) -> np.ndarray:
+    rows = [_parse_vector(row, where) for row in rows]
+    try:
+        return np.array(rows, dtype=complex)
     except ValueError as exc:
         raise ValidationError(f"malformed matrix: {exc}") from None
 
@@ -162,8 +261,10 @@ def _array(rows, cols, values, integral=False) -> dict:
 def _run_bayes(params: dict, result: ResultDocument):
     labels = tuple(params["events"])
     outcomes = tuple(params["outcomes"])
-    space = bayes.EventSpace(labels, params["priors"])
-    cond = bayes.ConditionalTable(labels, outcomes, params["conditional"])
+    space = bayes.EventSpace(labels, [_real(p, "priors")
+                                      for p in params["priors"]])
+    cond = bayes.ConditionalTable(labels, outcomes, [
+        [_real(p, "conditional") for p in row] for row in params["conditional"]])
     joint = bayes.joint(space, cond)
     marginal = bayes.predict_marginal(space, cond)
     result.arrays["joint"] = _array(labels, outcomes, joint)
@@ -188,10 +289,12 @@ def _run_bayes(params: dict, result: ResultDocument):
 
 def _run_retrodict(params: dict, result: ResultDocument):
     ens = retrodict.PreparationEnsemble(tuple(
-        (e["label"], e["prior"], Operator(_parse_matrix(e["state"])))
+        (e["label"], _real(e["prior"], f"prior of event {e['label']!r}"),
+         Operator(_parse_matrix(e["state"], f"state of event {e['label']!r}")))
         for e in params["events"]))
     pom = retrodict.Pom(tuple(
-        (p["label"], Operator(_parse_matrix(p["element"])))
+        (p["label"],
+         Operator(_parse_matrix(p["element"], f"POM element {p['label']!r}")))
         for p in params["pom"]))
     pred_rows = [[retrodict.born_probability(ens.state(a), op)
                   for _, op in pom.elements] for a in ens.labels]
@@ -207,8 +310,9 @@ def _run_retrodict(params: dict, result: ResultDocument):
         prep = retrodict.preparation_pom(ens)
         weights = {label: np.trace(op.mat).real for label, op in pom.elements}
 
-        def posterior(op, a):
-            return retrodict.retro_conditional_unbiased(prep, op, a)
+        def posterior_row(op):
+            return [retrodict.retro_conditional_unbiased(prep, op, a)
+                    for a in ens.labels]
 
         outcome_dist = [retrodict.outcome_prior(op) for _, op in pom.elements]
     else:
@@ -218,8 +322,8 @@ def _run_retrodict(params: dict, result: ResultDocument):
                         for _, op in pom.elements]
         weights = dict(zip(pom.labels, outcome_dist))
 
-        def posterior(op, a):
-            return retrodict.retro_conditional_biased(lam, op, a)
+        def posterior_row(op):
+            return retrodict.retro_conditional_biased(lam, op)
 
     result.tables["outcome_distribution"] = _table(
         ["prior"], pom.labels, [outcome_dist])
@@ -229,7 +333,7 @@ def _run_retrodict(params: dict, result: ResultDocument):
             skipped.append(label)
             continue
         active.append(label)
-        rows.append([posterior(op, a) for a in ens.labels])
+        rows.append(posterior_row(op))
     if active:
         result.tables["retrodictive"] = _table(active, ens.labels, rows)
     if skipped:
@@ -238,8 +342,8 @@ def _run_retrodict(params: dict, result: ResultDocument):
 
 def _run_detector(params: dict, result: ResultDocument):
     space = optics.FockSpace(params["truncation"])
-    op = optics.inefficient_detector_retro(params["counts"],
-                                           params["efficiency"], space)
+    op = optics.inefficient_detector_retro(
+        params["counts"], _real(params["efficiency"], "efficiency"), space)
     diagonal = np.diag(op.mat).real
     trace = float(diagonal.sum())
     result.operators["retro_state"] = _serialize_operator(op)
@@ -250,9 +354,9 @@ def _run_detector(params: dict, result: ResultDocument):
 
 
 def _run_synthesis(params: dict, result: ResultDocument):
-    ref = optics.ReferenceState(_parse_vector(params["reference"]))
+    ref = optics.ReferenceState(_parse_vector(params["reference"], "reference"))
     space = optics.FockSpace(params["truncation"])
-    bs = optics.BeamSplitter(params["theta"])
+    bs = optics.BeamSplitter(_real(params["theta"], "theta"))
     op = optics.projection_synthesis_retro(ref, params["counts_b"],
                                            params["counts_c"], bs, space)
     result.operators["retro_state"] = _serialize_operator(op)
@@ -262,9 +366,9 @@ def _run_synthesis(params: dict, result: ResultDocument):
 
 
 def _run_scissors(params: dict, result: ResultDocument):
-    ref = optics.ReferenceState(_parse_vector(params["reference"]))
+    ref = optics.ReferenceState(_parse_vector(params["reference"], "reference"))
     space = optics.FockSpace(params["truncation"])
-    bs = optics.BeamSplitter(params["theta"])
+    bs = optics.BeamSplitter(_real(params["theta"], "theta"))
     op = optics.scissors_output(ref, bs, space)
     result.operators["output_state"] = _serialize_operator(op)
     result.scalars["purity"] = float(np.trace(op.mat @ op.mat).real)
@@ -315,12 +419,20 @@ _RUNNERS = {
 
 
 def validate_document(doc) -> Scenario:
-    """Check a parsed scenario document against the shipped schema."""
-    error = jsonschema.exceptions.best_match(_validator().iter_errors(doc))
-    if error is not None:
-        raise ValidationError(
-            f"scenario does not match the schema at {error.json_path}: {error.message}"
-        )
+    """Check a parsed scenario document against the shipped schema.
+
+    A valid document costs one pass over its matrix entries: the shallow
+    validator, then the entry check.  If either rejects it, the full
+    schema decides and writes the message, exactly as
+    ``jsonschema.validate`` would.
+    """
+    if not (_shallow_validator().is_valid(doc) and _entries_ok(doc)):
+        error = jsonschema.exceptions.best_match(_validator().iter_errors(doc))
+        if error is not None:
+            raise ValidationError(
+                f"scenario does not match the schema at {error.json_path}: "
+                f"{error.message}"
+            )
     return Scenario(kind=doc["kind"], parameters=doc.get("parameters", {}),
                     description=doc.get("description", ""), document=doc)
 

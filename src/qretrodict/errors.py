@@ -33,7 +33,3 @@ class ZeroProbabilityError(ComputationError):
 
 class NumericIntegrityError(ComputationError):
     """A quantity that must be a probability fell outside [0, 1] beyond tolerance."""
-
-
-class ConvergenceError(ComputationError):
-    """An iterative or series computation failed to produce a finite result."""

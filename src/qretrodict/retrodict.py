@@ -17,7 +17,7 @@ directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence, Tuple
+from typing import Hashable, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -346,8 +346,8 @@ def retro_conditional_unbiased(prep: PreparationPom, element: Operator,
 
 
 def retro_conditional_biased(lam: BiasedElements, element: Operator,
-                             event: Hashable,
-                             trace_tol: float = TRACE_TOL) -> float:
+                             event: Optional[Hashable] = None,
+                             trace_tol: float = TRACE_TOL) -> float | np.ndarray:
     """Posterior probability of a preparation event for a possibly biased source.
 
     The posterior is the overlap of the event's prior-weighted state with
@@ -355,12 +355,27 @@ def retro_conditional_biased(lam: BiasedElements, element: Operator,
     unbiased form whenever the weighted states do sum to a multiple of
     the identity.
 
+    With ``event`` omitted (None), returns the whole posterior row: an
+    array over ``lam.labels``, each overlap computed once.  A single
+    event's posterior is that row's entry, bit for bit.
+
     Raises
     ------
+    ValidationError
+        If ``event`` is not one of ``lam.labels``.
     ZeroProbabilityError
         If every event has (numerically) zero overlap with the outcome.
     """
-    index = None
+    if event is None:
+        return _biased_posterior_row(lam, element, trace_tol)
+    labels = lam.labels
+    if event not in labels:
+        raise ValidationError(f"unknown event label {event!r}")
+    return float(_biased_posterior_row(lam, element, trace_tol)[labels.index(event)])
+
+
+def _biased_posterior_row(lam: BiasedElements, element: Operator,
+                          trace_tol: float) -> np.ndarray:
     overlaps = np.empty(len(lam))
     for k, (label, op) in enumerate(lam.elements):
         if op.dims.dims != element.dims.dims:
@@ -374,16 +389,12 @@ def retro_conditional_biased(lam: BiasedElements, element: Operator,
                 f"nonnegative real: {raw!r}"
             )
         overlaps[k] = max(raw.real, 0.0)
-        if label == event:
-            index = k
-    if index is None:
-        raise ValidationError(f"unknown event label {event!r}")
     denominator = float(overlaps.sum())
     if denominator <= trace_tol:
         raise ZeroProbabilityError(
             f"outcome has zero probability under every event; posterior undefined"
         )
-    return float(overlaps[index] / denominator)
+    return overlaps / denominator
 
 
 def predictive_conditional_subset(state: Operator, pom: Pom,

@@ -3,9 +3,13 @@
 import numpy as np
 import scipy.linalg
 
-from qretrodict.errors import ConvergenceError
+from qretrodict.errors import ComputationError
 from qretrodict.hilbert import Operator
 from qretrodict.retrodict import Pom, PreparationEnsemble
+
+
+class ConvergenceError(ComputationError):
+    """The matrix exponential oracle failed to produce a finite result."""
 
 
 def matrix_exp(op: Operator) -> Operator:

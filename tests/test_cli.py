@@ -1,6 +1,8 @@
 """Tests for the scenario-driven command line front end."""
 
 import contextlib
+import copy
+import functools
 import hashlib
 import io
 import json
@@ -50,6 +52,10 @@ GOLDEN_DIGESTS = {
     "synthesis-single-photon": "e6339b74485e5896704bbfb61a71571ea70a91e43d64281aad284342ac0eb1ed",
     "vacuum-synthesis": "424fed9687f558bf2c746777da503ef2489744451bb2a15354a61cffd01a7cb5",
 }
+
+
+#: A JSON integer no double can hold.
+HUGE = 10 ** 400
 
 
 def write_scenario(tmp_path, doc, name="scenario.json"):
@@ -212,6 +218,88 @@ class TestSchema:
         assert out.strip() == "[]"
 
 
+def _refs(node, pointer=()):
+    """Every ``$ref`` in a schema with the JSON-pointer parts leading to it."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if key == "$ref":
+                yield pointer, value
+            else:
+                yield from _refs(value, pointer + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _refs(value, pointer + (i,))
+
+
+def retrodict_doc(d, k):
+    """A schema-valid retrodict document with k events and k POM elements."""
+    def matrix():
+        return [[[1.0 / d, 0.0] if i == j else [0, 0] for j in range(d)]
+                for i in range(d)]
+
+    return {"kind": "retrodict", "parameters": {
+        "events": [{"label": f"a{i}", "prior": 1 / k, "state": matrix()}
+                   for i in range(k)],
+        "pom": [{"label": f"b{j}", "element": matrix()} for j in range(k)]}}
+
+
+class TestFastValidation:
+    def test_entry_check_covers_every_matrix_and_vector_reference(self):
+        schema = bundled_schema()
+        defs = schema["$defs"]
+        # The entry check implements exactly these definitions.
+        assert defs["complex"] == {
+            "type": "array", "prefixItems": [{"type": "number"}] * 2,
+            "minItems": 2, "items": False}
+        assert defs["vector"] == {"type": "array", "minItems": 1,
+                                  "items": {"$ref": "#/$defs/complex"}}
+        assert defs["matrix"] == {"type": "array", "minItems": 1, "items": {
+            "type": "array", "minItems": 1,
+            "items": {"$ref": "#/$defs/complex"}}}
+        refs = list(_refs(schema))
+        covered = set()
+        for kind, sites in cli._ENTRY_SITES.items():
+            # A kind's parameters are reached only from its own branch.
+            branch = next(i for i, rule in enumerate(schema["allOf"])
+                          if rule["if"]["properties"]["kind"] == {"const": kind})
+            assert [p for p, ref in refs if ref == f"#/$defs/{kind}Parameters"] \
+                == [("allOf", branch, "then", "properties", "parameters")]
+            for path, name in sites.items():
+                pointer = ("$defs", f"{kind}Parameters")
+                for step in path:
+                    pointer += ("items",) if step == "*" else ("properties", step)
+                covered.add((pointer, f"#/$defs/{name}"))
+        found = {(p, ref) for p, ref in refs
+                 if ref in ("#/$defs/matrix", "#/$defs/vector")}
+        assert found == covered
+
+    def test_valid_document_never_builds_the_full_validator(self, monkeypatch):
+        calls = []
+        full = cli._validator
+
+        def spy():
+            calls.append(1)
+            return full()
+
+        monkeypatch.setattr(cli, "_validator", spy)
+        doc = retrodict_doc(16, 16)
+        assert validate_document(doc).kind == "retrodict"
+        assert calls == []
+        doc["parameters"]["pom"][3]["element"][5][7] = [0, True]
+        with pytest.raises(cli.ValidationError, match=r"pom\[3\]"):
+            validate_document(doc)
+        assert calls == [1]
+
+    def test_full_schema_decides_what_the_entry_check_declines(self):
+        class Row(list):
+            pass
+
+        doc = retrodict_doc(2, 2)
+        doc["parameters"]["events"][0]["state"][0] = Row([[0.5, 0.0], [0, 0]])
+        assert not cli._entries_ok(doc)
+        assert validate_document(doc).kind == "retrodict"
+
+
 class TestExitCodes:
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code = main(["run", str(tmp_path / "absent.json")])
@@ -292,6 +380,57 @@ class TestExitCodes:
         assert captured.out == ""
         assert "truncation" in json.loads(captured.err)["error"]["message"]
         assert peak < 4 * 2 ** 20
+
+    @pytest.mark.parametrize("params", [
+        {"slots": 10 ** 8},
+        {"slots": 2 * 10 ** 6, "include_records": True},
+    ])
+    def test_oversized_bb84_slots_exit_3_before_allocating(
+            self, tmp_path, capsys, params):
+        path = write_scenario(tmp_path, {"kind": "bb84", "parameters": params})
+        tracemalloc.start()
+        try:
+            code = main(["run", path])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "slots" in json.loads(captured.err)["error"]["message"]
+        assert peak < 4 * 2 ** 20
+
+    def test_largest_bb84_slot_counts_pass_the_schema(self):
+        validate_document({"kind": "bb84", "parameters": {"slots": 10 ** 7}})
+        validate_document({"kind": "bb84", "parameters": {
+            "slots": 10 ** 6, "include_records": True}})
+        validate_document({"kind": "bb84", "parameters": {
+            "slots": 10 ** 7, "include_records": False}})
+
+    @pytest.mark.parametrize("kind, params", [
+        ("retrodict", {"events": [{"label": "a", "prior": 1.0,
+                                   "state": [[[HUGE, 0]]]}],
+                       "pom": [{"label": "b", "element": [[[1, 0]]]}]}),
+        ("retrodict", {"events": [{"label": "a", "prior": HUGE,
+                                   "state": [[[1, 0]]]}],
+                       "pom": [{"label": "b", "element": [[[1, 0]]]}]}),
+        ("bayes", {"events": ["a"], "priors": [HUGE], "outcomes": ["x"],
+                   "conditional": [[1.0]]}),
+        ("detector", {"counts": 0, "efficiency": HUGE, "truncation": 3}),
+        ("scissors", {"reference": [[1, 0]], "theta": -HUGE, "truncation": 3}),
+        ("synthesis", {"reference": [[0, HUGE]], "counts_b": 0, "counts_c": 0,
+                       "theta": 0.5, "truncation": 3}),
+    ], ids=["retrodict-entry", "retrodict-prior", "bayes-priors",
+            "detector-efficiency", "scissors-theta", "synthesis-reference"])
+    def test_number_beyond_double_range_exits_3(self, tmp_path, capsys,
+                                                kind, params):
+        path = write_scenario(tmp_path, {"kind": kind, "parameters": params})
+        assert main(["run", path]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)["error"]
+        assert error["category"] == "validation"
+        assert "double-precision range" in error["message"]
 
     def test_csv_without_tables_exits_3(self, capsys):
         info = next(i for i in list_examples() if i.kind == "detector")
@@ -554,3 +693,107 @@ def test_fuzzed_documents_map_to_documented_exit_codes(fuzz_dir, doc,
     if code != EXIT_OK:
         assert out.getvalue() == ""
         assert json.loads(err.getvalue())["error"]["exit_code"] == code
+
+
+# Documents for the fast-path property test: a schema-valid retrodict,
+# synthesis or scissors document, then variants of it with matrix or
+# vector parts, or a neighbouring scalar, replaced by an odd value.
+_number = st.one_of(st.integers(-2, 2), st.floats(-2, 2),
+                    st.sampled_from([math.nan, math.inf, -math.inf, HUGE, -HUGE]))
+_pair = st.lists(_number, min_size=2, max_size=2)
+_odd = st.one_of(
+    st.sampled_from([True, False, None, "1", [], [1], [0, 0, 0], [[0, 0]],
+                     [True, 0], [0, None], {}]),
+    _number,
+    st.lists(st.one_of(_number, st.booleans(), st.none(), st.text(max_size=1),
+                       _pair, st.just([])), max_size=3))
+
+
+def _paths_below(node, path, depth=0):
+    """(depth, path) of ``node`` and of everything nested in it."""
+    yield depth, path
+    if isinstance(node, list):
+        for i, item in enumerate(node):
+            yield from _paths_below(item, path + (i,), depth + 1)
+
+
+def _replaced(doc, replacements):
+    doc = copy.deepcopy(doc)
+    # Deepest first, so no replacement removes the place of a later one.
+    for path, value in sorted(replacements, key=lambda r: len(r[0]), reverse=True):
+        node = doc["parameters"]
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return doc
+
+
+@st.composite
+def _entry_documents(draw):
+    kind = draw(st.sampled_from(["retrodict", "synthesis", "scissors"]))
+    d = draw(st.integers(1, 3))
+    if kind == "retrodict":
+        def matrix():
+            return draw(st.lists(st.lists(_pair, min_size=d, max_size=d),
+                                 min_size=d, max_size=d))
+
+        params = {"events": [{"label": f"a{i}", "prior": draw(_number),
+                              "state": matrix()} for i in range(2)],
+                  "pom": [{"label": "b", "element": matrix()}]}
+        sites = [("events", i, "state") for i in range(2)] + [("pom", 0, "element")]
+        scalars = [("events", 0, "prior"), ("pom", 0, "label")]
+    else:
+        params = {"reference": draw(st.lists(_pair, min_size=d, max_size=d)),
+                  "theta": draw(_number), "truncation": 3}
+        if kind == "synthesis":
+            params.update(counts_b=0, counts_c=1)
+        sites, scalars = [("reference",)], [("theta",), ("truncation",)]
+    doc = {"kind": kind, "parameters": params}
+    # Places grouped by nesting depth below a site: the whole matrix, a
+    # row, an entry, a component.
+    groups = {"scalar": scalars}
+    for site in sites:
+        node = params
+        for key in site:
+            node = node[key]
+        for depth, path in _paths_below(node, site):
+            groups.setdefault(depth, []).append(path)
+    places = [path for group in groups.values() for path in group]
+    # One replacement at each depth on its own, so that a fast-path slip
+    # is not hidden behind another error, then a few at once.
+    variants = [_replaced(doc, [(draw(st.sampled_from(group)), draw(_odd))])
+                for group in groups.values()]
+    variants.append(_replaced(doc, [(draw(st.sampled_from(places)), draw(_odd))
+                                    for _ in range(draw(st.integers(2, 3)))]))
+    return [doc] + variants
+
+
+@functools.cache
+def _reference_validator():
+    return jsonschema.Draft202012Validator(bundled_schema())
+
+
+def _schema_message(doc):
+    """What ``jsonschema.validate`` reports, without its meta-schema check.
+
+    That check costs tens of milliseconds a call; the schema's validity is
+    tested once by ``test_bundled_schema_is_a_valid_draft_2020_12_schema``.
+    """
+    error = jsonschema.exceptions.best_match(_reference_validator().iter_errors(doc))
+    if error is None:
+        return None
+    return (f"scenario does not match the schema at {error.json_path}: "
+            f"{error.message}")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(docs=_entry_documents())
+def test_fast_validation_agrees_with_jsonschema(docs):
+    for doc in docs:
+        try:
+            validate_document(doc)
+            got = None
+        except cli.ValidationError as error:
+            got = str(error)
+        assert got == _schema_message(doc)

@@ -346,6 +346,28 @@ class TestRetroConditionalBiased:
         with pytest.raises(ValidationError):
             retro_conditional_biased(lam, ket([1, 0]), "2")
 
+    @staticmethod
+    def per_cell_posterior(lam, element, event):
+        """The per-cell formula: all overlaps recomputed for one event."""
+        overlaps = np.empty(len(lam))
+        for k, (_, op) in enumerate(lam.elements):
+            raw = complex(np.einsum("ij,ji->", op.mat, element.mat))
+            overlaps[k] = max(raw.real, 0.0)
+        return float(overlaps[lam.labels.index(event)] / float(overlaps.sum()))
+
+    def test_posterior_row_is_bit_identical_to_per_cell_calls(self):
+        rng = np.random.default_rng(61)
+        for _ in range(30):
+            d = int(rng.integers(1, 7))
+            ens = random_biased_ensemble(rng, d, int(rng.integers(1, 9)))
+            lam = BiasedElements.from_ensemble(ens)
+            for _, op in random_pom(rng, d, int(rng.integers(1, 6))).elements:
+                row = retro_conditional_biased(lam, op)
+                assert row.tolist() == [retro_conditional_biased(lam, op, a)
+                                        for a in ens.labels]
+                assert row.tolist() == [self.per_cell_posterior(lam, op, a)
+                                        for a in ens.labels]
+
 
 class TestPredictiveConditionalSubset:
     def three_element_pom(self):
