@@ -90,7 +90,10 @@ class ConditionalTable:
     def __post_init__(self):
         rows = _as_labels(self.row_labels, "row labels")
         cols = _as_labels(self.col_labels, "column labels")
-        probs = np.array(self.probs, dtype=float)
+        try:
+            probs = np.array(self.probs, dtype=float)
+        except ValueError as exc:
+            raise ValidationError(f"malformed conditional table: {exc}") from None
         if probs.shape != (len(rows), len(cols)):
             raise ValidationError(
                 f"expected table of shape {(len(rows), len(cols))}, got {probs.shape}"

@@ -19,6 +19,10 @@ Validation is one pass over the matrix and vector entries: a shallow
 copy of the shipped schema checks everything but those entries, and a
 plain loop checks the entries.  Any rejection re-runs the full schema,
 which alone writes the error message.
+
+JSON output is byte for byte ``json.dumps(doc, indent=2, sort_keys=True)``
+and a newline, but each rectangular number array is encoded one row at a
+time by the C encoder and poured into a template of its indented layout.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -311,8 +316,7 @@ def _run_retrodict(params: dict, result: ResultDocument):
         weights = {label: np.trace(op.mat).real for label, op in pom.elements}
 
         def posterior_row(op):
-            return [retrodict.retro_conditional_unbiased(prep, op, a)
-                    for a in ens.labels]
+            return retrodict.retro_conditional_unbiased(prep, op)
 
         outcome_dist = [retrodict.outcome_prior(op) for _, op in pom.elements]
     else:
@@ -454,8 +458,80 @@ def execute(scenario: Scenario) -> ResultDocument:
     return result
 
 
+#: Without an indent, ``encode`` runs the C encoder.  No rendered value
+#: holds itself, so its circular-reference bookkeeping is skipped.
+_ENCODER = json.JSONEncoder(check_circular=False)
+
+
+def _numeric_array(value):
+    """Shape and flat leaves of a rectangular nested list of numbers, else None."""
+    shape, flat = [], [value]
+    while True:
+        lengths = set(map(len, flat))
+        if len(lengths) > 1 or 0 in lengths:
+            return None
+        shape += lengths
+        flat = list(itertools.chain.from_iterable(flat))
+        kinds = set(map(type, flat))
+        if kinds <= _NUMBER_TYPES:
+            return shape, flat
+        if kinds != {list}:
+            return None
+
+
+def _template(shape, nl: str) -> str:
+    """``%s`` slots laid out as an indented array of ``shape`` starting at ``nl``."""
+    if not shape:
+        return "%s"
+    inner = nl + "  "
+    slots = [_template(shape[1:], inner)] * shape[0]
+    return "[" + inner + ("," + inner).join(slots) + nl + "]"
+
+
+def _emit(value, nl: str, out: list):
+    """Append the text of ``value`` to ``out``; ``nl`` starts its lines.
+
+    Dict keys are strings, as in every document the CLI writes.
+    """
+    inner = nl + "  "
+    if isinstance(value, dict) and value:
+        out.append("{")
+        for key, item in sorted(value.items()):
+            out += (inner, _ENCODER.encode(key), ": ")
+            _emit(item, inner, out)
+            out.append(",")
+        out[-1] = nl + "}"
+    elif isinstance(value, (list, tuple)) and value:
+        array = _numeric_array(value)
+        out.append("[")
+        if array is None:
+            for item in value:
+                out.append(inner)
+                _emit(item, inner, out)
+                out.append(",")
+        else:
+            # One outermost row at a time, so only one row's number texts
+            # exist at once.  No number's text holds the separator ", ".
+            shape, flat = array
+            row, size = _template(shape[1:], inner), len(flat) // shape[0]
+            for start in range(0, len(flat), size):
+                numbers = _ENCODER.encode(flat[start:start + size])[1:-1]
+                out += (inner, row % tuple(numbers.split(", ")), ",")
+        out[-1] = nl + "]"
+    else:
+        out.append(_ENCODER.encode(value))
+
+
+def _dumps(value) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` and a newline, byte for byte."""
+    out = []
+    _emit(value, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
 def render_json(result: ResultDocument) -> str:
-    return json.dumps(result.to_json_obj(), indent=2, sort_keys=True) + "\n"
+    return _dumps(result.to_json_obj())
 
 
 def render_csv(result: ResultDocument) -> str:
@@ -478,7 +554,7 @@ def render_csv(result: ResultDocument) -> str:
 def _report_error(category: str, code: int, message: str) -> int:
     report = {"error": {"category": category, "exit_code": code,
                         "message": message}}
-    print(json.dumps(report, indent=2, sort_keys=True), file=sys.stderr)
+    sys.stderr.write(_dumps(report))
     return code
 
 

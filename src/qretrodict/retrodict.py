@@ -334,13 +334,20 @@ def outcome_prior(element: Operator) -> float:
 
 
 def retro_conditional_unbiased(prep: PreparationPom, element: Operator,
-                               event: Hashable,
-                               trace_tol: float = TRACE_TOL) -> float:
+                               event: Optional[Hashable] = None,
+                               trace_tol: float = TRACE_TOL) -> float | np.ndarray:
     """Posterior probability of a preparation event given a measurement outcome.
 
     Valid for unbiased sources only: the posterior is the overlap of the
     outcome's retrodictive state with the event's preparation POM element.
+
+    With ``event`` omitted (None), returns the whole posterior row: an
+    array over ``prep.labels``, the retrodictive state computed once.  A
+    single event's posterior is that row's entry, bit for bit.
     """
+    if event is None:
+        retro = retro_state(element, trace_tol)
+        return np.array([born_probability(retro, xi) for _, xi in prep.elements])
     xi = prep.element(event)
     return born_probability(retro_state(element, trace_tol), xi)
 

@@ -15,6 +15,7 @@ from importlib import resources
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -33,6 +34,7 @@ from qretrodict.cli import (
     render_json,
     validate_document,
 )
+from support import random_pom, random_unbiased_ensemble
 
 
 #: SHA-256 of ``render_json`` for every bundled scenario, recorded before
@@ -351,6 +353,17 @@ class TestExitCodes:
         assert report["error"]["category"] == "computation"
         assert report["error"]["exit_code"] == EXIT_COMPUTATION
 
+    def test_ragged_bayes_conditional_exits_3(self, tmp_path, capsys):
+        doc = bus_train_doc()
+        doc["parameters"]["conditional"] = [[0.5, 0.5], [1.0]]
+        path = write_scenario(tmp_path, doc)
+        assert main(["run", path]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)["error"]
+        assert error["category"] == "validation"
+        assert "conditional" in error["message"]
+
     def test_negative_bb84_seed_exits_3(self, tmp_path, capsys):
         path = write_scenario(tmp_path, {"kind": "bb84",
                                          "parameters": {"slots": 10, "seed": -5}})
@@ -583,6 +596,106 @@ class TestRendering:
                 for label, row in zip(table["rows"], table["values"]):
                     assert math.fsum(row) == pytest.approx(1.0, abs=1e-9), (
                         f"{info.name}: table {name} row {label}")
+
+
+def dumps_oracle(value):
+    """The renderer ``render_json`` replaces, kept here as its oracle."""
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def write_result(tmp_path, doc):
+    return execute(load_scenario(write_scenario(tmp_path, doc)))
+
+
+def detector_result(tmp_path, truncation):
+    return write_result(tmp_path, {"kind": "detector", "parameters": {
+        "truncation": truncation, "counts": 3, "efficiency": 0.8}})
+
+
+def _pairs(mat):
+    return [[[z.real, z.imag] for z in row] for row in mat.tolist()]
+
+
+class TestFastRendering:
+    def test_detector_at_truncation_40_matches_json_dumps(self, tmp_path):
+        result = detector_result(tmp_path, 40)
+        assert render_json(result) == dumps_oracle(result.to_json_obj())
+
+    def test_retrodict_at_d16_k32_matches_json_dumps(self, tmp_path):
+        rng = np.random.default_rng(5)
+        ens = random_unbiased_ensemble(rng, 16, 32)
+        pom = random_pom(rng, 16, 32)
+        result = write_result(tmp_path, {"kind": "retrodict", "parameters": {
+            "events": [{"label": label, "prior": prior, "state": _pairs(op.mat)}
+                       for label, prior, op in ens.events],
+            "pom": [{"label": label, "element": _pairs(op.mat)}
+                    for label, op in pom.elements]}})
+        assert result.diagnostics["source"] == "unbiased"
+        assert render_json(result) == dumps_oracle(result.to_json_obj())
+
+    def test_peak_memory_stays_below_json_dumps(self, tmp_path):
+        result = detector_result(tmp_path, 200)
+
+        def peak(render):
+            tracemalloc.start()
+            try:
+                render()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        ours = peak(lambda: render_json(result))
+        oracle = peak(lambda: dumps_oracle(result.to_json_obj()))
+        assert ours <= oracle
+
+
+# JSON values for the renderer's oracle test: odd scalars, strings with
+# the encoder's separator in them, ragged and mixed lists, and rectangular
+# number arrays of depth 1-4 nested at several indent depths.
+_plain_number = st.integers(-10 ** 20, 10 ** 20) | st.floats()
+_odd_scalar = st.one_of(
+    st.integers(), st.floats(), st.booleans(), st.none(),
+    st.sampled_from([-0.0, 5e-324, 2.225e-308, math.nan, math.inf, -math.inf,
+                     10 ** 300, -(10 ** 40)]))
+_odd_text = st.text(max_size=4) | st.sampled_from(
+    ["a, b", ", ", "1, 2", "ü, é", "\u2603", "[1, 2]", '"', "%s", "\n"])
+
+
+@st.composite
+def _number_array(draw):
+    shape = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+
+    def fill(dims):
+        if not dims:
+            return draw(_plain_number)
+        return [fill(dims[1:]) for _ in range(dims[0])]
+
+    return fill(shape)
+
+
+_ragged = st.lists(st.lists(_plain_number, min_size=1, max_size=3),
+                   min_size=2, max_size=3)
+_mixed = st.lists(_plain_number | st.booleans() | st.none(), min_size=1,
+                  max_size=4)
+_render_values = st.recursive(
+    st.one_of(_odd_scalar, _odd_text, _number_array(), _ragged, _mixed),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_odd_text, inner, max_size=4),
+    max_leaves=12)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(value=_render_values)
+def test_renderer_matches_json_dumps(value):
+    assert cli._dumps(value) == dumps_oracle(value)
+
+
+@pytest.mark.parametrize("value", [
+    ("a", (1, 2.0)), [(1, 2), [3, 4]], ((1, 2), (3, 4)), [[1, 2]] * 3,
+], ids=["tuples", "tuple-row", "tuple-array", "shared-rows"])
+def test_renderer_matches_json_dumps_beyond_parsed_json(value):
+    assert cli._dumps(value) == dumps_oracle(value)
 
 
 # Small bounded scenario documents for the property test below.  Most are

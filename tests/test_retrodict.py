@@ -289,6 +289,24 @@ class TestRetroConditionalUnbiased:
             total = sum(retro_conditional_unbiased(prep, op, a) for a in ens.labels)
             np.testing.assert_allclose(total, 1.0, atol=1e-10)
 
+    def test_posterior_row_is_bit_identical_to_per_cell_calls(self):
+        rng = np.random.default_rng(67)
+        for _ in range(30):
+            d = int(rng.integers(1, 7))
+            ens = random_unbiased_ensemble(rng, d, int(rng.integers(1, 9)))
+            prep = preparation_pom(ens)
+            for _, op in random_pom(rng, d, int(rng.integers(1, 6))).elements:
+                row = retro_conditional_unbiased(prep, op)
+                assert row.tolist() == [retro_conditional_unbiased(prep, op, a)
+                                        for a in ens.labels]
+                assert row.tolist() == [born_probability(retro_state(op), xi)
+                                        for _, xi in prep.elements]
+
+    def test_unknown_event_label(self):
+        prep = preparation_pom(polarization_ensemble())
+        with pytest.raises(ValidationError):
+            retro_conditional_unbiased(prep, 0.5 * ket(V), "X")
+
 
 class TestRetroConditionalBiased:
     def skewed_source(self):
