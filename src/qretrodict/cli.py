@@ -18,7 +18,9 @@ outcome, or a scenario too large for the available memory).
 Validation is one pass over the matrix and vector entries: a shallow
 copy of the shipped schema checks everything but those entries, and a
 plain loop checks the entries.  Any rejection re-runs the full schema,
-which alone writes the error message.
+which alone writes the error message.  The shallow copy is walked by a
+small in-module Draft 2020-12 checker, so jsonschema is imported only
+when a document is rejected.
 
 JSON output is byte for byte ``json.dumps(doc, indent=2, sort_keys=True)``
 and a newline, but each rectangular number array is encoded one row at a
@@ -33,13 +35,13 @@ import functools
 import io
 import itertools
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Optional
 
-import jsonschema
 import numpy as np
 
 from . import bayes, bb84, optics, retrodict
@@ -66,7 +68,7 @@ KINDS = ("bayes", "retrodict", "detector", "synthesis", "scissors", "bb84")
 
 #: Where the schema puts ``$defs/matrix`` and ``$defs/vector``: per kind,
 #: a path into its parameters (``"*"`` for every item of an array) and
-#: the definition found there.  The shallow validator checks these only
+#: the definition found there.  The shallow schema checks these only
 #: down to their outer array; :func:`_entries_ok` checks the rest.
 _ENTRY_SITES = {
     "retrodict": {("events", "*", "state"): "matrix",
@@ -85,28 +87,96 @@ def _schema() -> dict:
     return json.loads(ref.read_text(encoding="utf-8"))
 
 
-def _compile(schema: dict):
+@functools.cache
+def _validator():
+    """The shipped schema's jsonschema validator, built once per process.
+
+    Only a rejected document needs it, so jsonschema is imported here and
+    not with the module.  The schema itself is checked against its
+    meta-schema by the test suite, not on every run.
+    """
+    import jsonschema
+
+    schema = _schema()
     return jsonschema.validators.validator_for(schema)(schema)
 
 
 @functools.cache
-def _validator():
-    """The shipped schema's validator, built once per process.
-
-    Only a rejected document needs it.  The schema itself is checked
-    against its meta-schema by the test suite, not on every run.
-    """
-    return _compile(_schema())
-
-
-@functools.cache
-def _shallow_validator():
+def _shallow_schema() -> dict:
     """The shipped schema with matrices and vectors cut to their outer array."""
     schema = _schema()
     defs = dict(schema["$defs"])
     for name in _ENTRY_CHECKS:
         defs[name] = {k: v for k, v in defs[name].items() if k != "items"}
-    return _compile(dict(schema, **{"$defs": defs}))
+    return dict(schema, **{"$defs": defs})
+
+
+def _is_number(value) -> bool:
+    return type(value) is not bool and isinstance(value, (int, float))
+
+
+#: Draft 2020-12 ``type`` tests: a bool is no number, and an integral
+#: float such as ``1.0`` is an ``integer``.
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "number": _is_number,
+    "integer": lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer()),
+}
+
+
+def _equal(value, expected) -> bool:
+    """``const`` and ``enum`` equality against a scalar: ``true`` is not ``1``."""
+    return isinstance(value, bool) is isinstance(expected, bool) and value == expected
+
+
+def _conforms(value, schema) -> bool:
+    """Whether ``value`` is valid against ``schema`` (a node of the shallow schema).
+
+    Decides as jsonschema's Draft 2020-12 validator does, for exactly the
+    keywords the shipped schema uses; every ``$ref`` there is
+    ``#/$defs/<name>`` and resolves into the shallow schema.  Each keyword
+    ignores values of other types, as the draft says, so NaN passes
+    ``minimum``.  Stricter than jsonschema only on Python objects no JSON
+    text parses to (a complex or Decimal number): those take the full
+    schema's route.
+    """
+    if isinstance(schema, bool):
+        return schema
+    if "$ref" in schema:
+        name = schema["$ref"].removeprefix("#/$defs/")
+        if not _conforms(value, _shallow_schema()["$defs"][name]):
+            return False
+    if "type" in schema and not _TYPES[schema["type"]](value):
+        return False
+    if "const" in schema and not _equal(value, schema["const"]):
+        return False
+    if "enum" in schema and not any(_equal(value, e) for e in schema["enum"]):
+        return False
+    if isinstance(value, dict):
+        properties = schema.get("properties", {})
+        extra = schema.get("additionalProperties", True)
+        if not (all(key in value for key in schema.get("required", ()))
+                and all(_conforms(item, properties.get(key, extra))
+                        for key, item in value.items())):
+            return False
+    elif isinstance(value, list):
+        prefix = schema.get("prefixItems", ())
+        if not (len(value) >= schema.get("minItems", 0)
+                and all(map(_conforms, value, prefix))
+                and ("items" not in schema
+                     or all(_conforms(item, schema["items"])
+                            for item in value[len(prefix):]))):
+            return False
+    elif _is_number(value) and (value < schema.get("minimum", -math.inf)
+                                or value > schema.get("maximum", math.inf)):
+        return False
+    if not all(_conforms(value, rule) for rule in schema.get("allOf", ())):
+        return False
+    return not ("if" in schema and _conforms(value, schema["if"])
+                and not _conforms(value, schema.get("then", True)))
 
 
 def _at(node, path):
@@ -139,9 +209,9 @@ _ENTRY_CHECKS = {"matrix": _matrix_ok, "vector": _complex_entries_ok}
 
 
 def _entries_ok(doc) -> bool:
-    """The part of the schema the shallow validator leaves out.
+    """The part of the schema the shallow schema leaves out.
 
-    Only called on documents the shallow validator accepts, so the kind
+    Only called on documents the shallow schema accepts, so the kind
     is known and its parameters exist.  Stricter than jsonschema on
     Python objects no JSON text parses to (a list subclass, a complex
     number): those take the full schema's route.
@@ -301,13 +371,14 @@ def _run_retrodict(params: dict, result: ResultDocument):
         (p["label"],
          Operator(_parse_matrix(p["element"], f"POM element {p['label']!r}")))
         for p in params["pom"]))
-    pred_rows = [[retrodict.born_probability(ens.state(a), op)
-                  for _, op in pom.elements] for a in ens.labels]
+    pred_rows = [[retrodict.born_probability(state, op)
+                  for _, op in pom.elements] for _, _, state in ens.events]
     result.tables["predictive"] = _table(ens.labels, pom.labels, pred_rows)
 
-    unbiased = retrodict.is_unbiased(ens)
     d = ens.dims.total_dim
     mixture_dev = float(np.max(np.abs(ens.mixture().mat - np.eye(d) / d)))
+    # The test of retrodict.is_unbiased, on the deviation just computed.
+    unbiased = mixture_dev <= retrodict.DEFAULT_TOL
     result.diagnostics["source"] = "unbiased" if unbiased else "biased"
     result.diagnostics["mixture_deviation"] = mixture_dev
 
@@ -321,9 +392,10 @@ def _run_retrodict(params: dict, result: ResultDocument):
         outcome_dist = [retrodict.outcome_prior(op) for _, op in pom.elements]
     else:
         lam = retrodict.BiasedElements.from_ensemble(ens)
-        outcome_dist = [sum(prior * retrodict.born_probability(state, op)
-                            for _, prior, state in ens.events)
-                        for _, op in pom.elements]
+        # Each outcome's weight from the predictive column, in event order.
+        outcome_dist = [sum(prior * row[b]
+                            for (_, prior, _), row in zip(ens.events, pred_rows))
+                        for b in range(len(pom.labels))]
         weights = dict(zip(pom.labels, outcome_dist))
 
         def posterior_row(op):
@@ -392,7 +464,8 @@ def _run_bb84(params: dict, result: ResultDocument):
         return
     seed = params.get("seed", 0)
     attack = params.get("attack", "none")
-    records, summary = bb84.simulate_slots(slots, seed, attack)
+    # A JSON integer may be written 1.0; SeedSequence takes only an int.
+    records, summary = bb84.simulate_slots(slots, int(seed), attack)
     result.arrays["outcome_counts"] = _array(bb84.LABELS, bb84.LABELS,
                                              summary.outcome_counts,
                                              integral=True)
@@ -425,12 +498,14 @@ _RUNNERS = {
 def validate_document(doc) -> Scenario:
     """Check a parsed scenario document against the shipped schema.
 
-    A valid document costs one pass over its matrix entries: the shallow
-    validator, then the entry check.  If either rejects it, the full
-    schema decides and writes the message, exactly as
-    ``jsonschema.validate`` would.
+    A valid document costs one pass over its matrix entries: a walk of
+    the shallow schema, then the entry check.  If either rejects it, the
+    full schema decides and writes the message with jsonschema, exactly
+    as ``jsonschema.validate`` would.
     """
-    if not (_shallow_validator().is_valid(doc) and _entries_ok(doc)):
+    if not (_conforms(doc, _shallow_schema()) and _entries_ok(doc)):
+        import jsonschema
+
         error = jsonschema.exceptions.best_match(_validator().iter_errors(doc))
         if error is not None:
             raise ValidationError(

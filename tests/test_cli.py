@@ -8,6 +8,8 @@ import io
 import json
 import math
 import os
+import re
+import runpy
 import subprocess
 import sys
 import tracemalloc
@@ -213,11 +215,25 @@ class TestSchema:
         probe = ("import sys, qretrodict.cli; "
                  "print(sorted(m for m in sys.modules "
                  "if m == 'scipy' or m.startswith('scipy.')))")
-        src = str(Path(cli.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
-        out = subprocess.run([sys.executable, "-c", probe], check=True, env=env,
-                             capture_output=True, text=True).stdout
-        assert out.strip() == "[]"
+        assert run_python(["-c", probe]).stdout.strip() == "[]"
+
+    def test_importing_the_cli_loads_every_traced_module(self):
+        # The benchmark's tracer looks each of these up in sys.modules
+        # right after importing the CLI, so none may load lazily.
+        tracing = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        traced = runpy.run_path(str(tracing))["TRACED_MODULES"]
+        probe = "import sys, qretrodict.cli; print(*sorted(sys.modules))"
+        loaded = set(run_python(["-c", probe]).stdout.split())
+        assert len(traced) == 6
+        assert {f"qretrodict.{name}" for name in traced} <= loaded
+
+
+def run_python(args, check=True):
+    """Run a fresh interpreter on ``args`` with this package on its path."""
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, *args], check=check, env=env,
+                          capture_output=True, text=True)
 
 
 def _refs(node, pointer=()):
@@ -243,6 +259,82 @@ def retrodict_doc(d, k):
         "events": [{"label": f"a{i}", "prior": 1 / k, "state": matrix()}
                    for i in range(k)],
         "pom": [{"label": f"b{j}", "element": matrix()} for j in range(k)]}}
+
+
+#: The keywords ``cli._conforms`` decides by, and those it may ignore.
+WALKED_KEYWORDS = {"type", "properties", "required", "additionalProperties",
+                   "$ref", "items", "prefixItems", "minItems", "const", "enum",
+                   "minimum", "maximum", "allOf", "if", "then"}
+ANNOTATIONS = {"$schema", "$id", "title", "$defs"}
+
+
+def _subschemas(schema):
+    """``schema`` and every schema nested in it, found by keyword."""
+    yield schema
+    if isinstance(schema, bool):
+        return
+    for key, value in schema.items():
+        if key in ("properties", "$defs"):
+            subs = value.values()
+        elif key in ("allOf", "prefixItems"):
+            subs = value
+        elif key in ("items", "additionalProperties", "if", "then"):
+            subs = [value]
+        else:
+            subs = []
+        for sub in subs:
+            yield from _subschemas(sub)
+
+
+def _cases(schema, *values):
+    return [(schema, value) for value in values]
+
+
+#: One keyword at a time, at the edges where JSON Schema differs from
+#: plain Python: bools are no numbers, 1.0 is an integer, a keyword
+#: ignores values of other types.
+WALK_CASES = [
+    *_cases({"type": "integer"}, 1, 1.0, -0.0, 1.5, True, False, HUGE,
+            math.nan, math.inf, "1"),
+    *_cases({"type": "number"}, 1, 0.5, True, math.nan, -math.inf, HUGE, None),
+    *_cases({"type": "boolean"}, True, 0, None),
+    *_cases({"type": "string"}, "", 1, ["a"]),
+    *_cases({"type": "array"}, [], (), {}),
+    *_cases({"type": "object"}, {}, [], "{}"),
+    *_cases({"const": 1}, 1, 1.0, True, "1", [1], math.nan),
+    *_cases({"const": True}, True, 1, 1.0, "true"),
+    *_cases({"enum": ["a", "b"]}, "a", "c", ["a"], None),
+    *_cases({"minimum": 1}, 1, 0.5, False, math.nan, -math.inf, -HUGE, "0"),
+    *_cases({"maximum": 0}, 0, 1e-300, True, math.nan, math.inf, HUGE, [1]),
+    *_cases({"minItems": 2}, [1], [1, 2], "a", {"a": 1}),
+    *_cases({"prefixItems": [{"type": "number"}], "items": False},
+            [], [1], [True], [1, 2], "ab"),
+    *_cases({"prefixItems": [True], "items": {"type": "string"}},
+            [1], [1, "a"], [1, 2], ["a", "b"]),
+    *_cases({"required": ["a"]}, {}, {"a": None}, ["a"], "a"),
+    *_cases({"properties": {"a": {"type": "string"}},
+             "additionalProperties": False},
+            {}, {"a": "x"}, {"a": 1}, {"b": "x"}, [1]),
+    *_cases({"additionalProperties": {"type": "integer"}}, {"a": 1.0},
+            {"a": True}),
+    *_cases({"if": {"required": ["a"]}, "then": {"required": ["b"]}},
+            {}, {"a": 1}, {"a": 1, "b": 2}, {"b": 2}),
+    *_cases({"allOf": [{"minimum": 0}, {"maximum": 1}]}, 0.5, 2, -1, "x"),
+    *_cases({"$ref": "#/$defs/complex"}, [0, 1], [0, True], [0], [0, 1, 2]),
+    *_cases({"$ref": "#/$defs/matrix"}, [[[1, 0]]], [], [[]], [["x"]]),
+    *_cases(True, None, {}), *_cases(False, None, {}),
+]
+
+
+@pytest.mark.parametrize("schema, value", WALK_CASES,
+                         ids=lambda v: repr(v)[:32])
+def test_schema_walk_keyword_by_keyword(schema, value):
+    # ``$ref`` resolves into the shallow schema's definitions, where
+    # matrices are cut to their outer array.
+    defs = {"$defs": cli._shallow_schema()["$defs"]}
+    reference = jsonschema.Draft202012Validator(
+        dict(schema, **defs) if isinstance(schema, dict) else schema)
+    assert cli._conforms(value, schema) == reference.is_valid(value)
 
 
 class TestFastValidation:
@@ -291,6 +383,34 @@ class TestFastValidation:
         with pytest.raises(cli.ValidationError, match=r"pom\[3\]"):
             validate_document(doc)
         assert calls == [1]
+
+    def test_schema_walk_knows_every_keyword_of_the_shipped_schema(self):
+        for node in _subschemas(bundled_schema()):
+            if isinstance(node, bool):
+                continue
+            assert set(node) <= WALKED_KEYWORDS | ANNOTATIONS, node
+            assert node.get("type", "object") in cli._TYPES
+            # cli._equal compares scalars only.
+            for value in node.get("enum", []) + [node.get("const", 0)]:
+                assert isinstance(value, (str, int, float, bool))
+            assert re.fullmatch(r"#/\$defs/\w+", node.get("$ref", "#/$defs/x"))
+
+    def test_valid_run_never_imports_jsonschema(self, tmp_path):
+        def imported(args):
+            run = run_python(["-X", "importtime", "-m", "qretrodict.cli",
+                              "run", *args], check=False)
+            modules = {line.rsplit("|", 1)[1].strip().split(".")[0]
+                       for line in run.stderr.splitlines()
+                       if line.startswith("import time:")}
+            return run.returncode, "jsonschema" in modules
+
+        paths = {info.name: info.path for info in list_examples()}
+        for name in ("bus-train", "biased-qubit", "synthesis-single-photon",
+                     "bb84-monte-carlo"):
+            assert imported([paths[name], "--out", str(tmp_path / "out.json")]) \
+                == (EXIT_OK, False)
+        rejected = write_scenario(tmp_path, bus_train_doc(surprise=1))
+        assert imported([rejected]) == (EXIT_VALIDATION, True)
 
     def test_full_schema_decides_what_the_entry_check_declines(self):
         class Row(list):
@@ -542,6 +662,26 @@ class TestOutputs:
                                                       "retrodictive"}
         assert document["outputs"]["arrays"] == {}
         assert "records" not in document["outputs"]
+
+    @pytest.mark.parametrize("name, field", [
+        ("bb84-monte-carlo", "slots"), ("bb84-monte-carlo", "seed"),
+        ("detector-single-count", "counts"),
+        ("detector-single-count", "truncation"),
+        ("synthesis-single-photon", "counts_b"),
+        ("synthesis-single-photon", "counts_c")])
+    def test_integral_float_runs_like_the_integer(self, tmp_path, capsys,
+                                                  name, field):
+        # Draft 2020-12 counts 1.0 as an integer, so the schema accepts it.
+        path = {info.name: info.path for info in list_examples()}[name]
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        outputs = []
+        for value in (doc["parameters"][field], float(doc["parameters"][field])):
+            doc["parameters"][field] = value
+            code = main(["run", write_scenario(tmp_path, doc)])
+            captured = capsys.readouterr()
+            assert code == EXIT_OK, captured.err
+            outputs.append(json.loads(captured.out)["outputs"])
+        assert outputs[0] == outputs[1]
 
     def test_operator_entries_round_trip_as_real_imag_pairs(self):
         info = next(i for i in list_examples()
@@ -899,14 +1039,95 @@ def _schema_message(doc):
             f"{error.message}")
 
 
+@functools.cache
+def _shallow_reference_validator():
+    return jsonschema.Draft202012Validator(cli._shallow_schema())
+
+
+def _assert_agrees_with_jsonschema(doc):
+    """The schema walk decides as jsonschema does on the shallow schema, and
+    ``validate_document`` accepts, or rejects with the message, as the full
+    schema does."""
+    assert (cli._conforms(doc, cli._shallow_schema())
+            == _shallow_reference_validator().is_valid(doc))
+    try:
+        validate_document(doc)
+        got = None
+    except cli.ValidationError as error:
+        got = str(error)
+    assert got == _schema_message(doc)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(docs=_entry_documents())
 def test_fast_validation_agrees_with_jsonschema(docs):
     for doc in docs:
-        try:
-            validate_document(doc)
-            got = None
-        except cli.ValidationError as error:
-            got = str(error)
-        assert got == _schema_message(doc)
+        _assert_agrees_with_jsonschema(doc)
+
+
+# Scalars at the edges of the schema's keywords: bools and integral floats
+# against ``integer``, ``const: 1`` against ``true`` and ``1.0``, NaN,
+# infinities and integers beyond double range against ``minimum`` and
+# ``maximum``, and values either side of the caps on ``truncation`` and
+# ``slots``.
+_edge = st.sampled_from([
+    1.0, 0.0, True, 2000.0, 1e6, math.nan, math.inf, -math.inf, HUGE, -HUGE,
+    False, 1, 0, -1, -1.0, 0.5, 2000, 2001, 10 ** 6, 10 ** 6 + 1, 10 ** 7,
+    10 ** 7 + 1, 1e7 + 1, None, "1", "none", [], {}])
+_bundled_documents = st.sampled_from(list_examples()).map(
+    lambda info: json.loads(Path(info.path).read_text(encoding="utf-8")))
+
+
+def _scalar_paths(node, path=()):
+    """Paths to the scalars of a document, not into arrays nested in arrays."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = [(i, item) for i, item in enumerate(node)
+                 if not isinstance(item, list)]
+    else:
+        yield path
+        return
+    for key, item in items:
+        yield from _scalar_paths(item, path + (key,))
+
+
+@st.composite
+def _edge_documents(draw):
+    """A document of any kind with one or two scalars other than its kind
+    swapped for edge values, ``schema_version`` or an unknown key set,
+    records asked for at the slot caps, or its parameters dropped.  Most
+    start from a bundled scenario, so that the edit alone decides whether
+    they are valid."""
+    doc = copy.deepcopy(draw(st.one_of(_bundled_documents, _bundled_documents,
+                                       _bundled_documents, _documents)))
+    edit = draw(st.sampled_from(["swap"] * 4 + ["top", "unknown", "records",
+                                                 "drop"]))
+    params = doc.get("parameters")
+    if edit == "drop":
+        doc.pop("parameters", None)
+    elif edit == "top":
+        doc[draw(st.sampled_from(["schema_version", "unknown"]))] = draw(_edge)
+    elif edit == "unknown" and isinstance(params, dict):
+        params["unknown"] = draw(_edge)
+    elif edit == "records" and doc["kind"] == "bb84" and isinstance(params, dict):
+        params.update(include_records=True, slots=draw(st.sampled_from(
+            [10 ** 6, 1e6, 10 ** 6 + 1, 1e6 + 1, 10 ** 7])))
+    else:
+        paths = [path for path in _scalar_paths(doc)
+                 if path != ("kind",)] or [("parameters",)]
+        for path in draw(st.lists(st.sampled_from(paths), min_size=1,
+                                  max_size=2, unique=True)):
+            node = doc
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = draw(_edge)
+    return doc
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(doc=_edge_documents())
+def test_schema_walk_agrees_with_jsonschema_on_scalar_edges(doc):
+    _assert_agrees_with_jsonschema(doc)
