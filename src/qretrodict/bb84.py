@@ -109,12 +109,6 @@ class SlotRecord:
             )
 
 
-def _table_entries(row_states, col_states) -> np.ndarray:
-    # Each basis is chosen with probability 1/2, then the overlap decides.
-    return np.array([[0.5 * row.overlap_probability(col) for col in col_states]
-                     for row in row_states])
-
-
 def predictive_table() -> ConditionalTable:
     """Bob's outcome distribution for each of Alice's preparations.
 
@@ -122,19 +116,19 @@ def predictive_table() -> ConditionalTable:
     the squared overlap of the two states (half for Bob's basis choice).
     """
     states = [PolarizationState.canonical(label) for label in LABELS]
-    return ConditionalTable(LABELS, LABELS, _table_entries(states, states))
+    # Each basis is chosen with probability 1/2, then the overlap decides.
+    return ConditionalTable(LABELS, LABELS, [
+        [0.5 * row.overlap_probability(col) for col in states] for row in states])
 
 
 def retrodictive_table() -> ConditionalTable:
     """Alice's preparation distribution for each of Bob's outcomes.
 
-    Rows are Bob's outcomes, columns Alice's choices.  The source is
-    unbiased with uniform priors, so the entries are again half the
-    squared overlaps — the table is the Bayes transpose of the
-    predictive one.
+    Rows are Bob's outcomes, columns Alice's choices.  The priors are
+    uniform and every outcome column of the predictive table sums to 1,
+    so Bayes' rule reduces to transposing that table.
     """
-    states = [PolarizationState.canonical(label) for label in LABELS]
-    return ConditionalTable(LABELS, LABELS, _table_entries(states, states))
+    return ConditionalTable(LABELS, LABELS, predictive_table().probs.T)
 
 
 def eavesdrop_flag(slot: SlotRecord, tol: float = DEFAULT_TOL) -> bool:

@@ -46,6 +46,7 @@ import numpy as np
 
 from . import bayes, bb84, optics, retrodict
 from .errors import (
+    BiasedSourceError,
     ComputationError,
     NumericIntegrityError,
     ValidationError,
@@ -371,41 +372,36 @@ def _run_retrodict(params: dict, result: ResultDocument):
         (p["label"],
          Operator(_parse_matrix(p["element"], f"POM element {p['label']!r}")))
         for p in params["pom"]))
-    pred_rows = [[retrodict.born_probability(state, op)
-                  for _, op in pom.elements] for _, _, state in ens.events]
+    pred_rows = [pom.probabilities(state) for _, _, state in ens.events]
     result.tables["predictive"] = _table(ens.labels, pom.labels, pred_rows)
 
     d = ens.dims.total_dim
     mixture_dev = float(np.max(np.abs(ens.mixture().mat - np.eye(d) / d)))
-    # The test of retrodict.is_unbiased, on the deviation just computed.
-    unbiased = mixture_dev <= retrodict.DEFAULT_TOL
-    result.diagnostics["source"] = "unbiased" if unbiased else "biased"
+    try:
+        prep = retrodict.preparation_pom(ens)
+    except BiasedSourceError:
+        prep = None
+    result.diagnostics["source"] = "biased" if prep is None else "unbiased"
     result.diagnostics["mixture_deviation"] = mixture_dev
 
-    if unbiased:
-        prep = retrodict.preparation_pom(ens)
-        weights = {label: np.trace(op.mat).real for label, op in pom.elements}
-
-        def posterior_row(op):
-            return retrodict.retro_conditional_unbiased(prep, op)
-
-        outcome_dist = [retrodict.outcome_prior(op) for _, op in pom.elements]
+    elements = pom.elements
+    if prep is not None:
+        weights = [np.trace(op.mat).real for _, op in elements]
+        outcome_dist = [retrodict.outcome_prior(op) for _, op in elements]
+        posterior_row = functools.partial(retrodict.retro_conditional_unbiased, prep)
     else:
         lam = retrodict.BiasedElements.from_ensemble(ens)
         # Each outcome's weight from the predictive column, in event order.
-        outcome_dist = [sum(prior * row[b]
-                            for (_, prior, _), row in zip(ens.events, pred_rows))
-                        for b in range(len(pom.labels))]
-        weights = dict(zip(pom.labels, outcome_dist))
-
-        def posterior_row(op):
-            return retrodict.retro_conditional_biased(lam, op)
+        outcome_dist = weights = [
+            sum(prior * row[b] for (_, prior, _), row in zip(ens.events, pred_rows))
+            for b in range(len(pom))]
+        posterior_row = functools.partial(retrodict.retro_conditional_biased, lam)
 
     result.tables["outcome_distribution"] = _table(
         ["prior"], pom.labels, [outcome_dist])
     active, skipped, rows = [], [], []
-    for label, op in pom.elements:
-        if weights[label] <= retrodict.TRACE_TOL:
+    for (label, op), weight in zip(elements, weights):
+        if weight <= retrodict.TRACE_TOL:
             skipped.append(label)
             continue
         active.append(label)

@@ -179,13 +179,18 @@ def is_hermitian(op: Operator, tol: float = DEFAULT_TOL) -> bool:
     return bool(np.max(np.abs(op.mat - op.mat.conj().T)) <= tol)
 
 
+def psd_mask(mats: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """:func:`is_psd` of each matrix ``mats[..., :, :]``, with one batched
+    hermiticity test and one batched ``eigvalsh`` call for all of them."""
+    adj = np.swapaxes(mats, -1, -2).conj()
+    hermitian = np.max(np.abs(mats - adj), axis=(-2, -1)) <= tol
+    smallest = np.linalg.eigvalsh((mats + adj) / 2.0)[..., 0]
+    return hermitian & (smallest >= -tol)
+
+
 def is_psd(op: Operator, tol: float = DEFAULT_TOL) -> bool:
     """Positive semidefinite within ``tol``: hermitian, smallest eigenvalue >= -tol."""
-    if not is_hermitian(op, tol):
-        return False
-    herm = (op.mat + op.mat.conj().T) / 2.0
-    smallest = float(np.linalg.eigvalsh(herm)[0])
-    return smallest >= -tol
+    return bool(psd_mask(op.mat, tol))
 
 
 def is_unitary(op: Operator, tol: float = DEFAULT_TOL) -> bool:

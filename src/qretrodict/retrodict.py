@@ -12,12 +12,16 @@ elements play the same role for preparation events that measurement POM
 elements play for outcomes.  A *biased* source does not, and its
 posterior probabilities are computed from prior-weighted state operators
 directly.
+
+The measurement POM, the preparation POM, the prior-weighted states and
+an ensemble's states are all one :class:`OperatorStack`, and every
+probability is an overlap ``tr(op @ stack[b])`` taken a row at a time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Hashable, Iterable, Optional, Sequence, Tuple
+from dataclasses import FrozenInstanceError
+from typing import Hashable, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -37,105 +41,171 @@ COMPLETENESS_TOL = 1e-9
 #: Default floor below which an outcome's weight counts as zero probability.
 TRACE_TOL = 1e-12
 
-LabeledOps = Tuple[Tuple[Hashable, Operator], ...]
-
 
 def _real_trace(op: Operator) -> float:
     return float(np.trace(op.mat).real)
 
 
-def _validate_labeled_elements(elements, kind: str, *,
-                               require_completeness: bool) -> Tuple[LabeledOps, ModeDims]:
-    elements = tuple((label, op) for label, op in elements)
-    if not elements:
-        raise ValidationError(f"{kind} requires at least one element")
-    labels = [label for label, _ in elements]
-    if len(set(labels)) != len(labels):
-        raise ValidationError(f"{kind} labels must be unique, got {labels!r}")
-    dims = elements[0][1].dims
-    for label, op in elements:
-        if op.dims.dims != dims.dims:
-            raise DimensionMismatch(
-                f"{kind} element {label!r} lives on dims {op.dims.dims}, "
-                f"expected {dims.dims}"
-            )
-        if not hilbert.is_psd(op, COMPLETENESS_TOL):
-            raise ValidationError(f"{kind} element {label!r} is not positive semidefinite")
-    if require_completeness:
-        total = np.sum([op.mat for _, op in elements], axis=0)
-        deviation = float(np.max(np.abs(total - np.eye(dims.total_dim))))
-        if deviation > COMPLETENESS_TOL:
-            raise ValidationError(
-                f"{kind} elements must sum to the identity; "
-                f"max deviation {deviation:.3e}"
-            )
-    return elements, dims
+def _overlaps(op: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """``tr(op @ stack[b])`` for every b, one einsum for the whole row.
+
+    Each entry has the bits of ``einsum('ij,ji->', op, stack[b])``; a
+    batched ``'aij,bji->ab'`` over several rows does not, already at d=2.
+    """
+    return np.einsum("ij,bji->b", op, stack)
 
 
-class _LabeledElementsMixin:
-    """Shared label-based access for POM-like element collections."""
+def _born_row(state: Operator, stack: np.ndarray, dims: ModeDims,
+              tol: float) -> np.ndarray:
+    """:func:`born_probability` of ``state`` for each element, raising at the first fault."""
+    if state.dims.dims != dims.dims:
+        raise DimensionMismatch(
+            f"state dims {state.dims.dims} do not match element dims {dims.dims}"
+        )
+    raw = _overlaps(state.mat, stack)
+    p = raw.real
+    complex_part = np.abs(raw.imag) > tol
+    bad = complex_part | (p < -tol) | (p > 1.0 + tol)
+    if bad.any():
+        first = int(np.argmax(bad))
+        if complex_part[first]:
+            raise NumericIntegrityError(
+                f"outcome probability has imaginary part {float(raw[first].imag):.3e}"
+            )
+        raise NumericIntegrityError(f"outcome probability {float(p[first])!r} outside [0, 1]")
+    # As min(max(p, 0.0), 1.0) per entry: -0.0 and NaN pass through unchanged.
+    return np.where(p < 0.0, 0.0, np.where(p > 1.0, 1.0, p))
+
+
+def _completeness_deviation(stack: np.ndarray) -> float:
+    total = np.sum(stack, axis=0)
+    return float(np.max(np.abs(total - np.eye(total.shape[0]))))
+
+
+class OperatorStack:
+    """Labelled positive operators on one space: ``labels``, a dict from
+    label to index, and ``stack``, one read-only ``(k, d, d)`` array.
+
+    Construction checks for unique labels, then element by element that
+    each lives on the first one's dims and is positive semidefinite within
+    ``COMPLETENESS_TOL`` (one :func:`hilbert.psd_mask` call for the whole
+    stack), then the whole set; the first fault found raises.  A stack
+    derived from a checked one (a preparation POM, biased-source elements)
+    skips the element checks.  Its attributes cannot be reassigned.
+    """
+
+    #: What the set and one of its members are called in error messages.
+    kind = "operator stack"
+    noun = "element"
+
+    def __init__(self, elements: Iterable[Tuple[Hashable, Operator]]):
+        pairs = tuple((label, op) for label, op in elements)
+        if not pairs:
+            raise ValidationError(f"{self.kind} requires at least one {self.noun}")
+        labels = [label for label, _ in pairs]
+        index = {label: i for i, label in enumerate(labels)}
+        if len(index) != len(labels):
+            raise ValidationError(f"{self.kind} labels must be unique, got {labels!r}")
+        dims = pairs[0][1].dims
+        # The batch ends where the checks stop: at the first element on other dims.
+        n = next((i for i, (_, op) in enumerate(pairs)
+                  if op.dims.dims != dims.dims), len(pairs))
+        stack = np.stack([op.mat for _, op in pairs[:n]])
+        psd = hilbert.psd_mask(stack, COMPLETENESS_TOL)
+        for i, (label, op) in enumerate(pairs):
+            self._check_before(i, label)
+            if i == n:
+                raise DimensionMismatch(f"{self._name(label)} lives on dims "
+                                        f"{op.dims.dims}, expected {dims.dims}")
+            if not psd[i]:
+                raise ValidationError(f"{self._name(label)} is not positive semidefinite")
+            self._check_after(i, label, op)
+        stack.flags.writeable = False
+        self._set(labels=tuple(labels), _index=index, dims=dims, stack=stack)
+        self._check_set()
+
+    @classmethod
+    def _derived(cls, source: "OperatorStack", stack: np.ndarray) -> "OperatorStack":
+        """``stack``, computed from a checked ``source`` element by element,
+        under ``source``'s labels; no element check runs again."""
+        stack.flags.writeable = False
+        return cls.__new__(cls)._set(labels=source.labels, _index=source._index,
+                                     dims=source.dims, stack=stack)
+
+    def _set(self, **fields) -> "OperatorStack":
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+        return self
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _name(self, label: Hashable) -> str:
+        return f"{self.kind} {self.noun} {label!r}"
+
+    # Subclass checks: of element i before its dims and after its
+    # positivity, and of the whole set once every element has passed.
+    def _check_before(self, i: int, label: Hashable): pass
+    def _check_after(self, i: int, label: Hashable, op: Operator): pass
+    def _check_set(self): pass
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.labels)
 
     def __iter__(self):
         return iter(self.elements)
 
     @property
-    def labels(self) -> Tuple[Hashable, ...]:
-        return tuple(label for label, _ in self.elements)
+    def elements(self) -> Tuple[Tuple[Hashable, Operator], ...]:
+        return tuple((label, Operator(mat, self.dims))
+                     for label, mat in zip(self.labels, self.stack))
+
+    def _position(self, label: Hashable, noun: Optional[str] = None) -> int:
+        try:
+            return self._index[label]
+        except (KeyError, TypeError):
+            raise ValidationError(
+                f"unknown {noun or self.noun} label {label!r}") from None
 
     def element(self, label: Hashable) -> Operator:
-        for candidate, op in self.elements:
-            if candidate == label:
-                return op
-        raise ValidationError(f"unknown element label {label!r}")
+        return Operator(self.stack[self._position(label)], self.dims)
+
+    def probabilities(self, state: Operator) -> np.ndarray:
+        """Born probability of every element for ``state``, bit for bit
+        :func:`born_probability` of each, from one row of overlaps."""
+        return _born_row(state, self.stack, self.dims, DEFAULT_TOL)
 
 
-@dataclass(frozen=True)
-class Pom(_LabeledElementsMixin):
+class Pom(OperatorStack):
     """Probability operator measure: labelled positive elements summing to identity.
 
     Elements of zero trace are allowed (they simply never fire), but
     asking for the retrodictive state of such an element is an error.
     """
 
-    elements: LabeledOps
+    kind = "POM"
 
-    def __post_init__(self):
-        elements, dims = _validate_labeled_elements(
-            self.elements, "POM", require_completeness=True)
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "_dims", dims)
-
-    @property
-    def dims(self) -> ModeDims:
-        return self._dims
+    def _check_set(self):
+        deviation = _completeness_deviation(self.stack)
+        if deviation > COMPLETENESS_TOL:
+            raise ValidationError(f"{self.kind} elements must sum to the identity; "
+                                  f"max deviation {deviation:.3e}")
 
 
-@dataclass(frozen=True)
-class PreparationPom(_LabeledElementsMixin):
+class PreparationPom(Pom):
     """Preparation-side analogue of a measurement POM.
 
     One positive element per preparation event, summing to the identity;
     produced from an unbiased ensemble by :func:`preparation_pom`.
     """
 
-    elements: LabeledOps
-
-    def __post_init__(self):
-        elements, dims = _validate_labeled_elements(
-            self.elements, "preparation POM", require_completeness=True)
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "_dims", dims)
-
-    @property
-    def dims(self) -> ModeDims:
-        return self._dims
+    kind = "preparation POM"
 
 
-@dataclass(frozen=True)
-class BiasedElements(_LabeledElementsMixin):
+class BiasedElements(OperatorStack):
     """Prior-weighted state operators for a source that need not be unbiased.
 
     Element *i* is the prior probability of event *i* times its density
@@ -143,34 +213,31 @@ class BiasedElements(_LabeledElementsMixin):
     The element sum is *not* required to be proportional to the identity.
     """
 
-    elements: LabeledOps
+    kind = "biased-source"
 
-    def __post_init__(self):
-        elements, dims = _validate_labeled_elements(
-            self.elements, "biased-source", require_completeness=False)
-        total = sum(_real_trace(op) for _, op in elements)
+    def _check_set(self):
+        total = sum(np.trace(self.stack, axis1=1, axis2=2).real.tolist())
         if abs(total - 1.0) > COMPLETENESS_TOL:
-            raise ValidationError(
-                f"biased-source element traces must sum to 1 (they are the "
-                f"priors), got {total!r}"
-            )
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "_dims", dims)
-
-    @property
-    def dims(self) -> ModeDims:
-        return self._dims
+            raise ValidationError(f"biased-source element traces must sum to 1 (they "
+                                  f"are the priors), got {total!r}")
 
     @classmethod
     def from_ensemble(cls, ens: "PreparationEnsemble") -> "BiasedElements":
-        """Weight each ensemble state by its prior."""
-        return cls(tuple((label, hilbert.scale(state, prior))
-                         for label, prior, state in ens.events))
+        """Weight each ensemble state by its prior.
+
+        A nonnegative multiple of a checked state needs no second positivity
+        test; only the trace sum is checked.
+        """
+        lam = cls._derived(ens, ens.stack * ens.priors[:, None, None])
+        lam._check_set()
+        return lam
 
 
-@dataclass(frozen=True)
-class PreparationEnsemble:
+class PreparationEnsemble(OperatorStack):
     """Labelled preparation events with priors and density operators.
+
+    The states form the stack; each event's prior is checked just before
+    its state and its unit trace just after.
 
     Parameters
     ----------
@@ -179,64 +246,45 @@ class PreparationEnsemble:
         semidefinite with unit trace, all on the same mode dims.
     """
 
-    events: Tuple[Tuple[Hashable, float, Operator], ...]
+    kind = "ensemble"
+    noun = "event"
 
-    def __post_init__(self):
-        events = tuple((label, float(prior), op) for label, prior, op in self.events)
-        if not events:
-            raise ValidationError("ensemble requires at least one event")
-        labels = [label for label, _, _ in events]
-        if len(set(labels)) != len(labels):
-            raise ValidationError(f"ensemble labels must be unique, got {labels!r}")
-        dims = events[0][2].dims
-        for label, prior, op in events:
-            if prior < 0:
-                raise ValidationError(f"prior of event {label!r} is negative: {prior}")
-            if op.dims.dims != dims.dims:
-                raise DimensionMismatch(
-                    f"state of event {label!r} lives on dims {op.dims.dims}, "
-                    f"expected {dims.dims}"
-                )
-            if not hilbert.is_psd(op, COMPLETENESS_TOL):
-                raise ValidationError(f"state of event {label!r} is not positive semidefinite")
-            if abs(_real_trace(op) - 1.0) > COMPLETENESS_TOL:
-                raise ValidationError(
-                    f"state of event {label!r} has trace {_real_trace(op)!r}, expected 1"
-                )
-        total = sum(prior for _, prior, _ in events)
+    def __init__(self, events: Iterable[Tuple[Hashable, float, Operator]]):
+        self._set(events=tuple((label, float(prior), op) for label, prior, op in events))
+        super().__init__((label, op) for label, _, op in self.events)
+
+    def _name(self, label: Hashable) -> str:
+        return f"state of event {label!r}"
+
+    def _check_before(self, i: int, label: Hashable):
+        prior = self.events[i][1]
+        if prior < 0:
+            raise ValidationError(f"prior of event {label!r} is negative: {prior}")
+
+    def _check_after(self, i: int, label: Hashable, op: Operator):
+        if abs(_real_trace(op) - 1.0) > COMPLETENESS_TOL:
+            raise ValidationError(
+                f"state of event {label!r} has trace {_real_trace(op)!r}, expected 1"
+            )
+
+    def _check_set(self):
+        total = sum(prior for _, prior, _ in self.events)
         if abs(total - 1.0) > COMPLETENESS_TOL:
             raise ValidationError(f"priors must sum to 1, got {total!r}")
-        object.__setattr__(self, "events", events)
-        object.__setattr__(self, "_dims", dims)
-
-    @property
-    def dims(self) -> ModeDims:
-        return self._dims
-
-    @property
-    def labels(self) -> Tuple[Hashable, ...]:
-        return tuple(label for label, _, _ in self.events)
 
     @property
     def priors(self) -> np.ndarray:
         return np.array([prior for _, prior, _ in self.events])
 
     def state(self, label: Hashable) -> Operator:
-        for candidate, _, op in self.events:
-            if candidate == label:
-                return op
-        raise ValidationError(f"unknown event label {label!r}")
+        return self.events[self._position(label)][2]
 
     def prior(self, label: Hashable) -> float:
-        for candidate, prior, _ in self.events:
-            if candidate == label:
-                return prior
-        raise ValidationError(f"unknown event label {label!r}")
+        return self.events[self._position(label)][1]
 
     def mixture(self) -> Operator:
         """Prior-weighted average state emitted by the source."""
-        mat = np.sum([prior * op.mat for _, prior, op in self.events], axis=0)
-        return Operator(mat, self._dims)
+        return Operator(np.sum(self.priors[:, None, None] * self.stack, axis=0), self.dims)
 
 
 def born_probability(state: Operator, element: Operator,
@@ -256,26 +304,24 @@ def born_probability(state: Operator, element: Operator,
         If the trace has a non-negligible imaginary part or falls outside
         the tolerated probability range.
     """
-    if state.dims.dims != element.dims.dims:
-        raise DimensionMismatch(
-            f"state dims {state.dims.dims} do not match element dims {element.dims.dims}"
-        )
-    raw = complex(np.einsum("ij,ji->", state.mat, element.mat))
-    if abs(raw.imag) > tol:
-        raise NumericIntegrityError(
-            f"outcome probability has imaginary part {raw.imag:.3e}"
-        )
-    p = raw.real
-    if p < -tol or p > 1.0 + tol:
-        raise NumericIntegrityError(f"outcome probability {p!r} outside [0, 1]")
-    return min(max(p, 0.0), 1.0)
+    return float(_born_row(state, element.mat[None], element.dims, tol)[0])
+
+
+def _preparation_stack(ens: PreparationEnsemble) -> Tuple[np.ndarray, float]:
+    """The elements ``d * prior * state`` and their deviation from the identity."""
+    d = ens.dims.total_dim
+    stack = ens.stack * (d * ens.priors)[:, None, None]
+    return stack, _completeness_deviation(stack)
 
 
 def is_unbiased(ens: PreparationEnsemble, tol: float = DEFAULT_TOL) -> bool:
-    """Whether the source's average output is the maximally mixed state."""
-    d = ens.dims.total_dim
-    deviation = np.max(np.abs(ens.mixture().mat - np.eye(d) / d))
-    return bool(deviation <= tol)
+    """Whether the source's average output is the maximally mixed state.
+
+    Decided as the preparation POM's completeness: the elements
+    ``d * prior * state`` sum to the identity within ``tol``.  It holds
+    exactly when :func:`preparation_pom` with the same ``tol`` succeeds.
+    """
+    return _preparation_stack(ens)[1] <= tol
 
 
 def preparation_pom(ens: PreparationEnsemble,
@@ -284,6 +330,8 @@ def preparation_pom(ens: PreparationEnsemble,
 
     Each element is the event's density operator scaled by its prior and
     the space dimension; unbiasedness makes the elements sum to identity.
+    The states were checked with the ensemble, so the elements are not
+    checked again.
 
     Raises
     ------
@@ -292,14 +340,13 @@ def preparation_pom(ens: PreparationEnsemble,
         have no preparation POM; use :meth:`BiasedElements.from_ensemble`
         with :func:`retro_conditional_biased` instead.
     """
-    if not is_unbiased(ens, tol):
+    stack, deviation = _preparation_stack(ens)
+    if deviation > tol:
         raise BiasedSourceError(
             "ensemble is not unbiased, so it has no preparation POM; build "
             "BiasedElements.from_ensemble(ens) and use retro_conditional_biased"
         )
-    d = ens.dims.total_dim
-    return PreparationPom(tuple((label, hilbert.scale(state, d * prior))
-                                for label, prior, state in ens.events))
+    return PreparationPom._derived(ens, stack)
 
 
 def retro_state(element: Operator, trace_tol: float = TRACE_TOL) -> Operator:
@@ -346,8 +393,7 @@ def retro_conditional_unbiased(prep: PreparationPom, element: Operator,
     single event's posterior is that row's entry, bit for bit.
     """
     if event is None:
-        retro = retro_state(element, trace_tol)
-        return np.array([born_probability(retro, xi) for _, xi in prep.elements])
+        return prep.probabilities(retro_state(element, trace_tol))
     xi = prep.element(event)
     return born_probability(retro_state(element, trace_tol), xi)
 
@@ -373,35 +419,26 @@ def retro_conditional_biased(lam: BiasedElements, element: Operator,
     ZeroProbabilityError
         If every event has (numerically) zero overlap with the outcome.
     """
-    if event is None:
-        return _biased_posterior_row(lam, element, trace_tol)
-    labels = lam.labels
-    if event not in labels:
-        raise ValidationError(f"unknown event label {event!r}")
-    return float(_biased_posterior_row(lam, element, trace_tol)[labels.index(event)])
-
-
-def _biased_posterior_row(lam: BiasedElements, element: Operator,
-                          trace_tol: float) -> np.ndarray:
-    overlaps = np.empty(len(lam))
-    for k, (label, op) in enumerate(lam.elements):
-        if op.dims.dims != element.dims.dims:
-            raise DimensionMismatch(
-                f"element dims {element.dims.dims} do not match source dims {op.dims.dims}"
-            )
-        raw = complex(np.einsum("ij,ji->", op.mat, element.mat))
-        if abs(raw.imag) > DEFAULT_TOL or raw.real < -DEFAULT_TOL:
-            raise NumericIntegrityError(
-                f"overlap of event {label!r} with the outcome is not a "
-                f"nonnegative real: {raw!r}"
-            )
-        overlaps[k] = max(raw.real, 0.0)
+    position = None if event is None else lam._position(event, "event")
+    if element.dims.dims != lam.dims.dims:
+        raise DimensionMismatch(f"element dims {element.dims.dims} do not match "
+                                f"source dims {lam.dims.dims}")
+    # tr(lam_a E) as tr(E^T lam_a^T): the sum then runs over the entries in
+    # the order of the single-pair einsum('ij,ji->', lam_a, E).
+    raw = _overlaps(element.mat.T, lam.stack.transpose(0, 2, 1))
+    bad = (np.abs(raw.imag) > DEFAULT_TOL) | (raw.real < -DEFAULT_TOL)
+    if bad.any():
+        first = int(np.argmax(bad))
+        raise NumericIntegrityError(f"overlap of event {lam.labels[first]!r} with the outcome "
+                                    f"is not a nonnegative real: {complex(raw[first])!r}")
+    overlaps = np.where(raw.real < 0.0, 0.0, raw.real)
     denominator = float(overlaps.sum())
     if denominator <= trace_tol:
         raise ZeroProbabilityError(
             f"outcome has zero probability under every event; posterior undefined"
         )
-    return overlaps / denominator
+    row = overlaps / denominator
+    return row if position is None else float(row[position])
 
 
 def predictive_conditional_subset(state: Operator, pom: Pom,

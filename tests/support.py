@@ -3,7 +3,12 @@
 import numpy as np
 import scipy.linalg
 
-from qretrodict.errors import ComputationError
+from qretrodict.errors import (
+    ComputationError,
+    DimensionMismatch,
+    NumericIntegrityError,
+    ValidationError,
+)
 from qretrodict.hilbert import Operator
 from qretrodict.retrodict import Pom, PreparationEnsemble
 
@@ -70,3 +75,113 @@ def random_biased_ensemble(rng, d, n_events):
     priors = rng.dirichlet(np.ones(n_events))
     return PreparationEnsemble(tuple(
         (f"a{i}", priors[i], random_density(rng, d)) for i in range(n_events)))
+
+
+# --- Oracles: the labelled-operator checks and overlaps one element at a time.
+# They are the element-by-element code that retrodict.OperatorStack and its
+# row kernel replaced, kept here to check the stack bit for bit.
+
+COMPLETENESS_TOL = 1e-9
+
+
+def psd_one(op, tol):
+    """Positivity of one operator: hermitian within tol, smallest eigenvalue >= -tol."""
+    if not bool(np.max(np.abs(op.mat - op.mat.conj().T)) <= tol):
+        return False
+    herm = (op.mat + op.mat.conj().T) / 2.0
+    return float(np.linalg.eigvalsh(herm)[0]) >= -tol
+
+
+def oracle_elements(elements, kind, *, require_completeness, trace_sum=False):
+    """Checked (label, Operator) pairs of a POM (``kind`` "POM" or "preparation
+    POM", with completeness) or of biased-source elements (with ``trace_sum``)."""
+    elements = tuple((label, op) for label, op in elements)
+    if not elements:
+        raise ValidationError(f"{kind} requires at least one element")
+    labels = [label for label, _ in elements]
+    if len(set(labels)) != len(labels):
+        raise ValidationError(f"{kind} labels must be unique, got {labels!r}")
+    dims = elements[0][1].dims
+    for label, op in elements:
+        if op.dims.dims != dims.dims:
+            raise DimensionMismatch(
+                f"{kind} element {label!r} lives on dims {op.dims.dims}, "
+                f"expected {dims.dims}"
+            )
+        if not psd_one(op, COMPLETENESS_TOL):
+            raise ValidationError(f"{kind} element {label!r} is not positive semidefinite")
+    if require_completeness:
+        total = np.sum([op.mat for _, op in elements], axis=0)
+        deviation = float(np.max(np.abs(total - np.eye(dims.total_dim))))
+        if deviation > COMPLETENESS_TOL:
+            raise ValidationError(
+                f"{kind} elements must sum to the identity; "
+                f"max deviation {deviation:.3e}"
+            )
+    if trace_sum:
+        total = sum(float(np.trace(op.mat).real) for _, op in elements)
+        if abs(total - 1.0) > COMPLETENESS_TOL:
+            raise ValidationError(
+                f"biased-source element traces must sum to 1 (they are the "
+                f"priors), got {total!r}"
+            )
+    return elements
+
+
+def oracle_ensemble(events):
+    """Checked (label, prior, Operator) events of a preparation ensemble."""
+    events = tuple((label, float(prior), op) for label, prior, op in events)
+    if not events:
+        raise ValidationError("ensemble requires at least one event")
+    labels = [label for label, _, _ in events]
+    if len(set(labels)) != len(labels):
+        raise ValidationError(f"ensemble labels must be unique, got {labels!r}")
+    dims = events[0][2].dims
+    for label, prior, op in events:
+        if prior < 0:
+            raise ValidationError(f"prior of event {label!r} is negative: {prior}")
+        if op.dims.dims != dims.dims:
+            raise DimensionMismatch(
+                f"state of event {label!r} lives on dims {op.dims.dims}, "
+                f"expected {dims.dims}"
+            )
+        if not psd_one(op, COMPLETENESS_TOL):
+            raise ValidationError(f"state of event {label!r} is not positive semidefinite")
+        trace = float(np.trace(op.mat).real)
+        if abs(trace - 1.0) > COMPLETENESS_TOL:
+            raise ValidationError(
+                f"state of event {label!r} has trace {trace!r}, expected 1"
+            )
+    total = sum(prior for _, prior, _ in events)
+    if abs(total - 1.0) > COMPLETENESS_TOL:
+        raise ValidationError(f"priors must sum to 1, got {total!r}")
+    return events
+
+
+def born_one(state, element, tol=1e-9):
+    """Born probability of one (state, element) pair: one einsum, checked and clamped."""
+    if state.dims.dims != element.dims.dims:
+        raise DimensionMismatch(
+            f"state dims {state.dims.dims} do not match element dims {element.dims.dims}"
+        )
+    raw = complex(np.einsum("ij,ji->", state.mat, element.mat))
+    if abs(raw.imag) > tol:
+        raise NumericIntegrityError(f"outcome probability has imaginary part {raw.imag:.3e}")
+    p = raw.real
+    if p < -tol or p > 1.0 + tol:
+        raise NumericIntegrityError(f"outcome probability {p!r} outside [0, 1]")
+    return min(max(p, 0.0), 1.0)
+
+
+def biased_posterior_one_by_one(weighted_states, element, tol=1e-9):
+    """Biased posterior row: one einsum per prior-weighted state, then normalized."""
+    overlaps = np.empty(len(weighted_states))
+    for k, (label, op) in enumerate(weighted_states):
+        raw = complex(np.einsum("ij,ji->", op.mat, element.mat))
+        if abs(raw.imag) > tol or raw.real < -tol:
+            raise NumericIntegrityError(
+                f"overlap of event {label!r} with the outcome is not a "
+                f"nonnegative real: {raw!r}"
+            )
+        overlaps[k] = max(raw.real, 0.0)
+    return overlaps / float(overlaps.sum())

@@ -120,6 +120,20 @@ class TestRetrodictiveTable:
             posterior = bayes.retrodict_conditional(space, pred, outcome)
             np.testing.assert_allclose(retro.row(outcome), posterior, atol=1e-12)
 
+    def test_is_the_exact_transpose_and_the_bayes_posterior(self):
+        pred = predictive_table()
+        retro = retrodictive_table()
+        assert retro.probs.tolist() == pred.probs.T.tolist()
+        # The entries as half the squared overlap of outcome and choice.
+        states = [PolarizationState.canonical(label) for label in LABELS]
+        assert retro.probs.tolist() == [[0.5 * b.overlap_probability(a) for a in states]
+                                        for b in states]
+        space = bayes.EventSpace(LABELS, np.full(4, 0.25))
+        for outcome in LABELS:
+            posterior = bayes.retrodict_conditional(space, pred, outcome)
+            np.testing.assert_allclose(retro.row(outcome), posterior,
+                                       rtol=0, atol=1e-15)
+
     def test_marginals_are_uniform(self):
         space = bayes.EventSpace(LABELS, np.full(4, 0.25))
         np.testing.assert_allclose(bayes.predict_marginal(space, predictive_table()),

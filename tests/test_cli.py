@@ -619,6 +619,58 @@ class TestOutputs:
         retro = document["outputs"]["tables"]["retrodictive"]
         assert retro["values"][0][0] == pytest.approx(1.0, abs=1e-12)
 
+    def test_nearly_unbiased_source_runs_on_the_biased_pathway(self, tmp_path,
+                                                               capsys):
+        # The mixture is 6e-10 from I/d, inside the 1e-9 tolerance, but the
+        # preparation POM misses the identity by d times that: such a source
+        # is biased, not an unbiased one whose preparation POM is rejected.
+        d, eps = 16, 6e-10
+
+        def diagonal(values):
+            return [[[values[i] if i == j else 0.0, 0.0] for j in range(d)]
+                    for i in range(d)]
+
+        events = [{"label": f"e{i}", "prior": 1 / d,
+                   "state": diagonal(np.eye(d)[i].tolist())} for i in range(d)]
+        events[0]["state"] = diagonal([1 - 16 * eps, 16 * eps] + [0.0] * (d - 2))
+        path = write_scenario(tmp_path, {"kind": "retrodict", "parameters": {
+            "events": events,
+            "pom": [{"label": f"b{j}", "element": diagonal(np.eye(d)[j].tolist())}
+                    for j in range(d)]}})
+        code = main(["run", path])
+        captured = capsys.readouterr()
+        assert code == EXIT_OK, captured.err
+        diagnostics = json.loads(captured.out)["diagnostics"]
+        assert diagnostics["source"] == "biased"
+        assert diagnostics["mixture_deviation"] == pytest.approx(eps, rel=1e-6)
+
+    def test_unbiased_source_with_slightly_negative_states_runs(self, tmp_path,
+                                                                capsys):
+        # Each state has an eigenvalue of -8e-10, inside the ensemble's 1e-9
+        # tolerance; its preparation POM element d * prior * state has
+        # -1.6e-9.  The source is unbiased, so that POM is not checked again.
+        d, delta = 4, 8e-10
+        hadamard = np.array([[1, 1, 1, 1], [1, -1, 1, -1],
+                             [1, 1, -1, -1], [1, -1, -1, 1]]) / 2
+
+        def matrix(mat):
+            return [[[float(x), 0.0] for x in row] for row in mat]
+
+        states = [np.diag([0.5 + delta, 0.5, -delta, 0.0]),
+                  np.diag([-delta, 0.0, 0.5 + delta, 0.5])]
+        path = write_scenario(tmp_path, {"kind": "retrodict", "parameters": {
+            "events": [{"label": f"e{i}", "prior": 0.5, "state": matrix(s)}
+                       for i, s in enumerate(states)],
+            "pom": [{"label": f"h{j}", "element": matrix(np.outer(h, h))}
+                    for j, h in enumerate(hadamard)]}})
+        code = main(["run", path])
+        captured = capsys.readouterr()
+        assert code == EXIT_OK, captured.err
+        document = json.loads(captured.out)
+        assert document["diagnostics"]["source"] == "unbiased"
+        values = document["outputs"]["tables"]["retrodictive"]["values"]
+        assert np.allclose(values, 0.5, rtol=0, atol=1e-15)
+
     def test_detector_scenario_reports_trace_and_weights(self):
         info = next(i for i in list_examples()
                     if i.name == "detector-single-count")

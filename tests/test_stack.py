@@ -1,0 +1,313 @@
+"""The labelled-operator stack and its row kernel against the one-by-one oracles.
+
+Every labelled set (a POM, a preparation POM, biased-source elements, an
+ensemble's states) is one ``retrodict.OperatorStack``, checked with one
+batched eigenvalue call and read through one einsum per row.  These tests
+hold it to the element-by-element code kept in ``support``: the same
+accept/reject decision, exception type and message near every threshold,
+and the same bits for every predictive, unbiased and biased row.
+"""
+
+from dataclasses import FrozenInstanceError
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qretrodict import cli, hilbert
+from qretrodict.errors import BiasedSourceError, QRetrodictError, ValidationError
+from qretrodict.hilbert import Operator
+from qretrodict.retrodict import (
+    BiasedElements,
+    Pom,
+    PreparationEnsemble,
+    PreparationPom,
+    is_unbiased,
+    preparation_pom,
+    retro_conditional_biased,
+    retro_conditional_unbiased,
+    retro_state,
+)
+from support import (
+    biased_posterior_one_by_one,
+    born_one,
+    oracle_elements,
+    oracle_ensemble,
+    random_biased_ensemble,
+    random_pom,
+    random_unbiased_ensemble,
+)
+
+
+def outcome(build):
+    """What ``build()`` returns, or the type and message of what it raises."""
+    try:
+        return build()
+    except QRetrodictError as exc:
+        return type(exc), str(exc)
+
+
+# Each fault moves one quantity by eps around its 1e-9 threshold:
+#   negative:    the smallest eigenvalue of element i to -eps;
+#   excess:      entry (0, 0) of element i by eps, which moves its trace,
+#                the completeness deviation and the trace sum by eps;
+#   skew:        entry (0, d-1) of element i alone, so it is eps away from
+#                hermitian (an imaginary diagonal entry when d = 1);
+#   duplicate:   element i+1 takes the label of element i;
+#   dims:        element i on dims (d, 1), same matrix, other mode structure;
+#   resized:     element i replaced by a (d+1)-dimensional one;
+#   prior_neg:   prior i to -eps, the next prior raised to keep the sum;
+#   prior_sum:   prior i by eps.
+FAULTS = ("negative", "excess", "skew", "duplicate", "dims", "resized",
+          "prior_neg", "prior_sum")
+EPSILONS = (0.0, 1e-10, 5e-10, 9.9e-10, 1e-9, 1.0000001e-9, 1.01e-9, 2e-9,
+            1e-7, 0.3)
+
+
+@st.composite
+def faulty_sets(draw):
+    d = draw(st.integers(1, 4))
+    n_bases = draw(st.integers(1, 2))
+    k = d * n_bases
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    projectors = []
+    for _ in range(n_bases):
+        z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        q = np.linalg.qr(z)[0]
+        projectors += [np.outer(q[:, i], q[:, i].conj()) for i in range(d)]
+    faults = draw(st.lists(st.tuples(st.sampled_from(FAULTS),
+                                     st.integers(0, k - 1),
+                                     st.sampled_from(EPSILONS),
+                                     st.sampled_from((1.0, -1.0))),
+                           max_size=3))
+    return d, projectors, faults
+
+
+def build(d, projectors, faults, scale):
+    """Labels, priors and Operators of the projectors times ``scale``, with the faults."""
+    k = len(projectors)
+    mats = [p * scale for p in projectors]
+    labels = [f"e{i}" for i in range(k)]
+    dims = [(d,)] * k
+    priors = [1.0 / k] * k
+    for fault, i, eps, sign in faults:
+        j = (i + 1) % k
+        if fault == "negative":
+            w, v = np.linalg.eigh(mats[i])
+            mats[i] = mats[i] - (w[0] + eps) * np.outer(v[:, 0], v[:, 0].conj())
+        elif fault == "excess":
+            mats[i] = mats[i].copy()
+            mats[i][0, 0] += sign * eps
+        elif fault == "skew":
+            mats[i] = mats[i].copy()
+            mats[i][0, d - 1] += eps if d > 1 else 1j * eps
+        elif fault == "duplicate":
+            labels[j] = labels[i]
+        elif fault == "dims":
+            dims[i] = (d, 1)
+        elif fault == "resized":
+            mats[i], dims[i] = np.eye(d + 1) / (d + 1), (d + 1,)
+        elif fault == "prior_neg":
+            priors[j] += priors[i] + eps
+            priors[i] = -eps
+        elif fault == "prior_sum":
+            priors[i] += sign * eps
+    ops = [Operator(m, dm) for m, dm in zip(mats, dims)]
+    return labels, priors, ops
+
+
+def same_as_oracle(got, expected):
+    """Both rejected alike, or both accepted with the same labels and matrices."""
+    if isinstance(expected, tuple) and isinstance(expected[0], type):
+        assert got == expected
+        return
+    assert not (isinstance(got, tuple) and isinstance(got[0], type)), got
+    labels = tuple(e[0] for e in expected)
+    mats = np.stack([e[-1].mat for e in expected])
+    assert got.labels == labels
+    assert np.array_equal(got.stack, mats)
+    assert [op.mat.tolist() for _, op in got.elements] == mats.tolist()
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(faulty_sets())
+def test_stack_decides_like_the_element_by_element_checks(case):
+    d, projectors, faults = case
+    n_bases = len(projectors) // d
+    # POM elements sum to the identity; biased elements have traces
+    # summing to 1; ensemble states have unit trace.
+    for cls, kind, scale in ((Pom, "POM", 1 / n_bases),
+                             (PreparationPom, "preparation POM", 1 / n_bases)):
+        labels, _, ops = build(d, projectors, faults, scale)
+        pairs = tuple(zip(labels, ops))
+        same_as_oracle(outcome(lambda: cls(pairs)),
+                       outcome(lambda: oracle_elements(
+                           pairs, kind, require_completeness=True)))
+    labels, _, ops = build(d, projectors, faults, 1 / len(projectors))
+    pairs = tuple(zip(labels, ops))
+    same_as_oracle(outcome(lambda: BiasedElements(pairs)),
+                   outcome(lambda: oracle_elements(
+                       pairs, "biased-source", require_completeness=False,
+                       trace_sum=True)))
+    labels, priors, ops = build(d, projectors, faults, 1.0)
+    events = tuple(zip(labels, priors, ops))
+    got = outcome(lambda: PreparationEnsemble(events))
+    expected = outcome(lambda: oracle_ensemble(events))
+    same_as_oracle(got, expected)
+    if not isinstance(got, tuple):
+        assert got.events == expected
+        assert got.priors.tolist() == [p for _, p, _ in expected]
+
+
+def qubit(*diag):
+    return Operator(np.diag(diag).astype(complex))
+
+
+@pytest.mark.parametrize("build_it, message", [
+    # A negative second element is reported before the dims of the third.
+    (lambda: Pom((("a", qubit(1.5, 0.5)), ("b", qubit(-0.5, 0.5)),
+                  ("c", Operator(np.eye(3))))),
+     "POM element 'b' is not positive semidefinite"),
+    # A dims mismatch stops the checks before a later negative element.
+    (lambda: Pom((("a", qubit(1, 0)), ("b", Operator(np.eye(3))),
+                  ("c", qubit(-1, 1)))),
+     "POM element 'b' lives on dims (3,), expected (2,)"),
+    # Duplicate labels come before any element check.
+    (lambda: BiasedElements((("a", qubit(-1, 0)), ("a", qubit(1, 0)))),
+     "biased-source labels must be unique, got ['a', 'a']"),
+    # A negative prior comes before the dims of the same event.
+    (lambda: PreparationEnsemble((("a", 1.5, qubit(1, 0)),
+                                  ("b", -0.5, Operator(np.eye(3) / 3)))),
+     "prior of event 'b' is negative: -0.5"),
+    # Positivity of an event comes before its trace.
+    (lambda: PreparationEnsemble((("a", 1.0, qubit(2, -1e-3)),)),
+     "state of event 'a' is not positive semidefinite"),
+    (lambda: PreparationEnsemble((("a", 0.5, qubit(1, 0)),
+                                  ("b", 0.5, qubit(0.5, 0.6)))),
+     "state of event 'b' has trace 1.1, expected 1"),
+])
+def test_several_faults_report_the_first_in_element_order(build_it, message):
+    with pytest.raises(QRetrodictError) as info:
+        build_it()
+    assert str(info.value) == message
+
+
+def test_each_stack_makes_one_eigenvalue_call(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a, *args, **kw: calls.append(a.shape) or eigvalsh(a, *args, **kw))
+    rng = np.random.default_rng(3)
+    ens = random_unbiased_ensemble(rng, 5, 9)
+    pom = random_pom(rng, 5, 7)
+    calls.clear()
+    Pom(pom.elements)
+    PreparationEnsemble(ens.events)
+    # Stacks derived from the checked ensemble are not checked again.
+    preparation_pom(ens)
+    BiasedElements.from_ensemble(ens)
+    assert calls == [(7, 5, 5), (9, 5, 5)]
+
+
+@pytest.mark.parametrize("name", ["labels", "stack", "dims", "events", "_index"])
+def test_checked_stacks_cannot_be_reassigned(name):
+    ens = random_unbiased_ensemble(np.random.default_rng(6), 2, 3)
+    for stack in (ens, preparation_pom(ens), BiasedElements.from_ensemble(ens),
+                  random_pom(np.random.default_rng(7), 2, 2)):
+        with pytest.raises(FrozenInstanceError):
+            setattr(stack, name, ())
+        with pytest.raises(FrozenInstanceError):
+            delattr(stack, name)
+    assert ens.labels == ("a0", "a1", "a2")
+
+
+def test_stack_is_read_only_and_looked_up_by_index():
+    ens = random_biased_ensemble(np.random.default_rng(4), 3, 6)
+    with pytest.raises(ValueError):
+        ens.stack[0, 0, 0] = 1.0
+    for position, (label, prior, state) in enumerate(ens.events):
+        assert ens.prior(label) == prior
+        assert ens.state(label) is state
+        assert np.array_equal(ens.element(label).mat, ens.stack[position])
+    with pytest.raises(ValidationError, match="unknown event label 'x'"):
+        ens.state("x")
+    with pytest.raises(ValidationError, match=r"unknown event label \['a0'\]"):
+        ens.prior(["a0"])
+
+
+def test_psd_mask_is_is_psd_for_each_matrix():
+    rng = np.random.default_rng(5)
+    mats = [np.diag([1.0, -t]) for t in (0.0, 9.9e-10, 1e-9, 1.01e-9, 1e-3)]
+    mats += [np.array([[1.0, t], [0.0, 1.0]]) for t in (5e-10, 1e-9, 2e-9)]
+    mats += [random_pom(rng, 2, 2).elements[0][1].mat]
+    mask = hilbert.psd_mask(np.array(mats, dtype=complex), 1e-9)
+    assert mask.tolist() == [hilbert.is_psd(Operator(m), 1e-9) for m in mats]
+    assert mask.tolist() == [True, True, True, False, False, True, True, False, True]
+
+
+SIZES = [(1, 1), (2, 3), (3, 2), (5, 7), (8, 16), (16, 32), (40, 40), (40, 13), (7, 40)]
+
+
+@pytest.mark.parametrize("d, k", SIZES)
+def test_rows_have_the_bits_of_the_one_pair_formulas(d, k):
+    rng = np.random.default_rng(d * 100 + k)
+    pom = random_pom(rng, d, k)
+    unbiased = random_unbiased_ensemble(rng, d, k)
+    prep = preparation_pom(unbiased)
+    biased = random_biased_ensemble(rng, d, k)
+    lam = BiasedElements.from_ensemble(biased)
+    for _, _, state in unbiased.events + biased.events:
+        assert pom.probabilities(state).tolist() == [
+            born_one(state, op) for _, op in pom.elements]
+    for _, element in pom.elements:
+        retro = retro_state(element)
+        assert retro_conditional_unbiased(prep, element).tolist() == [
+            born_one(retro, xi) for _, xi in prep.elements]
+        assert retro_conditional_biased(lam, element).tolist() == \
+            biased_posterior_one_by_one(lam.elements, element).tolist()
+
+
+def _pairs(mat):
+    return [[[z.real, z.imag] for z in row] for row in mat.tolist()]
+
+
+@pytest.mark.parametrize("source", ["unbiased", "biased"])
+@pytest.mark.parametrize("d, k", [(3, 5), (16, 32)])
+def test_cli_tables_have_the_bits_of_the_one_pair_formulas(source, d, k):
+    rng = np.random.default_rng(d + k)
+    make = random_unbiased_ensemble if source == "unbiased" else random_biased_ensemble
+    ens = make(rng, d, k)
+    pom = random_pom(rng, d, k)
+    doc = {"kind": "retrodict", "parameters": {
+        "events": [{"label": a, "prior": p, "state": _pairs(s.mat)}
+                   for a, p, s in ens.events],
+        "pom": [{"label": b, "element": _pairs(e.mat)} for b, e in pom.elements]}}
+    result = cli.execute(cli.validate_document(doc))
+    assert result.diagnostics["source"] == source
+    predictive = [[born_one(s, e) for _, e in pom.elements] for _, _, s in ens.events]
+    assert result.tables["predictive"]["values"] == predictive
+    if source == "unbiased":
+        prep = preparation_pom(ens)
+        rows = [[born_one(retro_state(e), xi) for _, xi in prep.elements]
+                for _, e in pom.elements]
+    else:
+        lam = BiasedElements.from_ensemble(ens)
+        rows = [biased_posterior_one_by_one(lam.elements, e).tolist()
+                for _, e in pom.elements]
+    assert result.tables["retrodictive"]["values"] == rows
+
+
+def test_unbiased_means_the_preparation_pom_is_complete():
+    # The mixture is within 1e-9 of I/d, but the preparation POM misses
+    # the identity by d times that: the source is biased.
+    d, eps = 16, 6e-10
+    states = [np.diag(np.eye(d)[i]).astype(complex) for i in range(d)]
+    states[0] = np.diag([1 - 16 * eps, 16 * eps] + [0.0] * (d - 2)).astype(complex)
+    ens = PreparationEnsemble(tuple((f"e{i}", 1 / d, Operator(s))
+                                    for i, s in enumerate(states)))
+    assert np.max(np.abs(ens.mixture().mat - np.eye(d) / d)) <= 1e-9
+    assert not is_unbiased(ens)
+    with pytest.raises(BiasedSourceError):
+        preparation_pom(ens)
+    BiasedElements.from_ensemble(ens)
