@@ -25,6 +25,8 @@ when a document is rejected.
 JSON output is byte for byte ``json.dumps(doc, indent=2, sort_keys=True)``
 and a newline, but each rectangular number array is encoded one row at a
 time by the C encoder and poured into a template of its indented layout.
+Operator matrices stay numpy arrays up to that point, and each distinct
+value in one is encoded only once.
 """
 
 from __future__ import annotations
@@ -239,7 +241,9 @@ class ResultDocument:
 
     ``tables`` holds row-stochastic probability tables (asserted on
     emission), ``arrays`` labelled real matrices without that guarantee,
-    ``operators`` complex matrices, ``scalars`` named numbers.
+    ``operators`` complex matrices, ``scalars`` named numbers.  An
+    operator's ``matrix`` is a float64 array of ``[re, im]`` pairs until
+    :meth:`to_json_obj` turns it into nested lists.
     """
 
     scenario: dict
@@ -251,6 +255,15 @@ class ResultDocument:
     diagnostics: dict = field(default_factory=dict)
 
     def to_json_obj(self) -> dict:
+        """The result document as plain JSON values: lists, dicts, str and numbers."""
+        doc = self._document()
+        doc["outputs"]["operators"] = {
+            name: dict(op, matrix=op["matrix"].tolist())
+            for name, op in self.operators.items()}
+        return doc
+
+    def _document(self) -> dict:
+        """The result document as :func:`_emit` takes it, operator arrays kept."""
         self._assert_table_rows()
         outputs = {
             "tables": self.tables,
@@ -311,9 +324,11 @@ def _parse_matrix(rows, where: str) -> np.ndarray:
 
 
 def _serialize_operator(op: Operator) -> dict:
+    """``dims``, and the matrix as a ``(rows, cols, 2)`` array of real and
+    imaginary parts: a view of the complex128 entries' own float64 pairs."""
     return {
         "dims": [int(d) for d in op.dims.dims],
-        "matrix": [[[z.real, z.imag] for z in row] for row in op.mat.tolist()],
+        "matrix": op.mat.view(np.float64).reshape(op.mat.shape + (2,)),
     }
 
 
@@ -572,6 +587,21 @@ def _emit(value, nl: str, out: list):
             _emit(item, inner, out)
             out.append(",")
         out[-1] = nl + "}"
+    elif isinstance(value, np.ndarray):
+        # A non-empty float64 array, mostly zeros where it is an optics
+        # operator: each distinct bit pattern (so -0.0 apart from 0.0) is
+        # encoded once, and the outermost rows are laid out from the shape.
+        # A dict finds the distinct patterns; numpy's sort-based unique
+        # takes no less time and maps half a megabyte more of code.
+        rows = value.view(np.int64).reshape(value.shape[0], -1).tolist()
+        bits = list(dict.fromkeys(itertools.chain.from_iterable(rows)))
+        floats = np.array(bits, dtype=np.int64).view(np.float64).tolist()
+        texts = dict(zip(bits, _ENCODER.encode(floats)[1:-1].split(", ")))
+        row = _template(value.shape[1:], inner)
+        out.append("[")
+        for numbers in rows:
+            out += (inner, row % tuple(map(texts.__getitem__, numbers)), ",")
+        out[-1] = nl + "]"
     elif isinstance(value, (list, tuple)) and value:
         array = _numeric_array(value)
         out.append("[")
@@ -602,7 +632,7 @@ def _dumps(value) -> str:
 
 
 def render_json(result: ResultDocument) -> str:
-    return _dumps(result.to_json_obj())
+    return _dumps(result._document())
 
 
 def render_csv(result: ResultDocument) -> str:

@@ -97,6 +97,8 @@ class OperatorStack:
     #: What the set and one of its members are called in error messages.
     kind = "operator stack"
     noun = "element"
+    #: How far outside ``[0, 1]`` an overlap with an element may fall.
+    _row_tol = DEFAULT_TOL
 
     def __init__(self, elements: Iterable[Tuple[Hashable, Operator]]):
         pairs = tuple((label, op) for label, op in elements)
@@ -175,8 +177,9 @@ class OperatorStack:
 
     def probabilities(self, state: Operator) -> np.ndarray:
         """Born probability of every element for ``state``, bit for bit
-        :func:`born_probability` of each, from one row of overlaps."""
-        return _born_row(state, self.stack, self.dims, DEFAULT_TOL)
+        :func:`born_probability` of each (within this stack's range
+        tolerance), from one row of overlaps."""
+        return _born_row(state, self.stack, self.dims, self._row_tol)
 
 
 class Pom(OperatorStack):
@@ -203,6 +206,13 @@ class PreparationPom(Pom):
     """
 
     kind = "preparation POM"
+
+    @property
+    def _row_tol(self) -> float:
+        # Element a is d * prior_a * state_a, and each state passed its
+        # positivity check within DEFAULT_TOL, so its overlaps may stray
+        # up to d * prior_a <= d times that far outside [0, 1].
+        return self.dims.total_dim * DEFAULT_TOL
 
 
 class BiasedElements(OperatorStack):
@@ -395,7 +405,7 @@ def retro_conditional_unbiased(prep: PreparationPom, element: Operator,
     if event is None:
         return prep.probabilities(retro_state(element, trace_tol))
     xi = prep.element(event)
-    return born_probability(retro_state(element, trace_tol), xi)
+    return born_probability(retro_state(element, trace_tol), xi, prep._row_tol)
 
 
 def retro_conditional_biased(lam: BiasedElements, element: Operator,

@@ -19,7 +19,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from qretrodict import cli
@@ -572,6 +572,29 @@ class TestExitCodes:
         assert "json" in message
 
 
+def run_edge_of_tolerance_source(tmp_path, capsys, pom_vectors):
+    """Run an unbiased d = 4 source whose two states each have an eigenvalue
+    of -8e-10 against the rank-1 POM of ``pom_vectors``; returns the output."""
+    delta = 8e-10
+
+    def matrix(mat):
+        return [[[float(x), 0.0] for x in row] for row in mat]
+
+    states = [np.diag([0.5 + delta, 0.5, -delta, 0.0]),
+              np.diag([-delta, 0.0, 0.5 + delta, 0.5])]
+    path = write_scenario(tmp_path, {"kind": "retrodict", "parameters": {
+        "events": [{"label": f"e{i}", "prior": 0.5, "state": matrix(s)}
+                   for i, s in enumerate(states)],
+        "pom": [{"label": f"o{j}", "element": matrix(np.outer(v, v))}
+                for j, v in enumerate(pom_vectors)]}})
+    code = main(["run", path])
+    captured = capsys.readouterr()
+    assert code == EXIT_OK, captured.err
+    document = json.loads(captured.out)
+    assert document["diagnostics"]["source"] == "unbiased"
+    return document
+
+
 class TestOutputs:
     def test_bayes_posterior_matches_hand_calculation(self, tmp_path):
         path = write_scenario(tmp_path, bus_train_doc())
@@ -649,27 +672,21 @@ class TestOutputs:
         # Each state has an eigenvalue of -8e-10, inside the ensemble's 1e-9
         # tolerance; its preparation POM element d * prior * state has
         # -1.6e-9.  The source is unbiased, so that POM is not checked again.
-        d, delta = 4, 8e-10
         hadamard = np.array([[1, 1, 1, 1], [1, -1, 1, -1],
                              [1, 1, -1, -1], [1, -1, -1, 1]]) / 2
-
-        def matrix(mat):
-            return [[[float(x), 0.0] for x in row] for row in mat]
-
-        states = [np.diag([0.5 + delta, 0.5, -delta, 0.0]),
-                  np.diag([-delta, 0.0, 0.5 + delta, 0.5])]
-        path = write_scenario(tmp_path, {"kind": "retrodict", "parameters": {
-            "events": [{"label": f"e{i}", "prior": 0.5, "state": matrix(s)}
-                       for i, s in enumerate(states)],
-            "pom": [{"label": f"h{j}", "element": matrix(np.outer(h, h))}
-                    for j, h in enumerate(hadamard)]}})
-        code = main(["run", path])
-        captured = capsys.readouterr()
-        assert code == EXIT_OK, captured.err
-        document = json.loads(captured.out)
-        assert document["diagnostics"]["source"] == "unbiased"
+        document = run_edge_of_tolerance_source(tmp_path, capsys, hadamard)
         values = document["outputs"]["tables"]["retrodictive"]["values"]
         assert np.allclose(values, 0.5, rtol=0, atol=1e-15)
+
+    def test_unbiased_source_at_the_edge_of_its_tolerance_runs(self, tmp_path,
+                                                               capsys):
+        # Against the computational basis the posterior of e0 given o0 is
+        # <0|2 rho_0|0> = 1 + 1.6e-9: outside [0, 1] by more than 1e-9 but
+        # within d = 4 times it, so it is clamped to 1 instead of exiting 4.
+        document = run_edge_of_tolerance_source(tmp_path, capsys, np.eye(4))
+        table = document["outputs"]["tables"]["retrodictive"]
+        assert table["rows"] == ["o0", "o1", "o2", "o3"]
+        assert table["values"] == [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]
 
     def test_detector_scenario_reports_trace_and_weights(self):
         info = next(i for i in list_examples()
@@ -839,6 +856,69 @@ class TestFastRendering:
         ours = peak(lambda: render_json(result))
         oracle = peak(lambda: dumps_oracle(result.to_json_obj()))
         assert ours <= oracle
+
+
+_OPTICS_DOCS = {
+    "detector": {"counts": 1, "efficiency": 0.7},
+    "synthesis": {"reference": [[0.6, 0.0], [0.0, -0.8]],
+                  "counts_b": 1, "counts_c": 0, "theta": 0.6},
+    "scissors": {"reference": [[0.8, 0.0], [0.0, -0.6]], "theta": 0.9},
+}
+
+
+def _json_native(value):
+    """Whether ``value`` is built of JSON's own Python types only."""
+    if isinstance(value, dict):
+        return all(type(key) is str and _json_native(item)
+                   for key, item in value.items())
+    if type(value) is list:
+        return all(map(_json_native, value))
+    return value is None or type(value) in (str, float, int, bool)
+
+
+@pytest.mark.parametrize("truncation", [1, 8, 40])
+@pytest.mark.parametrize("kind", sorted(_OPTICS_DOCS))
+def test_operators_render_like_json_dumps_of_plain_values(tmp_path, kind, truncation):
+    result = write_result(tmp_path, {"kind": kind, "parameters": dict(
+        _OPTICS_DOCS[kind], truncation=truncation)})
+    document = result.to_json_obj()
+    assert _json_native(document)
+    assert render_json(result) == dumps_oracle(document)
+
+
+_float_leaves = st.floats() | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e16, 1e-05, math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def _nested_float_array(draw):
+    """A float64 array of depth 1-4 (all-equal or not), wrapped in 0-3 lists
+    and dicts; returns the value with the array and with its ``tolist()``."""
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)))
+    if draw(st.booleans()):
+        array = np.full(shape, draw(_float_leaves))
+    else:
+        array = np.array(draw(st.lists(_float_leaves, min_size=math.prod(shape),
+                                       max_size=math.prod(shape)))).reshape(shape)
+    value, plain = array, array.tolist()
+    for wrap in draw(st.lists(st.sampled_from(["list", "dict"]), max_size=3)):
+        if wrap == "list":
+            value, plain = [value, "x"], [plain, "x"]
+        else:
+            value, plain = {"a": 1, "m": value}, {"a": 1, "m": plain}
+    return value, plain
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(pair=_nested_float_array())
+@example(pair=(np.array([0.0, -0.0, 0.0]), [0.0, -0.0, 0.0]))
+@example(pair=(np.array([[[math.nan, math.inf], [-math.inf, 5e-324]]]),
+               [[[math.nan, math.inf], [-math.inf, 5e-324]]]))
+@example(pair=(np.full((1, 1, 1, 1), 1e16), [[[[1e16]]]]))
+@example(pair=(np.array([[1e-05, -0.0], [1e-05, 0.0]]), [[1e-05, -0.0], [1e-05, 0.0]]))
+def test_array_renderer_matches_json_dumps_of_its_list(pair):
+    value, plain = pair
+    assert cli._dumps(value) == dumps_oracle(plain)
 
 
 # JSON values for the renderer's oracle test: odd scalars, strings with

@@ -200,6 +200,30 @@ class TestPreparationPom:
         with pytest.raises(BiasedSourceError, match="biased"):
             preparation_pom(ens)
 
+    @pytest.mark.parametrize("excess, accepted", [(0.5, True), (1.5, False)])
+    def test_rows_may_leave_the_unit_range_by_d_times_the_tolerance(self, excess,
+                                                                     accepted):
+        # A hand-built element holding 1 + excess * d * DEFAULT_TOL: states
+        # checked within DEFAULT_TOL, scaled by d * prior, can reach 1 + d * tol.
+        d = 4
+        over = 1.0 + excess * d * hilbert.DEFAULT_TOL
+        basis = Pom(tuple((f"o{i}", ket(np.eye(d)[i])) for i in range(d)))
+        stack = np.stack([np.diag(np.eye(d)[i] * (over if i == 0 else 1.0))
+                          for i in range(d)]).astype(complex)
+        prep = PreparationPom._derived(basis, stack)
+        outcome = basis.element("o0")
+        if accepted:
+            assert retro_conditional_unbiased(prep, outcome).tolist() == [1.0, 0.0, 0.0, 0.0]
+            assert retro_conditional_unbiased(prep, outcome, "o0") == 1.0
+        else:
+            with pytest.raises(NumericIntegrityError, match="outside"):
+                retro_conditional_unbiased(prep, outcome)
+            with pytest.raises(NumericIntegrityError, match="outside"):
+                retro_conditional_unbiased(prep, outcome, "o0")
+        # A measurement POM keeps the unscaled tolerance.
+        with pytest.raises(NumericIntegrityError, match="outside"):
+            basis.probabilities(Operator(np.diag([over, 0.0, 0.0, 0.0])))
+
     def test_completeness_for_random_unbiased_sources(self):
         rng = np.random.default_rng(29)
         for _ in range(10):
