@@ -55,6 +55,8 @@ class EventSpace:
             raise ValidationError(
                 f"expected {len(labels)} priors, got array of shape {priors.shape}"
             )
+        if not np.all(np.isfinite(priors)):
+            raise ValidationError(f"priors must be finite, got {priors}")
         if np.any(priors < 0):
             raise ValidationError(f"priors must be nonnegative, got {priors}")
         total = float(priors.sum())
@@ -98,6 +100,8 @@ class ConditionalTable:
             raise ValidationError(
                 f"expected table of shape {(len(rows), len(cols))}, got {probs.shape}"
             )
+        if not np.all(np.isfinite(probs)):
+            raise ValidationError("conditional probabilities must be finite")
         if np.any(probs < 0):
             raise ValidationError("conditional probabilities must be nonnegative")
         sums = probs.sum(axis=1)

@@ -15,12 +15,11 @@ double-precision range where a real number is expected also exits 3),
 4 computation failure (for example conditioning on a zero-probability
 outcome, or a scenario too large for the available memory).
 
-Validation is one pass over the matrix and vector entries: a shallow
-copy of the shipped schema checks everything but those entries, and a
-plain loop checks the entries.  Any rejection re-runs the full schema,
-which alone writes the error message.  The shallow copy is walked by a
-small in-module Draft 2020-12 checker, so jsonschema is imported only
-when a document is rejected.
+Validation is one in-module walk of the shipped schema, which also
+words every rejection; a plain loop checks the entries of each matrix
+and vector at its ``$ref``.  The messages are pinned to jsonschema
+4.26's wording, which the tests check against the installed jsonschema;
+jsonschema itself is never imported here.
 
 JSON output is byte for byte ``json.dumps(doc, indent=2, sort_keys=True)``
 and a newline, but each rectangular number array is encoded one row at a
@@ -37,7 +36,6 @@ import functools
 import io
 import itertools
 import json
-import math
 import sys
 from dataclasses import dataclass, field
 from importlib import resources
@@ -66,20 +64,6 @@ EXIT_COMPUTATION = 4
 #: Every emitted probability-table row must sum to 1 within this tolerance.
 TABLE_ROW_SUM_TOL = 1e-9
 
-KINDS = ("bayes", "retrodict", "detector", "synthesis", "scissors", "bb84")
-
-
-#: Where the schema puts ``$defs/matrix`` and ``$defs/vector``: per kind,
-#: a path into its parameters (``"*"`` for every item of an array) and
-#: the definition found there.  The shallow schema checks these only
-#: down to their outer array; :func:`_entries_ok` checks the rest.
-_ENTRY_SITES = {
-    "retrodict": {("events", "*", "state"): "matrix",
-                  ("pom", "*", "element"): "matrix"},
-    "synthesis": {("reference",): "vector"},
-    "scissors": {("reference",): "vector"},
-}
-
 #: Python types of a JSON number, as a parsed document holds them.
 _NUMBER_TYPES = frozenset((int, float))
 
@@ -88,30 +72,6 @@ _NUMBER_TYPES = frozenset((int, float))
 def _schema() -> dict:
     ref = resources.files("qretrodict").joinpath("schema", SCHEMA_RESOURCE)
     return json.loads(ref.read_text(encoding="utf-8"))
-
-
-@functools.cache
-def _validator():
-    """The shipped schema's jsonschema validator, built once per process.
-
-    Only a rejected document needs it, so jsonschema is imported here and
-    not with the module.  The schema itself is checked against its
-    meta-schema by the test suite, not on every run.
-    """
-    import jsonschema
-
-    schema = _schema()
-    return jsonschema.validators.validator_for(schema)(schema)
-
-
-@functools.cache
-def _shallow_schema() -> dict:
-    """The shipped schema with matrices and vectors cut to their outer array."""
-    schema = _schema()
-    defs = dict(schema["$defs"])
-    for name in _ENTRY_CHECKS:
-        defs[name] = {k: v for k, v in defs[name].items() if k != "items"}
-    return dict(schema, **{"$defs": defs})
 
 
 def _is_number(value) -> bool:
@@ -135,66 +95,10 @@ def _equal(value, expected) -> bool:
     return isinstance(value, bool) is isinstance(expected, bool) and value == expected
 
 
-def _conforms(value, schema) -> bool:
-    """Whether ``value`` is valid against ``schema`` (a node of the shallow schema).
-
-    Decides as jsonschema's Draft 2020-12 validator does, for exactly the
-    keywords the shipped schema uses; every ``$ref`` there is
-    ``#/$defs/<name>`` and resolves into the shallow schema.  Each keyword
-    ignores values of other types, as the draft says, so NaN passes
-    ``minimum``.  Stricter than jsonschema only on Python objects no JSON
-    text parses to (a complex or Decimal number): those take the full
-    schema's route.
-    """
-    if isinstance(schema, bool):
-        return schema
-    if "$ref" in schema:
-        name = schema["$ref"].removeprefix("#/$defs/")
-        if not _conforms(value, _shallow_schema()["$defs"][name]):
-            return False
-    if "type" in schema and not _TYPES[schema["type"]](value):
+def _vector_ok(entries) -> bool:
+    """Whether ``entries`` matches ``$defs/vector``: a non-empty list of pairs."""
+    if type(entries) is not list or not entries:
         return False
-    if "const" in schema and not _equal(value, schema["const"]):
-        return False
-    if "enum" in schema and not any(_equal(value, e) for e in schema["enum"]):
-        return False
-    if isinstance(value, dict):
-        properties = schema.get("properties", {})
-        extra = schema.get("additionalProperties", True)
-        if not (all(key in value for key in schema.get("required", ()))
-                and all(_conforms(item, properties.get(key, extra))
-                        for key, item in value.items())):
-            return False
-    elif isinstance(value, list):
-        prefix = schema.get("prefixItems", ())
-        if not (len(value) >= schema.get("minItems", 0)
-                and all(map(_conforms, value, prefix))
-                and ("items" not in schema
-                     or all(_conforms(item, schema["items"])
-                            for item in value[len(prefix):]))):
-            return False
-    elif _is_number(value) and (value < schema.get("minimum", -math.inf)
-                                or value > schema.get("maximum", math.inf)):
-        return False
-    if not all(_conforms(value, rule) for rule in schema.get("allOf", ())):
-        return False
-    return not ("if" in schema and _conforms(value, schema["if"])
-                and not _conforms(value, schema.get("then", True)))
-
-
-def _at(node, path):
-    """Every value at ``path`` below ``node``; ``"*"`` walks array items."""
-    if not path:
-        yield node
-    elif path[0] == "*":
-        for item in node:
-            yield from _at(item, path[1:])
-    elif path[0] in node:
-        yield from _at(node[path[0]], path[1:])
-
-
-def _complex_entries_ok(entries) -> bool:
-    """Whether every entry matches ``$defs/complex``: two numbers, no bool."""
     for z in entries:
         if (type(z) is not list or len(z) != 2
                 or type(z[0]) not in _NUMBER_TYPES
@@ -204,25 +108,116 @@ def _complex_entries_ok(entries) -> bool:
 
 
 def _matrix_ok(rows) -> bool:
-    return all(type(row) is list and row and _complex_entries_ok(row)
-               for row in rows)
+    """Whether ``rows`` matches ``$defs/matrix``: a non-empty list of vectors."""
+    return type(rows) is list and bool(rows) and all(map(_vector_ok, rows))
 
 
-_ENTRY_CHECKS = {"matrix": _matrix_ok, "vector": _complex_entries_ok}
+#: Plain loops that accept what these definitions accept.  A value they
+#: decline (a bad entry, or a list subclass) is walked entry by entry.
+_FAST_REFS = {"#/$defs/vector": _vector_ok, "#/$defs/matrix": _matrix_ok}
 
 
-def _entries_ok(doc) -> bool:
-    """The part of the schema the shallow schema leaves out.
+def _errors(value, schema, path=()):
+    """Every way ``value`` breaks ``schema``, as ``(path, node, value, message)``.
 
-    Only called on documents the shallow schema accepts, so the kind
-    is known and its parameters exist.  Stricter than jsonschema on
-    Python objects no JSON text parses to (a list subclass, a complex
-    number): those take the full schema's route.
+    Walks as jsonschema 4.26's Draft 2020-12 ``iter_errors`` does, for
+    exactly the keywords the shipped schema uses: each node's keywords in
+    the order it lists them, with jsonschema's message text.  ``path``
+    leads from the document to ``value``, and ``node`` is the schema node
+    holding the failed keyword.  Every ``$ref`` is ``#/$defs/<name>`` of
+    the shipped schema.  Each keyword ignores values of other types, as
+    the draft says, so NaN passes ``minimum``.  Stricter than jsonschema
+    only on Python objects no JSON text parses to, such as a complex
+    number, which is no ``number`` here.
     """
-    sites = _ENTRY_SITES.get(doc["kind"], {})
-    return all(_ENTRY_CHECKS[name](value)
-               for path, name in sites.items()
-               for value in _at(doc["parameters"], path))
+    if isinstance(schema, bool):
+        if not schema:
+            yield path, schema, value, f"False schema does not allow {value!r}"
+        return
+    for keyword, rule in schema.items():
+        if keyword == "$ref":
+            fast = _FAST_REFS.get(rule)
+            if fast is None or not fast(value):
+                name = rule.removeprefix("#/$defs/")
+                yield from _errors(value, _schema()["$defs"][name], path)
+        elif keyword == "type":
+            if not _TYPES[rule](value):
+                yield path, schema, value, f"{value!r} is not of type {rule!r}"
+        elif keyword == "const":
+            if not _equal(value, rule):
+                yield path, schema, value, f"{rule!r} was expected"
+        elif keyword == "enum":
+            if not any(_equal(value, e) for e in rule):
+                yield path, schema, value, f"{value!r} is not one of {rule!r}"
+        elif keyword == "allOf":
+            for sub in rule:
+                yield from _errors(value, sub, path)
+        elif keyword == "if":
+            if next(_errors(value, rule, path), None) is None:
+                yield from _errors(value, schema.get("then", True), path)
+        elif isinstance(value, dict):
+            if keyword == "required":
+                for key in rule:
+                    if key not in value:
+                        yield path, schema, value, f"{key!r} is a required property"
+            elif keyword == "properties":
+                for key, sub in rule.items():
+                    if key in value:
+                        yield from _errors(value[key], sub, path + (key,))
+            elif keyword == "additionalProperties":
+                extra = [k for k in value if k not in schema.get("properties", ())]
+                if isinstance(rule, dict):
+                    for key in extra:
+                        yield from _errors(value[key], rule, path + (key,))
+                elif not rule and extra:
+                    names = ", ".join(map(repr, sorted(extra)))
+                    verb = "was" if len(extra) == 1 else "were"
+                    yield (path, schema, value, "Additional properties are not "
+                           f"allowed ({names} {verb} unexpected)")
+        elif isinstance(value, list):
+            prefix = len(schema.get("prefixItems", ()))
+            if keyword == "minItems" and len(value) < rule:
+                tail = "should be non-empty" if rule == 1 else "is too short"
+                yield path, schema, value, f"{value!r} {tail}"
+            elif keyword == "prefixItems":
+                for i, (item, sub) in enumerate(zip(value, rule)):
+                    yield from _errors(item, sub, path + (i,))
+            elif keyword == "items" and len(value) > prefix:
+                if rule is False:
+                    extra = len(value) - prefix
+                    rest = value[prefix:] if extra != 1 else value[prefix]
+                    noun = "items" if prefix != 1 else "item"
+                    yield (path, schema, value, f"Expected at most {prefix} "
+                           f"{noun} but found {extra} extra: {rest!r}")
+                else:
+                    for i in range(prefix, len(value)):
+                        yield from _errors(value[i], rule, path + (i,))
+        elif _is_number(value):
+            if keyword == "minimum" and value < rule:
+                yield (path, schema, value,
+                       f"{value!r} is less than the minimum of {rule!r}")
+            elif keyword == "maximum" and value > rule:
+                yield (path, schema, value,
+                       f"{value!r} is greater than the maximum of {rule!r}")
+
+
+def _relevance(error) -> tuple:
+    """jsonschema's ``best_match`` key without ``anyOf``/``oneOf``: errors
+    nearer the root first, then the later sibling, then one whose node's
+    ``type`` the value does not match."""
+    path, node, value, _ = error
+    matches = isinstance(node, dict) and "type" in node and _TYPES[node["type"]](value)
+    return -len(path), path, not matches
+
+
+def _json_path(path) -> str:
+    """``path`` written as jsonschema's ``ValidationError.json_path``.
+
+    Every key in a path is a property the schema names, and each is a
+    plain identifier, which ``json_path`` writes unquoted.
+    """
+    return "$" + "".join(f"[{key}]" if isinstance(key, int) else "." + key
+                         for key in path)
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,7 +279,7 @@ class ResultDocument:
         for name, table in self.tables.items():
             for row_label, row in zip(table["rows"], table["values"]):
                 total = sum(row)
-                if abs(total - 1.0) > TABLE_ROW_SUM_TOL:
+                if not abs(total - 1.0) <= TABLE_ROW_SUM_TOL:
                     raise NumericIntegrityError(
                         f"table {name!r} row {row_label!r} sums to {total!r}, "
                         f"expected 1"
@@ -332,14 +327,6 @@ def _serialize_operator(op: Operator) -> dict:
     }
 
 
-def _table(rows, cols, values) -> dict:
-    return {
-        "rows": [str(r) for r in rows],
-        "cols": [str(c) for c in cols],
-        "values": [[float(x) for x in row] for row in values],
-    }
-
-
 def _array(rows, cols, values, integral=False) -> dict:
     cast = int if integral else float
     return {
@@ -359,11 +346,11 @@ def _run_bayes(params: dict, result: ResultDocument):
     joint = bayes.joint(space, cond)
     marginal = bayes.predict_marginal(space, cond)
     result.arrays["joint"] = _array(labels, outcomes, joint)
-    result.tables["outcome_marginal"] = _table(["marginal"], outcomes, [marginal])
+    result.tables["outcome_marginal"] = _array(["marginal"], outcomes, [marginal])
     observed = params.get("observed")
     if observed is not None:
         posterior = bayes.retrodict_conditional(space, cond, observed)
-        result.tables["posterior"] = _table([observed], labels, [posterior])
+        result.tables["posterior"] = _array([observed], labels, [posterior])
     else:
         active, skipped, rows = [], [], []
         for j, outcome in enumerate(outcomes):
@@ -373,7 +360,7 @@ def _run_bayes(params: dict, result: ResultDocument):
             active.append(outcome)
             rows.append(bayes.retrodict_conditional(space, cond, outcome))
         if active:
-            result.tables["posterior"] = _table(active, labels, rows)
+            result.tables["posterior"] = _array(active, labels, rows)
         if skipped:
             result.diagnostics["zero_probability_outcomes"] = skipped
 
@@ -388,7 +375,7 @@ def _run_retrodict(params: dict, result: ResultDocument):
          Operator(_parse_matrix(p["element"], f"POM element {p['label']!r}")))
         for p in params["pom"]))
     pred_rows = [pom.probabilities(state) for _, _, state in ens.events]
-    result.tables["predictive"] = _table(ens.labels, pom.labels, pred_rows)
+    result.tables["predictive"] = _array(ens.labels, pom.labels, pred_rows)
 
     d = ens.dims.total_dim
     mixture_dev = float(np.max(np.abs(ens.mixture().mat - np.eye(d) / d)))
@@ -412,7 +399,7 @@ def _run_retrodict(params: dict, result: ResultDocument):
             for b in range(len(pom))]
         posterior_row = functools.partial(retrodict.retro_conditional_biased, lam)
 
-    result.tables["outcome_distribution"] = _table(
+    result.tables["outcome_distribution"] = _array(
         ["prior"], pom.labels, [outcome_dist])
     active, skipped, rows = [], [], []
     for (label, op), weight in zip(elements, weights):
@@ -422,7 +409,7 @@ def _run_retrodict(params: dict, result: ResultDocument):
         active.append(label)
         rows.append(posterior_row(op))
     if active:
-        result.tables["retrodictive"] = _table(active, ens.labels, rows)
+        result.tables["retrodictive"] = _array(active, ens.labels, rows)
     if skipped:
         result.diagnostics["zero_probability_outcomes"] = skipped
 
@@ -466,9 +453,9 @@ def _run_scissors(params: dict, result: ResultDocument):
 def _run_bb84(params: dict, result: ResultDocument):
     pred = bb84.predictive_table()
     retro = bb84.retrodictive_table()
-    result.tables["predictive"] = _table(pred.row_labels, pred.col_labels,
+    result.tables["predictive"] = _array(pred.row_labels, pred.col_labels,
                                          pred.probs)
-    result.tables["retrodictive"] = _table(retro.row_labels, retro.col_labels,
+    result.tables["retrodictive"] = _array(retro.row_labels, retro.col_labels,
                                            retro.probs)
     slots = params.get("slots")
     if slots is None:
@@ -509,20 +496,16 @@ _RUNNERS = {
 def validate_document(doc) -> Scenario:
     """Check a parsed scenario document against the shipped schema.
 
-    A valid document costs one pass over its matrix entries: a walk of
-    the shallow schema, then the entry check.  If either rejects it, the
-    full schema decides and writes the message with jsonschema, exactly
-    as ``jsonschema.validate`` would.
+    One walk decides: :func:`_errors` stops at the first error, and a
+    valid matrix or vector costs one plain loop over its entries.  A
+    rejected document is walked once more for every error, and the one
+    jsonschema's ``best_match`` would pick words the message, in
+    jsonschema 4.26's text.
     """
-    if not (_conforms(doc, _shallow_schema()) and _entries_ok(doc)):
-        import jsonschema
-
-        error = jsonschema.exceptions.best_match(_validator().iter_errors(doc))
-        if error is not None:
-            raise ValidationError(
-                f"scenario does not match the schema at {error.json_path}: "
-                f"{error.message}"
-            )
+    if next(_errors(doc, _schema()), None) is not None:
+        path, _, _, message = max(_errors(doc, _schema()), key=_relevance)
+        raise ValidationError(
+            f"scenario does not match the schema at {_json_path(path)}: {message}")
     return Scenario(kind=doc["kind"], parameters=doc.get("parameters", {}),
                     description=doc.get("description", ""), document=doc)
 

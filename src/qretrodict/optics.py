@@ -76,6 +76,8 @@ class ReferenceState:
         amps = np.array(self.amplitudes, dtype=complex)
         if amps.ndim != 1 or amps.size == 0:
             raise ValidationError("reference state needs a nonempty amplitude vector")
+        if not np.all(np.isfinite(amps)):
+            raise ValidationError("reference amplitudes must be finite")
         norm_sq = float(np.sum(np.abs(amps) ** 2))
         if abs(norm_sq - 1.0) > NORMALIZATION_TOL:
             raise ValidationError(

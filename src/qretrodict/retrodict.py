@@ -20,6 +20,7 @@ probability is an overlap ``tr(op @ stack[b])`` taken a row at a time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import FrozenInstanceError
 from typing import Hashable, Iterable, Optional, Tuple
 
@@ -268,6 +269,8 @@ class PreparationEnsemble(OperatorStack):
 
     def _check_before(self, i: int, label: Hashable):
         prior = self.events[i][1]
+        if not math.isfinite(prior):
+            raise ValidationError(f"prior of event {label!r} is not finite: {prior}")
         if prior < 0:
             raise ValidationError(f"prior of event {label!r} is negative: {prior}")
 

@@ -49,6 +49,16 @@ class TestValidation:
         with pytest.raises(ValidationError):
             ConditionalTable(("a",), ("x", "y"), [[1.5, -0.5]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_priors_and_rows_must_be_finite(self, bad):
+        # NaN passes every comparison-based check (NaN < 0 and
+        # |NaN - 1| > tol are both false), so it is rejected by name.
+        with pytest.raises(ValidationError, match="priors must be finite"):
+            EventSpace(("a", "b"), [bad, 0.5])
+        with pytest.raises(ValidationError,
+                           match="conditional probabilities must be finite"):
+            ConditionalTable(("a",), ("x", "y"), [[bad, 0.5]])
+
     def test_tiny_float_noise_is_accepted(self):
         space = EventSpace(("a", "b", "c"), [0.1, 0.2, 0.7 + 1e-12])
         np.testing.assert_allclose(space.priors.sum(), 1.0, atol=1e-11)

@@ -194,6 +194,10 @@ def malformed_documents():
         {"kind": "bb84", "parameters": {"slots": 0, "seed": -5,
                                         "attack": "mitm", "extra": True}},
         {"kind": "bb84", "description": 7, "parameters": []},
+        # Two errors at the root: ``best_match`` prefers the one from the
+        # ``then`` branch, which has no ``type``, over the earlier one
+        # from the root, whose ``type`` the document matches.
+        {"kind": "bayes", "surprise": 1},
     ]
 
 
@@ -261,7 +265,7 @@ def retrodict_doc(d, k):
         "pom": [{"label": f"b{j}", "element": matrix()} for j in range(k)]}}
 
 
-#: The keywords ``cli._conforms`` decides by, and those it may ignore.
+#: The keywords ``cli._errors`` walks, and those it may ignore.
 WALKED_KEYWORDS = {"type", "properties", "required", "additionalProperties",
                    "$ref", "items", "prefixItems", "minItems", "const", "enum",
                    "minimum", "maximum", "allOf", "if", "then"}
@@ -329,19 +333,18 @@ WALK_CASES = [
 @pytest.mark.parametrize("schema, value", WALK_CASES,
                          ids=lambda v: repr(v)[:32])
 def test_schema_walk_keyword_by_keyword(schema, value):
-    # ``$ref`` resolves into the shallow schema's definitions, where
-    # matrices are cut to their outer array.
-    defs = {"$defs": cli._shallow_schema()["$defs"]}
+    # ``$ref`` resolves into the shipped schema's definitions.
+    defs = {"$defs": bundled_schema()["$defs"]}
     reference = jsonschema.Draft202012Validator(
         dict(schema, **defs) if isinstance(schema, dict) else schema)
-    assert cli._conforms(value, schema) == reference.is_valid(value)
+    assert _walked_errors(value, schema) == _reference_errors(reference, value)
 
 
 class TestFastValidation:
     def test_entry_check_covers_every_matrix_and_vector_reference(self):
         schema = bundled_schema()
         defs = schema["$defs"]
-        # The entry check implements exactly these definitions.
+        # The fast loops implement exactly these definitions.
         assert defs["complex"] == {
             "type": "array", "prefixItems": [{"type": "number"}] * 2,
             "minItems": 2, "items": False}
@@ -350,39 +353,12 @@ class TestFastValidation:
         assert defs["matrix"] == {"type": "array", "minItems": 1, "items": {
             "type": "array", "minItems": 1,
             "items": {"$ref": "#/$defs/complex"}}}
-        refs = list(_refs(schema))
-        covered = set()
-        for kind, sites in cli._ENTRY_SITES.items():
-            # A kind's parameters are reached only from its own branch.
-            branch = next(i for i, rule in enumerate(schema["allOf"])
-                          if rule["if"]["properties"]["kind"] == {"const": kind})
-            assert [p for p, ref in refs if ref == f"#/$defs/{kind}Parameters"] \
-                == [("allOf", branch, "then", "properties", "parameters")]
-            for path, name in sites.items():
-                pointer = ("$defs", f"{kind}Parameters")
-                for step in path:
-                    pointer += ("items",) if step == "*" else ("properties", step)
-                covered.add((pointer, f"#/$defs/{name}"))
-        found = {(p, ref) for p, ref in refs
-                 if ref in ("#/$defs/matrix", "#/$defs/vector")}
-        assert found == covered
-
-    def test_valid_document_never_builds_the_full_validator(self, monkeypatch):
-        calls = []
-        full = cli._validator
-
-        def spy():
-            calls.append(1)
-            return full()
-
-        monkeypatch.setattr(cli, "_validator", spy)
-        doc = retrodict_doc(16, 16)
-        assert validate_document(doc).kind == "retrodict"
-        assert calls == []
-        doc["parameters"]["pom"][3]["element"][5][7] = [0, True]
-        with pytest.raises(cli.ValidationError, match=r"pom\[3\]"):
-            validate_document(doc)
-        assert calls == [1]
+        # They sit at the reference itself, so every place the schema puts
+        # a matrix or a vector takes them; ``complex`` is reached only
+        # through those two.
+        assert set(cli._FAST_REFS) == {"#/$defs/matrix", "#/$defs/vector"}
+        assert [p for p, ref in _refs(schema) if ref == "#/$defs/complex"] == [
+            ("$defs", "vector", "items"), ("$defs", "matrix", "items", "items")]
 
     def test_schema_walk_knows_every_keyword_of_the_shipped_schema(self):
         for node in _subschemas(bundled_schema()):
@@ -394,8 +370,13 @@ class TestFastValidation:
             for value in node.get("enum", []) + [node.get("const", 0)]:
                 assert isinstance(value, (str, int, float, bool))
             assert re.fullmatch(r"#/\$defs/\w+", node.get("$ref", "#/$defs/x"))
+            # Paths hold only the names of declared properties, which
+            # cli._json_path writes unquoted, as jsonschema does.
+            assert node.get("additionalProperties", False) is False
+            for name in node.get("properties", {}):
+                assert re.fullmatch("[a-zA-Z][a-zA-Z0-9_]*", name)
 
-    def test_valid_run_never_imports_jsonschema(self, tmp_path):
+    def test_no_run_imports_jsonschema(self, tmp_path):
         def imported(args):
             run = run_python(["-X", "importtime", "-m", "qretrodict.cli",
                               "run", *args], check=False)
@@ -409,8 +390,26 @@ class TestFastValidation:
                      "bb84-monte-carlo"):
             assert imported([paths[name], "--out", str(tmp_path / "out.json")]) \
                 == (EXIT_OK, False)
-        rejected = write_scenario(tmp_path, bus_train_doc(surprise=1))
-        assert imported([rejected]) == (EXIT_VALIDATION, True)
+        bad_entry = retrodict_doc(2, 2)
+        bad_entry["parameters"]["pom"][1]["element"][1][1] = [0, True]
+        for doc in (bus_train_doc(surprise=1), bad_entry):
+            assert imported([write_scenario(tmp_path, doc)]) \
+                == (EXIT_VALIDATION, False)
+
+    def test_runs_without_jsonschema_installed(self, tmp_path):
+        rejected = retrodict_doc(4, 4)
+        rejected["parameters"]["pom"][3]["element"][2][1] = [0, True]
+        paths = [write_scenario(tmp_path, bus_train_doc(), "valid.json"),
+                 write_scenario(tmp_path, rejected, "rejected.json")]
+        probe = ("import sys; sys.modules['jsonschema'] = None; "
+                 "from qretrodict import cli; "
+                 "sys.exit(cli.main(['run', sys.argv[1]]))")
+        valid = run_python(["-c", probe, paths[0]], check=False)
+        assert valid.returncode == EXIT_OK
+        assert valid.stdout == render_json(execute(load_scenario(paths[0])))
+        run = run_python(["-c", probe, paths[1]], check=False)
+        assert run.returncode == EXIT_VALIDATION
+        assert json.loads(run.stderr)["error"]["message"] == _schema_message(rejected)
 
     def test_full_schema_decides_what_the_entry_check_declines(self):
         class Row(list):
@@ -418,7 +417,7 @@ class TestFastValidation:
 
         doc = retrodict_doc(2, 2)
         doc["parameters"]["events"][0]["state"][0] = Row([[0.5, 0.0], [0, 0]])
-        assert not cli._entries_ok(doc)
+        assert not cli._matrix_ok(doc["parameters"]["events"][0]["state"])
         assert validate_document(doc).kind == "retrodict"
 
 
@@ -450,6 +449,36 @@ class TestExitCodes:
         assert main(["run", str(path)]) == EXIT_VALIDATION
         message = json.loads(capsys.readouterr().err)["error"]["message"]
         assert "bus" in message
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("priors", [math.nan, 0.5], "priors must be finite"),
+        ("conditional", [[math.nan, 0.7], [0.1, 0.9]],
+         "conditional probabilities must be finite"),
+    ])
+    def test_nan_bayes_input_exits_3_and_names_the_field(
+            self, tmp_path, capsys, field, value, message):
+        # ``NaN`` is no JSON literal, but Python's parser accepts it, and it
+        # passes every comparison-based check.
+        doc = bus_train_doc()
+        doc["parameters"][field] = value
+        assert main(["run", write_scenario(tmp_path, doc)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in json.loads(captured.err)["error"]["message"]
+
+    @pytest.mark.parametrize("kind", ["retrodict", "scissors"])
+    def test_nan_prior_or_amplitude_exits_3_and_names_the_field(
+            self, tmp_path, capsys, kind):
+        if kind == "retrodict":
+            doc = retrodict_doc(2, 2)
+            doc["parameters"]["events"][1]["prior"] = math.nan
+            message = "prior of event 'a1' is not finite"
+        else:
+            doc = {"kind": "scissors", "parameters": {
+                "reference": [[math.nan, 0.0]], "theta": 0.5, "truncation": 2}}
+            message = "reference amplitudes must be finite"
+        assert main(["run", write_scenario(tmp_path, doc)]) == EXIT_VALIDATION
+        assert message in json.loads(capsys.readouterr().err)["error"]["message"]
 
     def test_zero_probability_outcome_exits_4(self, tmp_path, capsys):
         doc = bus_train_doc()
@@ -797,6 +826,13 @@ class TestRendering:
         assert capsys.readouterr().out == ""
         document = json.loads(target.read_text(encoding="utf-8"))
         assert document["scenario"]["kind"] == "bayes"
+
+    def test_nan_table_row_is_never_emitted(self):
+        result = cli.ResultDocument(scenario={}, tables={"t": cli._array(
+            ["r"], ["a", "b"], [[math.nan, 1.0]])})
+        for render in (render_json, render_csv):
+            with pytest.raises(cli.NumericIntegrityError, match="'r' sums to nan"):
+                render(result)
 
     def test_emitted_tables_are_row_stochastic(self):
         for info in list_examples():
@@ -1171,17 +1207,21 @@ def _schema_message(doc):
             f"{error.message}")
 
 
-@functools.cache
-def _shallow_reference_validator():
-    return jsonschema.Draft202012Validator(cli._shallow_schema())
+def _walked_errors(value, schema):
+    return [(cli._json_path(path), message)
+            for path, _, _, message in cli._errors(value, schema)]
+
+
+def _reference_errors(validator, value):
+    return [(error.json_path, error.message) for error in validator.iter_errors(value)]
 
 
 def _assert_agrees_with_jsonschema(doc):
-    """The schema walk decides as jsonschema does on the shallow schema, and
-    ``validate_document`` accepts, or rejects with the message, as the full
-    schema does."""
-    assert (cli._conforms(doc, cli._shallow_schema())
-            == _shallow_reference_validator().is_valid(doc))
+    """The schema walk finds jsonschema's errors, in its order and words,
+    and ``validate_document`` accepts, or rejects with the message, as
+    ``jsonschema.validate`` does."""
+    assert (_walked_errors(doc, cli._schema())
+            == _reference_errors(_reference_validator(), doc))
     try:
         validate_document(doc)
         got = None

@@ -113,6 +113,8 @@ class TestTypes:
             ReferenceState((1.0, 0.5))
         with pytest.raises(ValidationError):
             ReferenceState(())
+        with pytest.raises(ValidationError, match="must be finite"):
+            ReferenceState((complex(np.nan, 0.0), 0.0))
 
     def test_reference_state_padding(self):
         ref = ReferenceState((0.6, 0.8))

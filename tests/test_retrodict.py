@@ -102,6 +102,12 @@ class TestEnsembleValidation:
         with pytest.raises(ValidationError):
             PreparationEnsemble((("a", 1.5, mixed), ("b", -0.5, mixed)))
 
+    def test_rejects_nan_prior_by_name(self):
+        mixed = Operator(np.eye(2) / 2)
+        with pytest.raises(ValidationError,
+                           match="prior of event 'a' is not finite: nan"):
+            PreparationEnsemble((("a", np.nan, mixed), ("b", 0.5, mixed)))
+
     def test_biased_elements_traces_are_priors(self):
         ens = random_biased_ensemble(np.random.default_rng(5), 3, 4)
         lam = BiasedElements.from_ensemble(ens)
