@@ -7,7 +7,8 @@ tables, labelled real arrays, complex operators, scalars and
 diagnostics.  Output is deterministic: the same scenario file always
 produces byte-identical JSON.
 
-Exit codes: 0 success, 2 unreadable/unparsable scenario, 3 validation
+Exit codes: 0 success, 2 unreadable/unparsable scenario (nesting too
+deep for the parser included), 3 validation
 failure (schema or domain invariants; the schema caps ``truncation`` at
 2000 photons and BB84 ``slots`` at 10^7, or 10^6 with records, so
 oversized documents exit 3 before any allocation; an integer beyond the
@@ -16,16 +17,20 @@ double-precision range where a real number is expected also exits 3),
 outcome, or a scenario too large for the available memory).
 
 Validation is one in-module walk of the shipped schema, which also
-words every rejection; a plain loop checks the entries of each matrix
-and vector at its ``$ref``.  The messages are pinned to jsonschema
-4.26's wording, which the tests check against the installed jsonschema;
-jsonschema itself is never imported here.
+words every rejection.  At each matrix and vector ``$ref`` one flat pass
+over its entries checks them and parses them into a float64 array of
+``[re, im]`` pairs, which a ``retrodict`` run stacks and checks as
+``(k, d, d)`` arrays without walking the entries again.  The messages
+are pinned to jsonschema 4.26's wording, which the tests check against
+the installed jsonschema; jsonschema itself is never imported here.
 
 JSON output is byte for byte ``json.dumps(doc, indent=2, sort_keys=True)``
 and a newline, but each rectangular number array is encoded one row at a
 time by the C encoder and poured into a template of its indented layout.
-Operator matrices stay numpy arrays up to that point, and each distinct
-value in one is encoded only once.
+Operator matrices, and the echoed ``retrodict`` matrices of floats, stay
+numpy arrays up to that point, and each distinct magnitude in one is
+encoded only once.  A matrix holding a JSON integer is echoed from its
+list, since ``1`` must not render as ``1.0``.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ from .errors import (
     NumericIntegrityError,
     ValidationError,
 )
-from .hilbert import Operator
+from .hilbert import ModeDims, Operator
 
 SCHEMA_VERSION = 1
 SCHEMA_RESOURCE = "scenario-v1.schema.json"
@@ -95,29 +100,62 @@ def _equal(value, expected) -> bool:
     return isinstance(value, bool) is isinstance(expected, bool) and value == expected
 
 
-def _vector_ok(entries) -> bool:
-    """Whether ``entries`` matches ``$defs/vector``: a non-empty list of pairs."""
-    if type(entries) is not list or not entries:
+def _leaves(rows):
+    """The numbers of ``rows`` in order, and their types, if ``$defs/matrix``
+    accepts ``rows``: a non-empty list of non-empty lists of ``[number,
+    number]`` pairs.  Else None.  One flat pass, without a loop in Python."""
+    if type(rows) is not list or not rows or set(map(type, rows)) != {list} \
+            or not all(rows):
+        return None
+    pairs = list(itertools.chain.from_iterable(rows))
+    if set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}:
+        return None
+    flat = list(itertools.chain.from_iterable(pairs))
+    kinds = set(map(type, flat))
+    return (flat, kinds) if kinds <= _NUMBER_TYPES else None
+
+
+def _pair_array(rows, flat, kinds):
+    """A matrix's numbers ``flat`` as a ``(rows, cols, 2)`` float64 array of
+    ``[re, im]`` pairs, and the value that echoes the matrix: the array, or
+    ``rows`` if it holds an integer, since ``1`` must not render as ``1.0``.
+
+    Raises OverflowError for an integer beyond the double range, and
+    numpy's ValueError for rows of unequal length.
+    """
+    values = np.array(flat, dtype=np.float64)
+    widths = set(map(len, rows))
+    if len(widths) > 1:
+        np.array(rows, dtype=np.float64)  # raises, naming the ragged shape
+    values = values.reshape(len(rows), widths.pop(), 2)
+    return values, rows if int in kinds else values
+
+
+def _matrix_ok(rows, parsed=None, path=()) -> bool:
+    """Whether ``rows`` matches ``$defs/matrix``.  If so, and ``parsed`` is a
+    dict, ``parsed[path]`` is its :func:`_pair_array` where one exists."""
+    leaves = _leaves(rows)
+    if leaves is None:
         return False
-    for z in entries:
-        if (type(z) is not list or len(z) != 2
-                or type(z[0]) not in _NUMBER_TYPES
-                or type(z[1]) not in _NUMBER_TYPES):
-            return False
+    if parsed is not None:
+        try:
+            parsed[path] = _pair_array(rows, *leaves)
+        except (OverflowError, ValueError):
+            pass  # the run words the fault, in its turn
     return True
 
 
-def _matrix_ok(rows) -> bool:
-    """Whether ``rows`` matches ``$defs/matrix``: a non-empty list of vectors."""
-    return type(rows) is list and bool(rows) and all(map(_vector_ok, rows))
+def _vector_ok(entries, parsed=None, path=()) -> bool:
+    """Whether ``entries`` matches ``$defs/vector``: a matrix's one row."""
+    return _matrix_ok([entries], parsed, path)
 
 
-#: Plain loops that accept what these definitions accept.  A value they
+#: Flat passes that accept what these definitions accept.  A value they
 #: decline (a bad entry, or a list subclass) is walked entry by entry.
 _FAST_REFS = {"#/$defs/vector": _vector_ok, "#/$defs/matrix": _matrix_ok}
 
 
-def _errors(value, schema, path=()):
+def _errors(value, schema, path=(), parsed=None):
     """Every way ``value`` breaks ``schema``, as ``(path, node, value, message)``.
 
     Walks as jsonschema 4.26's Draft 2020-12 ``iter_errors`` does, for
@@ -129,6 +167,9 @@ def _errors(value, schema, path=()):
     the draft says, so NaN passes ``minimum``.  Stricter than jsonschema
     only on Python objects no JSON text parses to, such as a complex
     number, which is no ``number`` here.
+
+    With a dict ``parsed``, a valid walk leaves in it every matrix and
+    vector of ``value`` as :func:`_matrix_ok` parses it, by path.
     """
     if isinstance(schema, bool):
         if not schema:
@@ -137,9 +178,9 @@ def _errors(value, schema, path=()):
     for keyword, rule in schema.items():
         if keyword == "$ref":
             fast = _FAST_REFS.get(rule)
-            if fast is None or not fast(value):
+            if fast is None or not fast(value, parsed, path):
                 name = rule.removeprefix("#/$defs/")
-                yield from _errors(value, _schema()["$defs"][name], path)
+                yield from _errors(value, _schema()["$defs"][name], path, parsed)
         elif keyword == "type":
             if not _TYPES[rule](value):
                 yield path, schema, value, f"{value!r} is not of type {rule!r}"
@@ -151,10 +192,10 @@ def _errors(value, schema, path=()):
                 yield path, schema, value, f"{value!r} is not one of {rule!r}"
         elif keyword == "allOf":
             for sub in rule:
-                yield from _errors(value, sub, path)
+                yield from _errors(value, sub, path, parsed)
         elif keyword == "if":
             if next(_errors(value, rule, path), None) is None:
-                yield from _errors(value, schema.get("then", True), path)
+                yield from _errors(value, schema.get("then", True), path, parsed)
         elif isinstance(value, dict):
             if keyword == "required":
                 for key in rule:
@@ -163,12 +204,12 @@ def _errors(value, schema, path=()):
             elif keyword == "properties":
                 for key, sub in rule.items():
                     if key in value:
-                        yield from _errors(value[key], sub, path + (key,))
+                        yield from _errors(value[key], sub, path + (key,), parsed)
             elif keyword == "additionalProperties":
                 extra = [k for k in value if k not in schema.get("properties", ())]
                 if isinstance(rule, dict):
                     for key in extra:
-                        yield from _errors(value[key], rule, path + (key,))
+                        yield from _errors(value[key], rule, path + (key,), parsed)
                 elif not rule and extra:
                     names = ", ".join(map(repr, sorted(extra)))
                     verb = "was" if len(extra) == 1 else "were"
@@ -181,7 +222,7 @@ def _errors(value, schema, path=()):
                 yield path, schema, value, f"{value!r} {tail}"
             elif keyword == "prefixItems":
                 for i, (item, sub) in enumerate(zip(value, rule)):
-                    yield from _errors(item, sub, path + (i,))
+                    yield from _errors(item, sub, path + (i,), parsed)
             elif keyword == "items" and len(value) > prefix:
                 if rule is False:
                     extra = len(value) - prefix
@@ -191,7 +232,7 @@ def _errors(value, schema, path=()):
                            f"{noun} but found {extra} extra: {rest!r}")
                 else:
                     for i in range(prefix, len(value)):
-                        yield from _errors(value[i], rule, path + (i,))
+                        yield from _errors(value[i], rule, path + (i,), parsed)
         elif _is_number(value):
             if keyword == "minimum" and value < rule:
                 yield (path, schema, value,
@@ -222,12 +263,17 @@ def _json_path(path) -> str:
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """A validated scenario document."""
+    """A validated scenario document.
+
+    ``arrays`` holds, by path, each matrix and vector of the document as
+    :func:`_pair_array` parsed it during validation.
+    """
 
     kind: str
     parameters: dict
     description: str = ""
     document: dict = field(default_factory=dict)
+    arrays: dict = field(default_factory=dict)
 
 
 @dataclass(eq=False)
@@ -237,7 +283,8 @@ class ResultDocument:
     ``tables`` holds row-stochastic probability tables (asserted on
     emission), ``arrays`` labelled real matrices without that guarantee,
     ``operators`` complex matrices, ``scalars`` named numbers.  An
-    operator's ``matrix`` is a float64 array of ``[re, im]`` pairs until
+    operator's ``matrix``, and each matrix of floats a ``retrodict``
+    ``scenario`` echoes, is a float64 array of ``[re, im]`` pairs until
     :meth:`to_json_obj` turns it into nested lists.
     """
 
@@ -251,11 +298,7 @@ class ResultDocument:
 
     def to_json_obj(self) -> dict:
         """The result document as plain JSON values: lists, dicts, str and numbers."""
-        doc = self._document()
-        doc["outputs"]["operators"] = {
-            name: dict(op, matrix=op["matrix"].tolist())
-            for name, op in self.operators.items()}
-        return doc
+        return _plain(self._document())
 
     def _document(self) -> dict:
         """The result document as :func:`_emit` takes it, operator arrays kept."""
@@ -286,6 +329,17 @@ class ResultDocument:
                     )
 
 
+def _plain(value):
+    """``value`` with each numpy array in it as nested lists."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_plain(item) for item in value]
+    return value
+
+
 def _out_of_range(where: str) -> ValidationError:
     return ValidationError(
         f"{where} holds a number outside the double-precision range")
@@ -303,19 +357,64 @@ def _real(value, where: str) -> float:
         raise _out_of_range(where) from None
 
 
-def _parse_vector(entries, where: str) -> tuple:
-    try:
-        return tuple(complex(float(re), float(im)) for re, im in entries)
-    except OverflowError:
-        raise _out_of_range(where) from None
+def _pairs_at(scenario: Scenario, path: tuple, rows, where: str) -> tuple:
+    """:func:`_pair_array` of the valid matrix ``rows`` at ``path``: the one
+    validation parsed, or else its fault as a ValidationError."""
+    found = scenario.arrays.get(path)
+    if found is None:
+        try:
+            found = _pair_array(rows, *_leaves(rows))
+        except OverflowError:
+            raise _out_of_range(where) from None
+        except ValueError as exc:
+            raise ValidationError(f"malformed matrix: {exc}") from None
+    return found
 
 
-def _parse_matrix(rows, where: str) -> np.ndarray:
-    rows = [_parse_vector(row, where) for row in rows]
-    try:
-        return np.array(rows, dtype=complex)
-    except ValueError as exc:
-        raise ValidationError(f"malformed matrix: {exc}") from None
+def _reference(scenario: Scenario) -> optics.ReferenceState:
+    values, _ = _pairs_at(scenario, ("parameters", "reference"),
+                          [scenario.parameters["reference"]], "reference")
+    return optics.ReferenceState(values[0].view(np.complex128)[:, 0])
+
+
+def _operator_stack(scenario: Scenario, group: str, key: str, name: str) -> tuple:
+    """Labels, priors (of items that have one), stack and stray dims (see
+    ``OperatorStack.from_stack``) of the matrices ``parameters[group][i][key]``,
+    and each matrix's echo.
+
+    The items' faults raise in document order, each item's in turn: its
+    prior's range, then its matrix's range, shape and finiteness, the
+    matrix named ``name.format(label)``.
+    """
+    labels, priors, arrays, echoes, fault = [], [], [], [], None
+    for i, item in enumerate(scenario.parameters[group]):
+        label = item["label"]
+        try:
+            if "prior" in item:
+                priors.append(_real(item["prior"], f"prior of event {label!r}"))
+            values, echo = _pairs_at(scenario, ("parameters", group, i, key),
+                                     item[key], name.format(label))
+            if values.shape[0] != values.shape[1]:
+                raise ValidationError(
+                    f"operator matrix must be square, got shape {values.shape[:2]}")
+        except ValidationError as exc:
+            fault = exc
+            break
+        labels.append(label)
+        arrays.append(values)
+        echoes.append(echo)
+    n = next((i for i, values in enumerate(arrays)
+              if values.shape != arrays[0].shape), len(arrays))
+    if fault is not None or n < len(arrays):
+        # The stack stops short, but finiteness is each matrix's last
+        # check, so a non-finite matrix before the stop reports first.
+        if not all(np.isfinite(values).all() for values in arrays):
+            raise ValidationError("operator entries must be finite (no NaN/Inf)")
+        if fault is not None:
+            raise fault
+    stack = np.stack(arrays[:n]).view(np.complex128)[..., 0]
+    stray = ModeDims((len(arrays[n]),)) if n < len(arrays) else None
+    return labels, priors, stack, stray, echoes
 
 
 def _serialize_operator(op: Operator) -> dict:
@@ -328,15 +427,15 @@ def _serialize_operator(op: Operator) -> dict:
 
 
 def _array(rows, cols, values, integral=False) -> dict:
-    cast = int if integral else float
     return {
         "rows": [str(r) for r in rows],
         "cols": [str(c) for c in cols],
-        "values": [[cast(x) for x in row] for row in values],
+        "values": np.asarray(values, dtype=int if integral else float).tolist(),
     }
 
 
-def _run_bayes(params: dict, result: ResultDocument):
+def _run_bayes(scenario: Scenario, result: ResultDocument):
+    params = scenario.parameters
     labels = tuple(params["events"])
     outcomes = tuple(params["outcomes"])
     space = bayes.EventSpace(labels, [_real(p, "priors")
@@ -365,17 +464,16 @@ def _run_bayes(params: dict, result: ResultDocument):
             result.diagnostics["zero_probability_outcomes"] = skipped
 
 
-def _run_retrodict(params: dict, result: ResultDocument):
-    ens = retrodict.PreparationEnsemble(tuple(
-        (e["label"], _real(e["prior"], f"prior of event {e['label']!r}"),
-         Operator(_parse_matrix(e["state"], f"state of event {e['label']!r}")))
-        for e in params["events"]))
-    pom = retrodict.Pom(tuple(
-        (p["label"],
-         Operator(_parse_matrix(p["element"], f"POM element {p['label']!r}")))
-        for p in params["pom"]))
-    pred_rows = [pom.probabilities(state) for _, _, state in ens.events]
-    result.tables["predictive"] = _array(ens.labels, pom.labels, pred_rows)
+def _run_retrodict(scenario: Scenario, result: ResultDocument):
+    labels, priors, stack, stray, states = _operator_stack(
+        scenario, "events", "state", "state of event {!r}")
+    ens = retrodict.PreparationEnsemble.from_stack(labels, stack, stray=stray,
+                                                   priors=np.array(priors))
+    labels, _, stack, stray, elements = _operator_stack(
+        scenario, "pom", "element", "POM element {!r}")
+    pom = retrodict.Pom.from_stack(labels, stack, stray=stray)
+    predictive = pom.table(ens)
+    result.tables["predictive"] = _array(ens.labels, pom.labels, predictive)
 
     d = ens.dims.total_dim
     mixture_dev = float(np.max(np.abs(ens.mixture().mat - np.eye(d) / d)))
@@ -386,35 +484,37 @@ def _run_retrodict(params: dict, result: ResultDocument):
     result.diagnostics["source"] = "biased" if prep is None else "unbiased"
     result.diagnostics["mixture_deviation"] = mixture_dev
 
-    elements = pom.elements
     if prep is not None:
-        weights = [np.trace(op.mat).real for _, op in elements]
-        outcome_dist = [retrodict.outcome_prior(op) for _, op in elements]
-        posterior_row = functools.partial(retrodict.retro_conditional_unbiased, prep)
+        weights = np.trace(pom.stack, axis1=1, axis2=2).real
+        outcome_dist = weights / d
     else:
         lam = retrodict.BiasedElements.from_ensemble(ens)
-        # Each outcome's weight from the predictive column, in event order.
-        outcome_dist = weights = [
-            sum(prior * row[b] for (_, prior, _), row in zip(ens.events, pred_rows))
-            for b in range(len(pom))]
-        posterior_row = functools.partial(retrodict.retro_conditional_biased, lam)
+        # Each outcome's weight from the predictive column, summed in event
+        # order as the builtin sum of the prior-weighted rows.
+        outcome_dist = weights = sum(ens.priors[:, None] * predictive)
 
     result.tables["outcome_distribution"] = _array(
         ["prior"], pom.labels, [outcome_dist])
-    active, skipped, rows = [], [], []
-    for (label, op), weight in zip(elements, weights):
-        if weight <= retrodict.TRACE_TOL:
-            skipped.append(label)
-            continue
-        active.append(label)
-        rows.append(posterior_row(op))
-    if active:
-        result.tables["retrodictive"] = _array(active, ens.labels, rows)
-    if skipped:
-        result.diagnostics["zero_probability_outcomes"] = skipped
+    active = ~(weights <= retrodict.TRACE_TOL)
+    if active.any():
+        rows = (retrodict.retro_conditional_unbiased(prep, pom.stack[active])
+                if prep is not None
+                else retrodict.retro_conditional_biased(lam, pom.stack[active]))
+        result.tables["retrodictive"] = _array(
+            itertools.compress(pom.labels, active), ens.labels, rows)
+    if not active.all():
+        result.diagnostics["zero_probability_outcomes"] = list(
+            itertools.compress(pom.labels, ~active))
+    # Each matrix of floats is echoed from its array.
+    params = scenario.parameters
+    result.scenario = dict(scenario.document, parameters=dict(
+        params,
+        events=[dict(e, state=x) for e, x in zip(params["events"], states)],
+        pom=[dict(p, element=x) for p, x in zip(params["pom"], elements)]))
 
 
-def _run_detector(params: dict, result: ResultDocument):
+def _run_detector(scenario: Scenario, result: ResultDocument):
+    params = scenario.parameters
     space = optics.FockSpace(params["truncation"])
     op = optics.inefficient_detector_retro(
         params["counts"], _real(params["efficiency"], "efficiency"), space)
@@ -427,8 +527,9 @@ def _run_detector(params: dict, result: ResultDocument):
     result.diagnostics["truncation_tail_deficit"] = max(0.0, 1.0 - trace)
 
 
-def _run_synthesis(params: dict, result: ResultDocument):
-    ref = optics.ReferenceState(_parse_vector(params["reference"], "reference"))
+def _run_synthesis(scenario: Scenario, result: ResultDocument):
+    params = scenario.parameters
+    ref = _reference(scenario)
     space = optics.FockSpace(params["truncation"])
     bs = optics.BeamSplitter(_real(params["theta"], "theta"))
     op = optics.projection_synthesis_retro(ref, params["counts_b"],
@@ -439,8 +540,9 @@ def _run_synthesis(params: dict, result: ResultDocument):
         int(params["counts_b"]) + int(params["counts_c"]))
 
 
-def _run_scissors(params: dict, result: ResultDocument):
-    ref = optics.ReferenceState(_parse_vector(params["reference"], "reference"))
+def _run_scissors(scenario: Scenario, result: ResultDocument):
+    params = scenario.parameters
+    ref = _reference(scenario)
     space = optics.FockSpace(params["truncation"])
     bs = optics.BeamSplitter(_real(params["theta"], "theta"))
     op = optics.scissors_output(ref, bs, space)
@@ -450,7 +552,8 @@ def _run_scissors(params: dict, result: ResultDocument):
     result.scalars["one_photon_weight"] = float(op.mat[1, 1].real)
 
 
-def _run_bb84(params: dict, result: ResultDocument):
+def _run_bb84(scenario: Scenario, result: ResultDocument):
+    params = scenario.parameters
     pred = bb84.predictive_table()
     retro = bb84.retrodictive_table()
     result.tables["predictive"] = _array(pred.row_labels, pred.col_labels,
@@ -502,18 +605,21 @@ def validate_document(doc) -> Scenario:
     jsonschema's ``best_match`` would pick words the message, in
     jsonschema 4.26's text.
     """
-    if next(_errors(doc, _schema()), None) is not None:
+    arrays = {}
+    if next(_errors(doc, _schema(), (), arrays), None) is not None:
         path, _, _, message = max(_errors(doc, _schema()), key=_relevance)
         raise ValidationError(
             f"scenario does not match the schema at {_json_path(path)}: {message}")
     return Scenario(kind=doc["kind"], parameters=doc.get("parameters", {}),
-                    description=doc.get("description", ""), document=doc)
+                    description=doc.get("description", ""), document=doc,
+                    arrays=arrays)
 
 
 def load_scenario(path) -> Scenario:
     """Read and validate a scenario file.
 
-    Raises OSError or json.JSONDecodeError for unreadable input and
+    Raises OSError or json.JSONDecodeError for unreadable input,
+    RecursionError for arrays or objects nested too deeply to read, and
     ValidationError for schema violations.
     """
     text = Path(path).read_text(encoding="utf-8")
@@ -523,7 +629,7 @@ def load_scenario(path) -> Scenario:
 def execute(scenario: Scenario) -> ResultDocument:
     """Run a validated scenario and collect its outputs."""
     result = ResultDocument(scenario=scenario.document)
-    _RUNNERS[scenario.kind](scenario.parameters, result)
+    _RUNNERS[scenario.kind](scenario, result)
     return result
 
 
@@ -548,13 +654,43 @@ def _numeric_array(value):
             return None
 
 
-def _template(shape, nl: str) -> str:
-    """``%s`` slots laid out as an indented array of ``shape`` starting at ``nl``."""
+@functools.lru_cache(maxsize=64)
+def _template(shape: tuple, nl: str) -> str:
+    """``%s`` slots laid out as an indented array of ``shape`` starting at ``nl``.
+
+    Only rows' templates are made, so one never outgrows a row's text.
+    """
     if not shape:
         return "%s"
     inner = nl + "  "
     slots = [_template(shape[1:], inner)] * shape[0]
     return "[" + inner + ("," + inner).join(slots) + nl + "]"
+
+
+def _float_texts(value: np.ndarray) -> list:
+    """The JSON text of each entry of a float64 array, in C order.
+
+    Each distinct magnitude is encoded once, and a negative entry is "-"
+    and its magnitude's text, so two entries of a Hermitian matrix that
+    mirror each other share one encoding.  NaN of either sign is ``NaN``.
+    The distinct magnitudes are found by one sort, and every entry's text
+    is picked with one gather.  Below 64 entries the numpy calls cost
+    more than the encodings they save, and each entry is encoded.
+    """
+    flat = value.reshape(-1)
+    if flat.size < 64:
+        return _ENCODER.encode(flat.tolist())[1:-1].split(", ")
+    magnitudes = np.abs(flat)
+    order = magnitudes.argsort()
+    ordered = magnitudes[order]
+    first = np.empty(flat.size, dtype=bool)  # the first of each run of equal magnitudes
+    first[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    texts = _ENCODER.encode(ordered[first].tolist())[1:-1].split(", ")
+    index = np.empty(flat.size, dtype=np.intp)
+    index[order] = np.cumsum(first) - 1
+    index[np.signbit(flat) & ~np.isnan(flat)] += len(texts)
+    return np.array(texts + ["-" + text for text in texts], dtype=object)[index].tolist()
 
 
 def _emit(value, nl: str, out: list):
@@ -571,19 +707,13 @@ def _emit(value, nl: str, out: list):
             out.append(",")
         out[-1] = nl + "}"
     elif isinstance(value, np.ndarray):
-        # A non-empty float64 array, mostly zeros where it is an optics
-        # operator: each distinct bit pattern (so -0.0 apart from 0.0) is
-        # encoded once, and the outermost rows are laid out from the shape.
-        # A dict finds the distinct patterns; numpy's sort-based unique
-        # takes no less time and maps half a megabyte more of code.
-        rows = value.view(np.int64).reshape(value.shape[0], -1).tolist()
-        bits = list(dict.fromkeys(itertools.chain.from_iterable(rows)))
-        floats = np.array(bits, dtype=np.int64).view(np.float64).tolist()
-        texts = dict(zip(bits, _ENCODER.encode(floats)[1:-1].split(", ")))
-        row = _template(value.shape[1:], inner)
+        # A non-empty float64 array of [re, im] pairs, laid out one
+        # outermost row at a time from the shape.
+        texts = _float_texts(value)
+        row, size = _template(value.shape[1:], inner), len(texts) // value.shape[0]
         out.append("[")
-        for numbers in rows:
-            out += (inner, row % tuple(map(texts.__getitem__, numbers)), ",")
+        for start in range(0, len(texts), size):
+            out += (inner, row % tuple(texts[start:start + size]), ",")
         out[-1] = nl + "]"
     elif isinstance(value, (list, tuple)) and value:
         array = _numeric_array(value)
@@ -597,7 +727,7 @@ def _emit(value, nl: str, out: list):
             # One outermost row at a time, so only one row's number texts
             # exist at once.  No number's text holds the separator ", ".
             shape, flat = array
-            row, size = _template(shape[1:], inner), len(flat) // shape[0]
+            row, size = _template(tuple(shape[1:]), inner), len(flat) // shape[0]
             for start in range(0, len(flat), size):
                 numbers = _ENCODER.encode(flat[start:start + size])[1:-1]
                 out += (inner, row % tuple(numbers.split(", ")), ",")
@@ -649,7 +779,7 @@ def run(scenario_path, output_format: str = "json", out_path=None) -> int:
     """
     try:
         scenario = load_scenario(scenario_path)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         return _report_error("parse", EXIT_PARSE,
                              f"cannot read scenario {scenario_path!r}: {exc}")
     except ValidationError as exc:

@@ -20,7 +20,7 @@ probability is an overlap ``tr(op @ stack[b])`` taken a row at a time.
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import FrozenInstanceError
 from typing import Hashable, Iterable, Optional, Tuple
 
@@ -56,19 +56,18 @@ def _overlaps(op: np.ndarray, stack: np.ndarray) -> np.ndarray:
     return np.einsum("ij,bji->b", op, stack)
 
 
-def _born_row(state: Operator, stack: np.ndarray, dims: ModeDims,
-              tol: float) -> np.ndarray:
-    """:func:`born_probability` of ``state`` for each element, raising at the first fault."""
-    if state.dims.dims != dims.dims:
-        raise DimensionMismatch(
-            f"state dims {state.dims.dims} do not match element dims {dims.dims}"
-        )
-    raw = _overlaps(state.mat, stack)
+def _born_rows(states: np.ndarray, stack: np.ndarray, tol: float) -> np.ndarray:
+    """:func:`born_probability` of each of ``states`` for each element, a
+    row per state, one :func:`_overlaps` einsum each.  The range is
+    checked once for the table, and its first fault in row order raises."""
+    raw = np.empty((len(states), len(stack)), dtype=complex)
+    for i, state in enumerate(states):
+        raw[i] = _overlaps(state, stack)
     p = raw.real
     complex_part = np.abs(raw.imag) > tol
     bad = complex_part | (p < -tol) | (p > 1.0 + tol)
     if bad.any():
-        first = int(np.argmax(bad))
+        first = np.unravel_index(np.argmax(bad), bad.shape)
         if complex_part[first]:
             raise NumericIntegrityError(
                 f"outcome probability has imaginary part {float(raw[first].imag):.3e}"
@@ -76,6 +75,18 @@ def _born_row(state: Operator, stack: np.ndarray, dims: ModeDims,
         raise NumericIntegrityError(f"outcome probability {float(p[first])!r} outside [0, 1]")
     # As min(max(p, 0.0), 1.0) per entry: -0.0 and NaN pass through unchanged.
     return np.where(p < 0.0, 0.0, np.where(p > 1.0, 1.0, p))
+
+
+def _check_dims(states: ModeDims, dims: ModeDims):
+    if states.dims != dims.dims:
+        raise DimensionMismatch(
+            f"state dims {states.dims} do not match element dims {dims.dims}"
+        )
+
+
+def _traces(stack: np.ndarray) -> np.ndarray:
+    """The real part of each matrix's trace, bit for bit :func:`_real_trace`."""
+    return np.trace(stack, axis1=1, axis2=2).real
 
 
 def _completeness_deviation(stack: np.ndarray) -> float:
@@ -87,12 +98,17 @@ class OperatorStack:
     """Labelled positive operators on one space: ``labels``, a dict from
     label to index, and ``stack``, one read-only ``(k, d, d)`` array.
 
-    Construction checks for unique labels, then element by element that
-    each lives on the first one's dims and is positive semidefinite within
-    ``COMPLETENESS_TOL`` (one :func:`hilbert.psd_mask` call for the whole
-    stack), then the whole set; the first fault found raises.  A stack
-    derived from a checked one (a preparation POM, biased-source elements)
-    skips the element checks.  Its attributes cannot be reassigned.
+    Construction checks that the entries are finite and the labels unique,
+    then element by element that each lives on the first one's dims and is
+    positive semidefinite within ``COMPLETENESS_TOL``, then the whole set;
+    the first fault found raises.  Each element check is one batched test
+    of the whole stack (one :func:`hilbert.psd_mask` call for positivity),
+    and the first fault in element order is read off their table.  The
+    stack form, :meth:`from_stack`, takes the matrices as one array;
+    ``OperatorStack(pairs)`` stacks ``(label, Operator)`` pairs into it.  A
+    stack derived from a checked one (a preparation POM, biased-source
+    elements) skips the element checks.  Its attributes cannot be
+    reassigned.
     """
 
     #: What the set and one of its members are called in error messages.
@@ -103,27 +119,59 @@ class OperatorStack:
 
     def __init__(self, elements: Iterable[Tuple[Hashable, Operator]]):
         pairs = tuple((label, op) for label, op in elements)
-        if not pairs:
+        dims = pairs[0][1].dims if pairs else None
+        # The stack ends at the first element on other dims, which then
+        # fails its dims check.
+        n = next((i for i, (_, op) in enumerate(pairs)
+                  if op.dims.dims != dims.dims), len(pairs))
+        stray = pairs[n][1].dims if n < len(pairs) else None
+        self._check([label for label, _ in pairs],
+                    np.array([op.mat for _, op in pairs[:n]]), dims, stray)
+
+    @classmethod
+    def from_stack(cls, labels: Iterable[Hashable], stack: np.ndarray,
+                   dims: Optional[ModeDims] = None, stray: Optional[ModeDims] = None,
+                   **fields) -> "OperatorStack":
+        """The elements ``stack[i]``, a complex ``(n, d, d)`` array, under ``labels``.
+
+        ``dims`` defaults to one mode of dimension d.  When element n lives
+        on other dims, ``stray``, the stack holds only the elements before
+        it, and element n fails its dims check.  ``fields`` (an ensemble's
+        ``priors``) are set before the checks run.
+        """
+        self = cls.__new__(cls)._set(**fields)
+        self._check(list(labels), stack, dims, stray)
+        return self
+
+    def _check(self, labels: list, stack: np.ndarray,
+               dims: Optional[ModeDims] = None, stray: Optional[ModeDims] = None):
+        if not labels:
             raise ValidationError(f"{self.kind} requires at least one {self.noun}")
-        labels = [label for label, _ in pairs]
+        if not np.isfinite(stack).all():
+            raise ValidationError("operator entries must be finite (no NaN/Inf)")
         index = {label: i for i, label in enumerate(labels)}
         if len(index) != len(labels):
             raise ValidationError(f"{self.kind} labels must be unique, got {labels!r}")
-        dims = pairs[0][1].dims
-        # The batch ends where the checks stop: at the first element on other dims.
-        n = next((i for i, (_, op) in enumerate(pairs)
-                  if op.dims.dims != dims.dims), len(pairs))
-        stack = np.stack([op.mat for _, op in pairs[:n]])
-        psd = hilbert.psd_mask(stack, COMPLETENESS_TOL)
-        for i, (label, op) in enumerate(pairs):
-            self._check_before(i, label)
-            if i == n:
-                raise DimensionMismatch(f"{self._name(label)} lives on dims "
-                                        f"{op.dims.dims}, expected {dims.dims}")
-            if not psd[i]:
-                raise ValidationError(f"{self._name(label)} is not positive semidefinite")
-            self._check_after(i, label, op)
-        stack.flags.writeable = False
+        dims = dims or ModeDims((stack.shape[-1],))
+        n = len(stack)
+        # One column per element check, in the order an element takes them;
+        # each mask marks the elements failing that check.
+        checks = [
+            *self._faults_before(labels),
+            (np.arange(len(labels)) == n, lambda i: DimensionMismatch(
+                f"{self._name(labels[i])} lives on dims {stray.dims}, expected {dims.dims}")),
+            (~hilbert.psd_mask(stack, COMPLETENESS_TOL), lambda i: ValidationError(
+                f"{self._name(labels[i])} is not positive semidefinite")),
+            *self._faults_after(labels, stack),
+        ]
+        # No element after the first on other dims is reached.
+        bad = np.zeros((min(len(labels), n + 1), len(checks)), dtype=bool)
+        for column, (mask, _) in enumerate(checks):
+            rows = min(len(mask), len(bad))
+            bad[:rows, column] = mask[:rows]
+        if bad.any():
+            i, column = divmod(int(np.argmax(bad)), len(checks))
+            raise checks[column][1](i)
         self._set(labels=tuple(labels), _index=index, dims=dims, stack=stack)
         self._check_set()
 
@@ -131,12 +179,13 @@ class OperatorStack:
     def _derived(cls, source: "OperatorStack", stack: np.ndarray) -> "OperatorStack":
         """``stack``, computed from a checked ``source`` element by element,
         under ``source``'s labels; no element check runs again."""
-        stack.flags.writeable = False
         return cls.__new__(cls)._set(labels=source.labels, _index=source._index,
                                      dims=source.dims, stack=stack)
 
     def _set(self, **fields) -> "OperatorStack":
         for name, value in fields.items():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
             object.__setattr__(self, name, value)
         return self
 
@@ -149,10 +198,12 @@ class OperatorStack:
     def _name(self, label: Hashable) -> str:
         return f"{self.kind} {self.noun} {label!r}"
 
-    # Subclass checks: of element i before its dims and after its
-    # positivity, and of the whole set once every element has passed.
-    def _check_before(self, i: int, label: Hashable): pass
-    def _check_after(self, i: int, label: Hashable, op: Operator): pass
+    # Subclass checks: ``(mask, fault)`` pairs for the elements' checks
+    # before their dims and after their positivity, where ``fault(i)`` is
+    # the error of element i; and a check of the whole set once every
+    # element has passed.
+    def _faults_before(self, labels: list) -> list: return []
+    def _faults_after(self, labels: list, stack: np.ndarray) -> list: return []
     def _check_set(self): pass
 
     def __len__(self):
@@ -180,7 +231,14 @@ class OperatorStack:
         """Born probability of every element for ``state``, bit for bit
         :func:`born_probability` of each (within this stack's range
         tolerance), from one row of overlaps."""
-        return _born_row(state, self.stack, self.dims, self._row_tol)
+        _check_dims(state.dims, self.dims)
+        return _born_rows(state.mat[None], self.stack, self._row_tol)[0]
+
+    def table(self, states: "OperatorStack") -> np.ndarray:
+        """:meth:`probabilities` for each state of ``states``, a row each and
+        bit for bit; the range is checked once for the whole table."""
+        _check_dims(states.dims, self.dims)
+        return _born_rows(states.stack, self.stack, self._row_tol)
 
 
 class Pom(OperatorStack):
@@ -261,33 +319,38 @@ class PreparationEnsemble(OperatorStack):
     noun = "event"
 
     def __init__(self, events: Iterable[Tuple[Hashable, float, Operator]]):
-        self._set(events=tuple((label, float(prior), op) for label, prior, op in events))
-        super().__init__((label, op) for label, _, op in self.events)
+        events = tuple((label, float(prior), op) for label, prior, op in events)
+        self._set(events=events, priors=np.array([prior for _, prior, _ in events]))
+        super().__init__((label, op) for label, _, op in events)
+
+    @functools.cached_property
+    def events(self) -> Tuple[Tuple[Hashable, float, Operator], ...]:
+        """``(label, prior, Operator)`` of each event; an ensemble built
+        :meth:`from_stack` makes them when first asked."""
+        return tuple((label, prior, Operator(mat, self.dims)) for label, prior, mat
+                     in zip(self.labels, self.priors.tolist(), self.stack))
 
     def _name(self, label: Hashable) -> str:
         return f"state of event {label!r}"
 
-    def _check_before(self, i: int, label: Hashable):
-        prior = self.events[i][1]
-        if not math.isfinite(prior):
-            raise ValidationError(f"prior of event {label!r} is not finite: {prior}")
-        if prior < 0:
-            raise ValidationError(f"prior of event {label!r} is negative: {prior}")
+    def _faults_before(self, labels: list) -> list:
+        priors = self.priors
+        return [
+            (~np.isfinite(priors), lambda i: ValidationError(
+                f"prior of event {labels[i]!r} is not finite: {float(priors[i])}")),
+            (priors < 0, lambda i: ValidationError(
+                f"prior of event {labels[i]!r} is negative: {float(priors[i])}")),
+        ]
 
-    def _check_after(self, i: int, label: Hashable, op: Operator):
-        if abs(_real_trace(op) - 1.0) > COMPLETENESS_TOL:
-            raise ValidationError(
-                f"state of event {label!r} has trace {_real_trace(op)!r}, expected 1"
-            )
+    def _faults_after(self, labels: list, stack: np.ndarray) -> list:
+        traces = _traces(stack)
+        return [(np.abs(traces - 1.0) > COMPLETENESS_TOL, lambda i: ValidationError(
+            f"state of event {labels[i]!r} has trace {float(traces[i])!r}, expected 1"))]
 
     def _check_set(self):
-        total = sum(prior for _, prior, _ in self.events)
+        total = sum(self.priors.tolist())
         if abs(total - 1.0) > COMPLETENESS_TOL:
             raise ValidationError(f"priors must sum to 1, got {total!r}")
-
-    @property
-    def priors(self) -> np.ndarray:
-        return np.array([prior for _, prior, _ in self.events])
 
     def state(self, label: Hashable) -> Operator:
         return self.events[self._position(label)][2]
@@ -317,7 +380,8 @@ def born_probability(state: Operator, element: Operator,
         If the trace has a non-negligible imaginary part or falls outside
         the tolerated probability range.
     """
-    return float(_born_row(state, element.mat[None], element.dims, tol)[0])
+    _check_dims(state.dims, element.dims)
+    return float(_born_rows(state.mat[None], element.mat[None], tol)[0, 0])
 
 
 def _preparation_stack(ens: PreparationEnsemble) -> Tuple[np.ndarray, float]:
@@ -377,11 +441,13 @@ def retro_state(element: Operator, trace_tol: float = TRACE_TOL) -> Operator:
     """
     tr = _real_trace(element)
     if tr <= trace_tol:
-        raise ZeroProbabilityError(
-            f"element trace {tr!r} is not positive; the outcome has zero "
-            f"probability and no retrodictive state"
-        )
+        raise _no_retro_state(tr)
     return hilbert.scale(element, 1.0 / tr)
+
+
+def _no_retro_state(tr: float) -> ZeroProbabilityError:
+    return ZeroProbabilityError(f"element trace {tr!r} is not positive; the outcome "
+                                f"has zero probability and no retrodictive state")
 
 
 def outcome_prior(element: Operator) -> float:
@@ -393,7 +459,7 @@ def outcome_prior(element: Operator) -> float:
     return _real_trace(element) / element.dims.total_dim
 
 
-def retro_conditional_unbiased(prep: PreparationPom, element: Operator,
+def retro_conditional_unbiased(prep: PreparationPom, element: Operator | np.ndarray,
                                event: Optional[Hashable] = None,
                                trace_tol: float = TRACE_TOL) -> float | np.ndarray:
     """Posterior probability of a preparation event given a measurement outcome.
@@ -404,14 +470,30 @@ def retro_conditional_unbiased(prep: PreparationPom, element: Operator,
     With ``event`` omitted (None), returns the whole posterior row: an
     array over ``prep.labels``, the retrodictive state computed once.  A
     single event's posterior is that row's entry, bit for bit.
+
+    ``element`` may also be a complex ``(n, d, d)`` array of outcome
+    elements on ``prep``'s dims.  The result is then their rows (or the
+    ``event`` column), bit for bit those of each element alone: the
+    retrodictive states are one scaled stack, the range is checked once
+    for the table, and the first fault in row order raises.
     """
+    if isinstance(element, np.ndarray):
+        _check_elements(element, prep)
+        traces = _traces(element)
+        zero = traces <= trace_tol
+        n = int(np.argmax(zero)) if zero.any() else len(element)
+        states = element[:n] * (1.0 / traces[:n]).astype(complex)[:, None, None]
+        rows = _born_rows(states, prep.stack, prep._row_tol)
+        if n < len(element):
+            raise _no_retro_state(float(traces[n]))
+        return rows if event is None else rows[:, prep._position(event)]
     if event is None:
         return prep.probabilities(retro_state(element, trace_tol))
     xi = prep.element(event)
     return born_probability(retro_state(element, trace_tol), xi, prep._row_tol)
 
 
-def retro_conditional_biased(lam: BiasedElements, element: Operator,
+def retro_conditional_biased(lam: BiasedElements, element: Operator | np.ndarray,
                              event: Optional[Hashable] = None,
                              trace_tol: float = TRACE_TOL) -> float | np.ndarray:
     """Posterior probability of a preparation event for a possibly biased source.
@@ -425,6 +507,12 @@ def retro_conditional_biased(lam: BiasedElements, element: Operator,
     array over ``lam.labels``, each overlap computed once.  A single
     event's posterior is that row's entry, bit for bit.
 
+    ``element`` may also be a complex ``(n, d, d)`` array of outcome
+    elements on ``lam``'s dims.  The result is then their rows (or the
+    ``event`` column), bit for bit those of each element alone: one
+    einsum per row, checked once for the table, the first fault in row
+    order raising.
+
     Raises
     ------
     ValidationError
@@ -433,25 +521,45 @@ def retro_conditional_biased(lam: BiasedElements, element: Operator,
         If every event has (numerically) zero overlap with the outcome.
     """
     position = None if event is None else lam._position(event, "event")
+    if isinstance(element, np.ndarray):
+        _check_elements(element, lam)
+        rows = _biased_rows(lam, element, trace_tol)
+        return rows if position is None else rows[:, position]
     if element.dims.dims != lam.dims.dims:
         raise DimensionMismatch(f"element dims {element.dims.dims} do not match "
                                 f"source dims {lam.dims.dims}")
+    row = _biased_rows(lam, element.mat[None], trace_tol)[0]
+    return row if position is None else float(row[position])
+
+
+def _check_elements(elements: np.ndarray, source: OperatorStack):
+    if elements.shape[1:] != source.stack.shape[1:]:
+        raise DimensionMismatch(f"elements of shape {elements.shape[1:]} do not "
+                                f"match source dims {source.dims.dims}")
+
+
+def _biased_rows(lam: BiasedElements, elements: np.ndarray,
+                 trace_tol: float) -> np.ndarray:
     # tr(lam_a E) as tr(E^T lam_a^T): the sum then runs over the entries in
     # the order of the single-pair einsum('ij,ji->', lam_a, E).
-    raw = _overlaps(element.mat.T, lam.stack.transpose(0, 2, 1))
+    weighted = lam.stack.transpose(0, 2, 1)
+    raw = np.empty((len(elements), len(lam)), dtype=complex)
+    for i, element in enumerate(elements):
+        raw[i] = _overlaps(element.T, weighted)
     bad = (np.abs(raw.imag) > DEFAULT_TOL) | (raw.real < -DEFAULT_TOL)
-    if bad.any():
-        first = int(np.argmax(bad))
-        raise NumericIntegrityError(f"overlap of event {lam.labels[first]!r} with the outcome "
-                                    f"is not a nonnegative real: {complex(raw[first])!r}")
     overlaps = np.where(raw.real < 0.0, 0.0, raw.real)
-    denominator = float(overlaps.sum())
-    if denominator <= trace_tol:
+    denominators = overlaps.sum(axis=1)
+    faulty = bad.any(axis=1) | (denominators <= trace_tol)
+    if faulty.any():
+        row = int(np.argmax(faulty))
+        if bad[row].any():
+            first = int(np.argmax(bad[row]))
+            raise NumericIntegrityError(
+                f"overlap of event {lam.labels[first]!r} with the outcome is not "
+                f"a nonnegative real: {complex(raw[row, first])!r}")
         raise ZeroProbabilityError(
-            f"outcome has zero probability under every event; posterior undefined"
-        )
-    row = overlaps / denominator
-    return row if position is None else float(row[position])
+            "outcome has zero probability under every event; posterior undefined")
+    return overlaps / denominators[:, None]
 
 
 def predictive_conditional_subset(state: Operator, pom: Pom,

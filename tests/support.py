@@ -8,6 +8,7 @@ from qretrodict.errors import (
     DimensionMismatch,
     NumericIntegrityError,
     ValidationError,
+    ZeroProbabilityError,
 )
 from qretrodict.hilbert import Operator
 from qretrodict.retrodict import Pom, PreparationEnsemble
@@ -138,6 +139,8 @@ def oracle_ensemble(events):
         raise ValidationError(f"ensemble labels must be unique, got {labels!r}")
     dims = events[0][2].dims
     for label, prior, op in events:
+        if not np.isfinite(prior):
+            raise ValidationError(f"prior of event {label!r} is not finite: {prior}")
         if prior < 0:
             raise ValidationError(f"prior of event {label!r} is negative: {prior}")
         if op.dims.dims != dims.dims:
@@ -173,7 +176,7 @@ def born_one(state, element, tol=1e-9):
     return min(max(p, 0.0), 1.0)
 
 
-def biased_posterior_one_by_one(weighted_states, element, tol=1e-9):
+def biased_posterior_one_by_one(weighted_states, element, tol=1e-9, trace_tol=1e-12):
     """Biased posterior row: one einsum per prior-weighted state, then normalized."""
     overlaps = np.empty(len(weighted_states))
     for k, (label, op) in enumerate(weighted_states):
@@ -184,4 +187,96 @@ def biased_posterior_one_by_one(weighted_states, element, tol=1e-9):
                 f"nonnegative real: {raw!r}"
             )
         overlaps[k] = max(raw.real, 0.0)
-    return overlaps / float(overlaps.sum())
+    denominator = float(overlaps.sum())
+    if denominator <= trace_tol:
+        raise ZeroProbabilityError(
+            "outcome has zero probability under every event; posterior undefined")
+    return overlaps / denominator
+
+
+def oracle_matrix(rows, where):
+    """An Operator parsed entry by entry, ``complex(float(re), float(im))``
+    per pair, as the CLI parsed matrices before they became float64 arrays."""
+    try:
+        parsed = [tuple(complex(float(re), float(im)) for re, im in row) for row in rows]
+    except OverflowError:
+        raise ValidationError(
+            f"{where} holds a number outside the double-precision range") from None
+    try:
+        mat = np.array(parsed, dtype=complex)
+    except ValueError as exc:
+        raise ValidationError(f"malformed matrix: {exc}") from None
+    return Operator(mat)
+
+
+def _table(rows, cols, values):
+    return {"rows": [str(r) for r in rows], "cols": [str(c) for c in cols],
+            "values": [[float(x) for x in row] for row in values]}
+
+
+def oracle_retrodict(params):
+    """Tables and diagnostics of a ``retrodict`` run, one element at a time.
+
+    This is the route the CLI's operator stacks replaced: every matrix an
+    Operator, every check and overlap per element, and each emitted row's
+    sum checked as the renderer does.
+    """
+    events = []
+    for event in params["events"]:
+        label = event["label"]
+        try:
+            prior = float(event["prior"])
+        except OverflowError:
+            raise ValidationError(f"prior of event {label!r} holds a number outside "
+                                  f"the double-precision range") from None
+        events.append((label, prior, oracle_matrix(event["state"],
+                                                   f"state of event {label!r}")))
+    events = oracle_ensemble(events)
+    elements = oracle_elements(
+        [(p["label"], oracle_matrix(p["element"], f"POM element {p['label']!r}"))
+         for p in params["pom"]], "POM", require_completeness=True)
+    labels = [label for label, _, _ in events]
+    outcomes = [label for label, _ in elements]
+    predictive = [[born_one(state, op) for _, op in elements] for _, _, state in events]
+    tables = {"predictive": _table(labels, outcomes, predictive)}
+    d = events[0][2].dims.total_dim
+    mixture = np.sum([prior * op.mat for _, prior, op in events], axis=0)
+    diagnostics = {"mixture_deviation": float(np.max(np.abs(mixture - np.eye(d) / d)))}
+    prep = [(label, Operator(op.mat * (d * prior))) for label, prior, op in events]
+    total = np.sum([op.mat for _, op in prep], axis=0)
+    unbiased = float(np.max(np.abs(total - np.eye(d)))) <= 1e-9
+    diagnostics["source"] = "unbiased" if unbiased else "biased"
+    if unbiased:
+        weights = [float(np.trace(op.mat).real) for _, op in elements]
+        distribution = [w / d for w in weights]
+
+        def posterior(op, weight):
+            retro = Operator(op.mat * complex(1.0 / weight))
+            return [born_one(retro, xi, d * 1e-9) for _, xi in prep]
+    else:
+        weighted = [(label, Operator(op.mat * prior)) for label, prior, op in events]
+        total = sum(float(np.trace(op.mat).real) for _, op in weighted)
+        if abs(total - 1.0) > 1e-9:
+            raise ValidationError(f"biased-source element traces must sum to 1 (they "
+                                  f"are the priors), got {total!r}")
+        distribution = weights = [
+            sum(prior * row[b] for (_, prior, _), row in zip(events, predictive))
+            for b in range(len(elements))]
+
+        def posterior(op, weight):
+            return biased_posterior_one_by_one(weighted, op).tolist()
+    tables["outcome_distribution"] = _table(["prior"], outcomes, [distribution])
+    active = [(label, op, w) for (label, op), w in zip(elements, weights)
+              if not w <= 1e-12]
+    if active:
+        tables["retrodictive"] = _table([label for label, _, _ in active], labels,
+                                        [posterior(op, w) for _, op, w in active])
+    skipped = [label for (label, _), w in zip(elements, weights) if w <= 1e-12]
+    if skipped:
+        diagnostics["zero_probability_outcomes"] = skipped
+    for name, table in tables.items():
+        for label, row in zip(table["rows"], table["values"]):
+            if not abs(sum(row) - 1.0) <= 1e-9:
+                raise NumericIntegrityError(
+                    f"table {name!r} row {label!r} sums to {sum(row)!r}, expected 1")
+    return tables, diagnostics

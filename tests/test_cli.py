@@ -340,6 +340,51 @@ def test_schema_walk_keyword_by_keyword(schema, value):
     assert _walked_errors(value, schema) == _reference_errors(reference, value)
 
 
+def _schema_depth(node):
+    """Schema nodes on the longest chain of nested subschemas, ``$ref`` followed."""
+    if isinstance(node, bool):
+        return 1
+    defs = bundled_schema()["$defs"]
+    children = [sub for key, sub in node.items()
+                if key in ("items", "additionalProperties", "if", "then")]
+    children += [sub for key in ("allOf", "prefixItems") for sub in node.get(key, ())]
+    children += list(node.get("properties", {}).values())
+    if "$ref" in node:
+        children.append(defs[node["$ref"].removeprefix("#/$defs/")])
+    return 1 + max(map(_schema_depth, children), default=0)
+
+
+def test_schema_walk_depth_is_bounded_by_the_schema(monkeypatch):
+    # The walker recurses along the schema, never along the value, so a
+    # value nested far deeper than the schema describes costs no deeper
+    # recursion than a valid document.
+    walk, live, deepest = cli._errors, [0], [0]
+
+    def counted(*args):
+        live[0] += 1
+        deepest[0] = max(deepest[0], live[0])
+        try:
+            yield from walk(*args)
+        finally:
+            live[0] -= 1
+
+    monkeypatch.setattr(cli, "_errors", counted)
+    nested = []
+    for _ in range(500):
+        nested = [nested, 1.5]
+    deep_entry = retrodict_doc(2, 2)
+    deep_entry["parameters"]["pom"][1]["element"][0][1] = nested
+    deep_parameters = {"kind": "bayes", "parameters": {"events": [nested]}}
+    bound = _schema_depth(bundled_schema())
+    for doc, valid in ((retrodict_doc(2, 2), True),
+                       ({"kind": "bb84", "description": nested}, False),
+                       (deep_entry, False), (deep_parameters, False), (nested, False)):
+        errors = list(cli._errors(doc, bundled_schema()))
+        assert (errors == []) is valid
+        assert live[0] == 0
+    assert 3 < deepest[0] <= bound < 20
+
+
 class TestFastValidation:
     def test_entry_check_covers_every_matrix_and_vector_reference(self):
         schema = bundled_schema()
@@ -599,6 +644,55 @@ class TestExitCodes:
         assert main(["run", info.path, "--format", "csv"]) == EXIT_VALIDATION
         message = json.loads(capsys.readouterr().err)["error"]["message"]
         assert "json" in message
+
+    @pytest.mark.parametrize("depth", [990, 100000])
+    def test_deeply_nested_document_exits_2(self, tmp_path, capsys, depth):
+        # json's parser recurses once per level of nesting, so near the
+        # interpreter's recursion limit it raises RecursionError.
+        path = tmp_path / "deep.json"
+        path.write_text(_nested_description(depth), encoding="utf-8")
+        assert main(["run", str(path)]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)["error"]
+        assert (error["category"], error["exit_code"]) == ("parse", EXIT_PARSE)
+        assert "recursion" in error["message"]
+        run = run_python(["-m", "qretrodict.cli", "run", str(path)], check=False)
+        assert (run.returncode, run.stdout) == (EXIT_PARSE, "")
+        assert json.loads(run.stderr)["error"]["category"] == "parse"
+
+    def test_nesting_near_the_recursion_limit_exits_2_or_3(self, tmp_path):
+        # Either the parser gives up (2) or the walker rejects the parsed
+        # document (3), at whatever depth the process's stack allows.
+        paths = []
+        for depth in range(900, 1001, 4):
+            for shape, text in (("description", _nested_description(depth)),
+                                ("state", _nested_state(depth))):
+                path = tmp_path / f"{shape}-{depth}.json"
+                path.write_text(text, encoding="utf-8")
+                paths.append(str(path))
+        probe = ("import sys; from qretrodict import cli; "
+                 "print(sorted({cli.run(path) for path in sys.argv[1:]}))")
+        run = run_python(["-c", probe, *paths], check=False)
+        assert run.returncode == 0, run.stderr
+        assert json.loads(run.stdout) == [EXIT_PARSE, EXIT_VALIDATION]
+        assert "Traceback" not in run.stderr
+        codes = set()
+        with contextlib.redirect_stderr(io.StringIO()):
+            codes.update(cli.run(path) for path in paths)
+        assert codes <= {EXIT_PARSE, EXIT_VALIDATION}
+
+
+def _nested_description(depth):
+    """A bb84 document whose description is an array nested ``depth`` deep."""
+    return '{"kind": "bb84", "description": ' + "[" * depth + "]" * depth + "}"
+
+
+def _nested_state(depth):
+    """A retrodict document whose one state is an array nested ``depth`` deep."""
+    return ('{"kind": "retrodict", "parameters": {"events": [{"label": "a", '
+            '"prior": 1, "state": ' + "[" * depth + "]" * depth + '}], '
+            '"pom": [{"label": "b", "element": [[[1, 0]]]}]}}')
 
 
 def run_edge_of_tolerance_source(tmp_path, capsys, pom_vectors):
@@ -922,6 +1016,38 @@ def test_operators_render_like_json_dumps_of_plain_values(tmp_path, kind, trunca
     assert render_json(result) == dumps_oracle(document)
 
 
+#: Matrices for a qubit state |0><0| that the echo must keep as written:
+#: all floats, floats and JSON integers, and signed zeros with subnormals.
+_ECHOED_STATES = {
+    "floats": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+    "ints": [[[1, 0], [0.0, 0]], [[0, 0.0], [0, 0]]],
+    "signed-zero-and-subnormal": [[[1.0, -0.0], [5e-324, -0.0]],
+                                  [[5e-324, 0.0], [-0.0, -0.0]]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ECHOED_STATES))
+def test_retrodict_echo_renders_like_json_dumps_of_plain_values(tmp_path, name):
+    state = _ECHOED_STATES[name]
+    doc = {"kind": "retrodict", "parameters": {
+        "events": [{"label": "0", "prior": 0.5, "state": state},
+                   {"label": "1", "prior": 0.5,
+                    "state": [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}],
+        "pom": [{"label": "z0", "element": state},
+                {"label": "z1", "element": [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]}]}}
+    result = write_result(tmp_path, doc)
+    # A matrix holding an integer keeps the list route; one of floats only
+    # is echoed from its array.
+    echoed = result.scenario["parameters"]
+    assert isinstance(echoed["events"][0]["state"], list) is (name == "ints")
+    assert isinstance(echoed["events"][1]["state"], np.ndarray)
+    assert isinstance(echoed["pom"][1]["element"], list)
+    document = result.to_json_obj()
+    assert _json_native(document)
+    assert render_json(result) == dumps_oracle(document)
+    assert dumps_oracle(document["scenario"]) == dumps_oracle(doc)
+
+
 _float_leaves = st.floats() | st.sampled_from(
     [0.0, -0.0, 5e-324, -5e-324, 1e16, 1e-05, math.nan, math.inf, -math.inf])
 
@@ -951,6 +1077,10 @@ def _nested_float_array(draw):
 @example(pair=(np.array([[[math.nan, math.inf], [-math.inf, 5e-324]]]),
                [[[math.nan, math.inf], [-math.inf, 5e-324]]]))
 @example(pair=(np.full((1, 1, 1, 1), 1e16), [[[[1e16]]]]))
+@example(pair=(np.array([-math.nan, math.nan, -0.0, 0.0, -math.inf, math.inf,
+                         -5e-324, 0.1] * 8).reshape(4, 8, 2),
+               np.array([-math.nan, math.nan, -0.0, 0.0, -math.inf, math.inf,
+                         -5e-324, 0.1] * 8).reshape(4, 8, 2).tolist()))
 @example(pair=(np.array([[1e-05, -0.0], [1e-05, 0.0]]), [[1e-05, -0.0], [1e-05, 0.0]]))
 def test_array_renderer_matches_json_dumps_of_its_list(pair):
     value, plain = pair

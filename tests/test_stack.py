@@ -8,6 +8,10 @@ accept/reject decision, exception type and message near every threshold,
 and the same bits for every predictive, unbiased and biased row.
 """
 
+import contextlib
+import io
+import json
+import math
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -16,7 +20,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qretrodict import cli, hilbert
-from qretrodict.errors import BiasedSourceError, QRetrodictError, ValidationError
+from qretrodict.errors import (
+    BiasedSourceError,
+    ComputationError,
+    QRetrodictError,
+    ValidationError,
+)
 from qretrodict.hilbert import Operator
 from qretrodict.retrodict import (
     BiasedElements,
@@ -34,6 +43,7 @@ from support import (
     born_one,
     oracle_elements,
     oracle_ensemble,
+    oracle_retrodict,
     random_biased_ensemble,
     random_pom,
     random_unbiased_ensemble,
@@ -311,3 +321,196 @@ def test_unbiased_means_the_preparation_pom_is_complete():
     with pytest.raises(BiasedSourceError):
         preparation_pom(ens)
     BiasedElements.from_ensemble(ens)
+
+
+# Faults a retrodict document can carry beyond FAULTS' operator ones, each
+# against a check the CLI makes before the stacks are built:
+#   ragged, nonsquare: a matrix's last row short by one entry, or dropped;
+#   huge, nan:         entry (0, 0) an integer beyond the double range, NaN;
+#   huge_prior, nan_prior: the same for prior i;
+#   zero:              element i's weight moved onto element i+1, so its
+#                      outcome has zero probability and is skipped.
+DOCUMENT_FAULTS = ("ragged", "nonsquare", "huge", "nan", "huge_prior", "nan_prior",
+                   "zero")
+HUGE = 10 ** 400
+
+
+def _json_pairs(mat):
+    return [[[float(z.real), float(z.imag)] for z in row] for row in mat]
+
+
+def _integral(value):
+    """Entries that are integral floats as JSON integers."""
+    if isinstance(value, list):
+        return [_integral(item) for item in value]
+    return int(value) if isinstance(value, float) and value.is_integer() else value
+
+
+@st.composite
+def retrodict_documents(draw):
+    d = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def projectors():
+        # The vectors of up to 8 // d orthonormal bases; the standard basis
+        # first, when drawn, so that entries are 0 and 1.
+        n_bases = draw(st.integers(1, max(1, 8 // d)))
+        bases = [np.eye(d)] if draw(st.booleans()) else []
+        while len(bases) < n_bases:
+            z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            bases.append(np.linalg.qr(z)[0])
+        return [np.outer(q[:, i], q[:, i].conj()) for q in bases for i in range(d)]
+
+    groups = {"events": projectors(), "pom": projectors()}
+    groups["pom"] = [p * (d / len(groups["pom"])) for p in groups["pom"]]
+    k = len(groups["events"])
+    priors = (rng.dirichlet(np.ones(k)).tolist() if draw(st.booleans())
+              else [1.0 / k] * k)
+    labels = {"events": [f"e{i}" for i in range(k)],
+              "pom": [f"b{i}" for i in range(len(groups["pom"]))]}
+    faults = draw(st.lists(st.tuples(st.sampled_from(FAULTS + DOCUMENT_FAULTS),
+                                     st.sampled_from(("events", "pom")),
+                                     st.integers(0, 7), st.sampled_from(EPSILONS),
+                                     st.sampled_from((1.0, -1.0))), max_size=3))
+    entries = {}
+    for fault, group, i, eps, sign in faults:
+        mats, names = groups[group], labels[group]
+        i %= len(mats)
+        j = (i + 1) % len(mats)
+        if group == "events" and fault in ("prior_neg", "prior_sum", "huge_prior",
+                                           "nan_prior"):
+            if fault == "prior_neg":
+                priors[j] += priors[i] + eps
+                priors[i] = -eps
+            elif fault == "prior_sum":
+                priors[i] += sign * eps
+            else:
+                priors[i] = HUGE if fault == "huge_prior" else math.nan
+        elif fault == "negative":
+            w, v = np.linalg.eigh(mats[i])
+            mats[i] = mats[i] - (w[0] + eps) * np.outer(v[:, 0], v[:, 0].conj())
+        elif fault == "excess":
+            mats[i] = mats[i].copy()
+            mats[i][0, 0] += sign * eps
+        elif fault == "skew":
+            mats[i] = mats[i].copy()
+            mats[i][0, d - 1] += eps if d > 1 else 1j * eps
+        elif fault == "duplicate":
+            names[j] = names[i]
+        elif fault == "resized":
+            mats[i] = np.eye(d + 1) / (d + 1)
+        elif fault == "zero":
+            mats[i], mats[j] = mats[i] * 0.0, mats[j] + mats[i]
+        elif fault in ("ragged", "nonsquare", "huge", "nan"):
+            entries[group, i] = fault
+    matrices = {group: [_json_pairs(m) for m in mats] for group, mats in groups.items()}
+    for (group, i), fault in entries.items():
+        rows = matrices[group][i]
+        if fault == "ragged" and len(rows) > 1:
+            rows[-1] = rows[-1][:-1]
+        elif fault == "nonsquare" and len(rows) > 1:
+            del rows[-1]
+        elif fault in ("huge", "nan"):
+            rows[0][0][0] = HUGE if fault == "huge" else math.nan
+    if draw(st.booleans()):
+        matrices = _integral(matrices)
+    return {"kind": "retrodict", "parameters": {
+        "events": [{"label": a, "prior": p, "state": m}
+                   for a, p, m in zip(labels["events"], priors, matrices["events"])],
+        "pom": [{"label": b, "element": m}
+                for b, m in zip(labels["pom"], matrices["pom"])]}}
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(retrodict_documents())
+def test_cli_route_agrees_with_the_element_by_element_oracle(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("doc") / "scenario.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(str(path))
+    try:
+        tables, diagnostics = oracle_retrodict(doc["parameters"])
+    except QRetrodictError as exc:
+        expected = cli.EXIT_COMPUTATION if isinstance(exc, ComputationError) \
+            else cli.EXIT_VALIDATION
+        assert (code, out.getvalue()) == (expected, "")
+        assert json.loads(err.getvalue())["error"]["message"] == str(exc)
+        return
+    assert (code, err.getvalue()) == (cli.EXIT_OK, "")
+    result = json.loads(out.getvalue())
+    # The text of every number, so -0.0 and 0.0 differ.
+    assert json.dumps(result["outputs"]["tables"], sort_keys=True) == \
+        json.dumps(tables, sort_keys=True)
+    assert json.dumps(result["diagnostics"], sort_keys=True) == \
+        json.dumps(diagnostics, sort_keys=True)
+    assert json.dumps(result["scenario"], sort_keys=True) == \
+        json.dumps(json.loads(json.dumps(doc)), sort_keys=True)
+
+
+def _qubit_document():
+    def up():
+        return [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+
+    def down():
+        return [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+
+    return {"kind": "retrodict", "parameters": {
+        "events": [{"label": "a", "prior": 0.5, "state": up()},
+                   {"label": "b", "prior": 0.5, "state": down()}],
+        "pom": [{"label": "x", "element": up()}, {"label": "y", "element": down()}]}}
+
+
+def _nan(rows):
+    rows[0][0] = [math.nan, 0.0]
+
+
+def _huge(rows):
+    rows[1][1] = [HUGE, 0]
+
+
+def _ragged(rows):
+    rows[1] = rows[1][:1]
+
+
+def _nonsquare(rows):
+    del rows[1]
+
+
+def _resized(rows):
+    rows[:] = [[[1 / 3, 0.0] if i == j else [0.0, 0.0] for j in range(3)]
+               for i in range(3)]
+
+
+#: Two faults in one document, and the message of the one that comes first:
+#: each item's faults in order (prior range, entry range, shape, ragged,
+#: square, finite), the items in document order, the events before the POM.
+FIRST_FAULTS = [
+    ({("events", 0): _nan, ("events", 1): _nonsquare}, "operator entries must be finite"),
+    ({("events", 0): _nonsquare, ("events", 1): _nan}, "operator matrix must be square"),
+    ({("events", 0): _nan, ("events", 1): _resized}, "operator entries must be finite"),
+    ({("events", 0): _resized, ("events", 1): _nan}, "operator entries must be finite"),
+    ({("events", 0): _ragged, ("events", 1): _huge}, "malformed matrix"),
+    ({("events", 1): _ragged, ("events", 0): _nan}, "operator entries must be finite"),
+    ({("events", 1): _huge, ("pom", 0): _nan}, "state of event 'b' holds a number"),
+    ({("pom", 0): _nan, ("pom", 1): _resized}, "operator entries must be finite"),
+    ({("pom", 0): _resized, ("events", 1): _nan}, "operator entries must be finite"),
+    ({("pom", 1): _nonsquare, ("pom", 0): _huge}, "POM element 'x' holds a number"),
+]
+
+
+@pytest.mark.parametrize("faults, message", FIRST_FAULTS)
+def test_cli_reports_the_first_of_two_faults_like_the_oracle(tmp_path, faults, message):
+    doc = _qubit_document()
+    for (group, i), fault in faults.items():
+        fault(doc["parameters"][group][i]["state" if group == "events" else "element"])
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert cli.run(str(path)) == cli.EXIT_VALIDATION
+    with pytest.raises(ValidationError) as expected:
+        oracle_retrodict(doc["parameters"])
+    reported = json.loads(err.getvalue())["error"]["message"]
+    assert reported == str(expected.value)
+    assert reported.startswith(message)
