@@ -56,7 +56,7 @@ from .errors import (
     NumericIntegrityError,
     ValidationError,
 )
-from .hilbert import ModeDims, Operator
+from .hilbert import Operator
 
 SCHEMA_VERSION = 1
 SCHEMA_RESOURCE = "scenario-v1.schema.json"
@@ -377,44 +377,31 @@ def _reference(scenario: Scenario) -> optics.ReferenceState:
     return optics.ReferenceState(values[0].view(np.complex128)[:, 0])
 
 
-def _operator_stack(scenario: Scenario, group: str, key: str, name: str) -> tuple:
-    """Labels, priors (of items that have one), stack and stray dims (see
-    ``OperatorStack.from_stack``) of the matrices ``parameters[group][i][key]``,
-    and each matrix's echo.
+def _operator_matrices(scenario: Scenario, group: str, key: str, name: str) -> tuple:
+    """Labels, priors (of items that have one) and complex matrices of
+    ``parameters[group][i][key]``, and each matrix's echo.
 
-    The items' faults raise in document order, each item's in turn: its
-    prior's range, then its matrix's range, shape and finiteness, the
-    matrix named ``name.format(label)``.
+    Each item is read in document order, as an ``Operator`` would be
+    built from it: its prior's range, then its matrix's range, shape and
+    finiteness, the matrix named ``name.format(label)``; the first fault
+    raises.
     """
-    labels, priors, arrays, echoes, fault = [], [], [], [], None
+    labels, priors, matrices, echoes = [], [], [], []
     for i, item in enumerate(scenario.parameters[group]):
         label = item["label"]
-        try:
-            if "prior" in item:
-                priors.append(_real(item["prior"], f"prior of event {label!r}"))
-            values, echo = _pairs_at(scenario, ("parameters", group, i, key),
-                                     item[key], name.format(label))
-            if values.shape[0] != values.shape[1]:
-                raise ValidationError(
-                    f"operator matrix must be square, got shape {values.shape[:2]}")
-        except ValidationError as exc:
-            fault = exc
-            break
-        labels.append(label)
-        arrays.append(values)
-        echoes.append(echo)
-    n = next((i for i, values in enumerate(arrays)
-              if values.shape != arrays[0].shape), len(arrays))
-    if fault is not None or n < len(arrays):
-        # The stack stops short, but finiteness is each matrix's last
-        # check, so a non-finite matrix before the stop reports first.
-        if not all(np.isfinite(values).all() for values in arrays):
+        if "prior" in item:
+            priors.append(_real(item["prior"], f"prior of event {label!r}"))
+        values, echo = _pairs_at(scenario, ("parameters", group, i, key),
+                                 item[key], name.format(label))
+        if values.shape[0] != values.shape[1]:
+            raise ValidationError(
+                f"operator matrix must be square, got shape {values.shape[:2]}")
+        if not np.isfinite(values).all():
             raise ValidationError("operator entries must be finite (no NaN/Inf)")
-        if fault is not None:
-            raise fault
-    stack = np.stack(arrays[:n]).view(np.complex128)[..., 0]
-    stray = ModeDims((len(arrays[n]),)) if n < len(arrays) else None
-    return labels, priors, stack, stray, echoes
+        labels.append(label)
+        matrices.append(values.view(np.complex128)[..., 0])
+        echoes.append(echo)
+    return labels, priors, matrices, echoes
 
 
 def _serialize_operator(op: Operator) -> dict:
@@ -465,13 +452,12 @@ def _run_bayes(scenario: Scenario, result: ResultDocument):
 
 
 def _run_retrodict(scenario: Scenario, result: ResultDocument):
-    labels, priors, stack, stray, states = _operator_stack(
+    labels, priors, matrices, states = _operator_matrices(
         scenario, "events", "state", "state of event {!r}")
-    ens = retrodict.PreparationEnsemble.from_stack(labels, stack, stray=stray,
-                                                   priors=np.array(priors))
-    labels, _, stack, stray, elements = _operator_stack(
+    ens = retrodict.PreparationEnsemble.from_matrices(labels, matrices, priors=priors)
+    labels, _, matrices, elements = _operator_matrices(
         scenario, "pom", "element", "POM element {!r}")
-    pom = retrodict.Pom.from_stack(labels, stack, stray=stray)
+    pom = retrodict.Pom.from_matrices(labels, matrices)
     predictive = pom.table(ens)
     result.tables["predictive"] = _array(ens.labels, pom.labels, predictive)
 

@@ -103,12 +103,12 @@ class OperatorStack:
     positive semidefinite within ``COMPLETENESS_TOL``, then the whole set;
     the first fault found raises.  Each element check is one batched test
     of the whole stack (one :func:`hilbert.psd_mask` call for positivity),
-    and the first fault in element order is read off their table.  The
-    stack form, :meth:`from_stack`, takes the matrices as one array;
-    ``OperatorStack(pairs)`` stacks ``(label, Operator)`` pairs into it.  A
-    stack derived from a checked one (a preparation POM, biased-source
-    elements) skips the element checks.  Its attributes cannot be
-    reassigned.
+    and the first fault in element order is read off their table.
+    ``OperatorStack(pairs)`` takes ``(label, Operator)`` pairs and
+    :meth:`from_matrices` bare matrices; both copy them into the stack and
+    run the same checks.  A stack derived from a checked one (a
+    preparation POM, biased-source elements) skips the element checks.
+    Its attributes cannot be reassigned.
     """
 
     #: What the set and one of its members are called in error messages.
@@ -119,47 +119,51 @@ class OperatorStack:
 
     def __init__(self, elements: Iterable[Tuple[Hashable, Operator]]):
         pairs = tuple((label, op) for label, op in elements)
-        dims = pairs[0][1].dims if pairs else None
-        # The stack ends at the first element on other dims, which then
-        # fails its dims check.
-        n = next((i for i, (_, op) in enumerate(pairs)
-                  if op.dims.dims != dims.dims), len(pairs))
-        stray = pairs[n][1].dims if n < len(pairs) else None
-        self._check([label for label, _ in pairs],
-                    np.array([op.mat for _, op in pairs[:n]]), dims, stray)
+        self._check([label for label, _ in pairs], [op.mat for _, op in pairs],
+                    [op.dims.dims for _, op in pairs])
 
     @classmethod
-    def from_stack(cls, labels: Iterable[Hashable], stack: np.ndarray,
-                   dims: Optional[ModeDims] = None, stray: Optional[ModeDims] = None,
-                   **fields) -> "OperatorStack":
-        """The elements ``stack[i]``, a complex ``(n, d, d)`` array, under ``labels``.
+    def from_matrices(cls, labels: Iterable[Hashable], matrices: Iterable[np.ndarray],
+                      **fields) -> "OperatorStack":
+        """The elements ``matrices``, each a square complex matrix on one mode
+        of its side length, under ``labels``.
 
-        ``dims`` defaults to one mode of dimension d.  When element n lives
-        on other dims, ``stray``, the stack holds only the elements before
-        it, and element n fails its dims check.  ``fields`` (an ensemble's
-        ``priors``) are set before the checks run.
+        The matrices are copied into the stack, and ``fields`` (an
+        ensemble's ``priors``) are copied and set before the checks run.
         """
+        labels, matrices = list(labels), list(matrices)
+        fields = {name: np.array(value, dtype=float) for name, value in fields.items()}
+        if any(len(values) != len(labels) for values in (matrices, *fields.values())):
+            raise ValidationError(f"{cls.kind} needs one matrix and one of each of "
+                                  f"{sorted(fields)} per label")
+        for mat in matrices:
+            if np.ndim(mat) != 2 or np.shape(mat)[0] != np.shape(mat)[1]:
+                raise ValidationError(
+                    f"operator matrix must be square, got shape {np.shape(mat)}")
         self = cls.__new__(cls)._set(**fields)
-        self._check(list(labels), stack, dims, stray)
+        self._check(labels, matrices, [np.shape(mat)[:1] for mat in matrices])
         return self
 
-    def _check(self, labels: list, stack: np.ndarray,
-               dims: Optional[ModeDims] = None, stray: Optional[ModeDims] = None):
+    def _check(self, labels: list, mats: list, dims: list):
+        """Check and set the elements ``mats[i]`` on mode dims ``dims[i]``."""
         if not labels:
             raise ValidationError(f"{self.kind} requires at least one {self.noun}")
+        # The stack ends at the first element on other dims, which then
+        # fails its dims check.
+        n = next((i for i, d in enumerate(dims) if d != dims[0]), len(dims))
+        stack = np.array(mats[:n], dtype=complex)
         if not np.isfinite(stack).all():
             raise ValidationError("operator entries must be finite (no NaN/Inf)")
         index = {label: i for i, label in enumerate(labels)}
         if len(index) != len(labels):
             raise ValidationError(f"{self.kind} labels must be unique, got {labels!r}")
-        dims = dims or ModeDims((stack.shape[-1],))
-        n = len(stack)
+        expected = dims[0]
         # One column per element check, in the order an element takes them;
         # each mask marks the elements failing that check.
         checks = [
             *self._faults_before(labels),
             (np.arange(len(labels)) == n, lambda i: DimensionMismatch(
-                f"{self._name(labels[i])} lives on dims {stray.dims}, expected {dims.dims}")),
+                f"{self._name(labels[i])} lives on dims {dims[i]}, expected {expected}")),
             (~hilbert.psd_mask(stack, COMPLETENESS_TOL), lambda i: ValidationError(
                 f"{self._name(labels[i])} is not positive semidefinite")),
             *self._faults_after(labels, stack),
@@ -172,7 +176,7 @@ class OperatorStack:
         if bad.any():
             i, column = divmod(int(np.argmax(bad)), len(checks))
             raise checks[column][1](i)
-        self._set(labels=tuple(labels), _index=index, dims=dims, stack=stack)
+        self._set(labels=tuple(labels), _index=index, dims=ModeDims(expected), stack=stack)
         self._check_set()
 
     @classmethod
@@ -326,7 +330,7 @@ class PreparationEnsemble(OperatorStack):
     @functools.cached_property
     def events(self) -> Tuple[Tuple[Hashable, float, Operator], ...]:
         """``(label, prior, Operator)`` of each event; an ensemble built
-        :meth:`from_stack` makes them when first asked."""
+        :meth:`from_matrices` makes them when first asked."""
         return tuple((label, prior, Operator(mat, self.dims)) for label, prior, mat
                      in zip(self.labels, self.priors.tolist(), self.stack))
 
@@ -469,28 +473,17 @@ def retro_conditional_unbiased(prep: PreparationPom, element: Operator | np.ndar
 
     With ``event`` omitted (None), returns the whole posterior row: an
     array over ``prep.labels``, the retrodictive state computed once.  A
-    single event's posterior is that row's entry, bit for bit.
-
-    ``element`` may also be a complex ``(n, d, d)`` array of outcome
-    elements on ``prep``'s dims.  The result is then their rows (or the
-    ``event`` column), bit for bit those of each element alone: the
-    retrodictive states are one scaled stack, the range is checked once
-    for the table, and the first fault in row order raises.
+    single event's posterior is that row's entry, bit for bit.  Given a
+    complex ``(n, d, d)`` stack of outcome elements instead of one
+    element, and no event, returns their rows, each bit for bit the row
+    of its element alone.
     """
+    position = None if event is None else prep._position(event)
     if isinstance(element, np.ndarray):
-        _check_elements(element, prep)
-        traces = _traces(element)
-        zero = traces <= trace_tol
-        n = int(np.argmax(zero)) if zero.any() else len(element)
-        states = element[:n] * (1.0 / traces[:n]).astype(complex)[:, None, None]
-        rows = _born_rows(states, prep.stack, prep._row_tol)
-        if n < len(element):
-            raise _no_retro_state(float(traces[n]))
-        return rows if event is None else rows[:, prep._position(event)]
-    if event is None:
-        return prep.probabilities(retro_state(element, trace_tol))
-    xi = prep.element(event)
-    return born_probability(retro_state(element, trace_tol), xi, prep._row_tol)
+        return _unbiased_rows(prep, _outcome_stack(element, prep, event), trace_tol)
+    _check_dims(element.dims, prep.dims)
+    row = _unbiased_rows(prep, element.mat[None], trace_tol)[0]
+    return row if position is None else float(row[position])
 
 
 def retro_conditional_biased(lam: BiasedElements, element: Operator | np.ndarray,
@@ -505,13 +498,10 @@ def retro_conditional_biased(lam: BiasedElements, element: Operator | np.ndarray
 
     With ``event`` omitted (None), returns the whole posterior row: an
     array over ``lam.labels``, each overlap computed once.  A single
-    event's posterior is that row's entry, bit for bit.
-
-    ``element`` may also be a complex ``(n, d, d)`` array of outcome
-    elements on ``lam``'s dims.  The result is then their rows (or the
-    ``event`` column), bit for bit those of each element alone: one
-    einsum per row, checked once for the table, the first fault in row
-    order raising.
+    event's posterior is that row's entry, bit for bit.  Given a complex
+    ``(n, d, d)`` stack of outcome elements instead of one element, and
+    no event, returns their rows, each bit for bit the row of its element
+    alone.
 
     Raises
     ------
@@ -522,9 +512,7 @@ def retro_conditional_biased(lam: BiasedElements, element: Operator | np.ndarray
     """
     position = None if event is None else lam._position(event, "event")
     if isinstance(element, np.ndarray):
-        _check_elements(element, lam)
-        rows = _biased_rows(lam, element, trace_tol)
-        return rows if position is None else rows[:, position]
+        return _biased_rows(lam, _outcome_stack(element, lam, event), trace_tol)
     if element.dims.dims != lam.dims.dims:
         raise DimensionMismatch(f"element dims {element.dims.dims} do not match "
                                 f"source dims {lam.dims.dims}")
@@ -532,10 +520,29 @@ def retro_conditional_biased(lam: BiasedElements, element: Operator | np.ndarray
     return row if position is None else float(row[position])
 
 
-def _check_elements(elements: np.ndarray, source: OperatorStack):
+def _outcome_stack(elements: np.ndarray, source: OperatorStack,
+                   event: Optional[Hashable]) -> np.ndarray:
+    if event is not None:
+        raise ValidationError("an event selects from one element's row; "
+                              "pass that element as an Operator")
     if elements.shape[1:] != source.stack.shape[1:]:
         raise DimensionMismatch(f"elements of shape {elements.shape[1:]} do not "
                                 f"match source dims {source.dims.dims}")
+    return elements
+
+
+def _unbiased_rows(prep: PreparationPom, elements: np.ndarray,
+                   trace_tol: float) -> np.ndarray:
+    # Each retrodictive state is its element scaled by one over its trace,
+    # the bits of retro_state; the first zero-trace element stops the table.
+    traces = _traces(elements)
+    zero = traces <= trace_tol
+    n = int(np.argmax(zero)) if zero.any() else len(elements)
+    states = elements[:n] * (1.0 / traces[:n]).astype(complex)[:, None, None]
+    rows = _born_rows(states, prep.stack, prep._row_tol)
+    if n < len(elements):
+        raise _no_retro_state(float(traces[n]))
+    return rows
 
 
 def _biased_rows(lam: BiasedElements, elements: np.ndarray,

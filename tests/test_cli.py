@@ -645,12 +645,14 @@ class TestExitCodes:
         message = json.loads(capsys.readouterr().err)["error"]["message"]
         assert "json" in message
 
-    @pytest.mark.parametrize("depth", [990, 100000])
-    def test_deeply_nested_document_exits_2(self, tmp_path, capsys, depth):
-        # json's parser recurses once per level of nesting, so near the
-        # interpreter's recursion limit it raises RecursionError.
+    @pytest.mark.parametrize("nested", ["description", "state"])
+    def test_deeply_nested_document_exits_2(self, tmp_path, capsys, nested):
+        # json's parser recurses once per level of nesting, and 100000
+        # levels exceed its limit on every supported interpreter, where it
+        # raises RecursionError.
         path = tmp_path / "deep.json"
-        path.write_text(_nested_description(depth), encoding="utf-8")
+        make = _nested_description if nested == "description" else _nested_state
+        path.write_text(make(100000), encoding="utf-8")
         assert main(["run", str(path)]) == EXIT_PARSE
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -663,7 +665,7 @@ class TestExitCodes:
 
     def test_nesting_near_the_recursion_limit_exits_2_or_3(self, tmp_path):
         # Either the parser gives up (2) or the walker rejects the parsed
-        # document (3), at whatever depth the process's stack allows.
+        # document (3), at whatever depth the interpreter's limits allow.
         paths = []
         for depth in range(900, 1001, 4):
             for shape, text in (("description", _nested_description(depth)),
@@ -675,7 +677,7 @@ class TestExitCodes:
                  "print(sorted({cli.run(path) for path in sys.argv[1:]}))")
         run = run_python(["-c", probe, *paths], check=False)
         assert run.returncode == 0, run.stderr
-        assert json.loads(run.stdout) == [EXIT_PARSE, EXIT_VALIDATION]
+        assert set(json.loads(run.stdout)) <= {EXIT_PARSE, EXIT_VALIDATION}
         assert "Traceback" not in run.stderr
         codes = set()
         with contextlib.redirect_stderr(io.StringIO()):

@@ -23,6 +23,7 @@ from qretrodict import cli, hilbert
 from qretrodict.errors import (
     BiasedSourceError,
     ComputationError,
+    DimensionMismatch,
     QRetrodictError,
     ValidationError,
 )
@@ -117,7 +118,7 @@ def build(d, projectors, faults, scale):
         elif fault == "dims":
             dims[i] = (d, 1)
         elif fault == "resized":
-            mats[i], dims[i] = np.eye(d + 1) / (d + 1), (d + 1,)
+            mats[i], dims[i] = np.eye(d + 1, dtype=complex) / (d + 1), (d + 1,)
         elif fault == "prior_neg":
             priors[j] += priors[i] + eps
             priors[i] = -eps
@@ -168,6 +169,68 @@ def test_stack_decides_like_the_element_by_element_checks(case):
     if not isinstance(got, tuple):
         assert got.events == expected
         assert got.priors.tolist() == [p for _, p, _ in expected]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(faulty_sets())
+def test_bare_matrices_decide_like_the_element_by_element_checks(case):
+    # A bare matrix lives on one mode of its side, so a "dims" fault, the
+    # same matrix on dims (d, 1), has no bare form.
+    d, projectors, faults = case
+    faults = [fault for fault in faults if fault[0] != "dims"]
+    for cls, kind, scale, complete in ((Pom, "POM", d / len(projectors), True),
+                                       (BiasedElements, "biased-source",
+                                        1 / len(projectors), False)):
+        labels, _, ops = build(d, projectors, faults, scale)
+        same_as_oracle(outcome(lambda: cls.from_matrices(labels, [op.mat for op in ops])),
+                       outcome(lambda: oracle_elements(
+                           tuple(zip(labels, ops)), kind, require_completeness=complete,
+                           trace_sum=not complete)))
+    labels, priors, ops = build(d, projectors, faults, 1.0)
+    got = outcome(lambda: PreparationEnsemble.from_matrices(
+        labels, [op.mat for op in ops], priors=priors))
+    expected = outcome(lambda: oracle_ensemble(tuple(zip(labels, priors, ops))))
+    same_as_oracle(got, expected)
+    if not isinstance(got, tuple):
+        assert got.priors.tolist() == [p for _, p, _ in expected]
+
+
+def test_bare_matrices_are_copied_and_shaped():
+    mats = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], dtype=complex)
+    priors = np.array([0.5, 0.5])
+    view = mats[:]
+    ens = PreparationEnsemble.from_matrices(["a", "b"], view, priors=priors)
+    pom = Pom.from_matrices(["a", "b"], view.real)
+    # The caller's arrays stay writable, and writing to them changes no
+    # checked stack.
+    assert view.flags.writeable and priors.flags.writeable
+    view[0, 0, 0] = priors[0] = 7.0
+    assert ens.stack[0, 0, 0] == pom.stack[0, 0, 0] == 1.0
+    assert ens.priors.tolist() == [0.5, 0.5]
+    assert pom.stack.dtype == complex
+    with pytest.raises(ValidationError, match=r"must be square, got shape \(2, 3\)"):
+        Pom.from_matrices(["a"], [np.zeros((2, 3))])
+    with pytest.raises(ValidationError, match=r"must be square, got shape \(2,\)"):
+        Pom.from_matrices(["a"], [np.ones(2)])
+    with pytest.raises(ValidationError, match="one matrix and one of each of"):
+        Pom.from_matrices(["a", "b"], [np.eye(2)])
+    with pytest.raises(ValidationError, match=r"\['priors'\] per label"):
+        PreparationEnsemble.from_matrices(["a", "b"], mats, priors=[1.0])
+
+
+def test_a_stack_of_outcomes_gives_rows_and_takes_no_event():
+    rng = np.random.default_rng(11)
+    pom = random_pom(rng, 3, 4)
+    prep = preparation_pom(random_unbiased_ensemble(rng, 3, 4))
+    lam = BiasedElements.from_ensemble(random_biased_ensemble(rng, 3, 4))
+    for posterior, source in ((retro_conditional_unbiased, prep),
+                              (retro_conditional_biased, lam)):
+        rows = posterior(source, pom.stack)
+        assert rows.tolist() == [posterior(source, op).tolist() for _, op in pom.elements]
+        with pytest.raises(ValidationError, match="an event selects"):
+            posterior(source, pom.stack, source.labels[0])
+        with pytest.raises(DimensionMismatch):
+            posterior(source, pom.stack[:, :2, :2])
 
 
 def qubit(*diag):
