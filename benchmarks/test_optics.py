@@ -6,9 +6,11 @@ Run from the repository root (not part of the tier-1 suite)::
 
 Each case validates one document once and then times its execution and
 rendering together: ``synthesis`` (counts 2 and 1), ``scissors`` and
-``detector`` (3 counts) at truncation N in {8, 16, 32, 64}.  Their
-operators are mostly zeros: a synthesis state lives on the first
-n + m + 1 number states and a detector state is diagonal.
+``detector`` (3 counts) at truncation N in {8, 16, 32, 64, 256, 2000};
+2000 is the schema's cap.  Their operators are mostly zeros: a synthesis
+state lives on the first n + m + 1 number states and a detector state is
+diagonal.  At N = 2000 each output is 264 MB of JSON, and rendering it
+takes most of the time.
 """
 
 import pytest
@@ -27,7 +29,7 @@ def _run(scenario):
     return cli.render_json(cli.execute(scenario))
 
 
-@pytest.mark.parametrize("truncation", [8, 16, 32, 64])
+@pytest.mark.parametrize("truncation", [8, 16, 32, 64, 256, 2000])
 @pytest.mark.parametrize("kind", ["synthesis", "scissors", "detector"])
 def test_execute_and_render_optics(benchmark, kind, truncation):
     scenario = cli.validate_document({"kind": kind, "parameters": dict(

@@ -513,6 +513,13 @@ def _run_detector(scenario: Scenario, result: ResultDocument):
     result.diagnostics["truncation_tail_deficit"] = max(0.0, 1.0 - trace)
 
 
+def _purity(op: Operator, support: int) -> float:
+    """Tr(rho^2) of a state whose entries vanish outside its leading
+    ``support`` x ``support`` block, from that block alone."""
+    block = op.mat[:support, :support]
+    return float(np.trace(block @ block).real)
+
+
 def _run_synthesis(scenario: Scenario, result: ResultDocument):
     params = scenario.parameters
     ref = _reference(scenario)
@@ -520,10 +527,10 @@ def _run_synthesis(scenario: Scenario, result: ResultDocument):
     bs = optics.BeamSplitter(_real(params["theta"], "theta"))
     op = optics.projection_synthesis_retro(ref, params["counts_b"],
                                            params["counts_c"], bs, space)
+    support = int(params["counts_b"]) + int(params["counts_c"])
     result.operators["retro_state"] = _serialize_operator(op)
-    result.scalars["purity"] = float(np.trace(op.mat @ op.mat).real)
-    result.diagnostics["support_photon_limit"] = (
-        int(params["counts_b"]) + int(params["counts_c"]))
+    result.scalars["purity"] = _purity(op, support + 1)
+    result.diagnostics["support_photon_limit"] = support
 
 
 def _run_scissors(scenario: Scenario, result: ResultDocument):
@@ -533,7 +540,7 @@ def _run_scissors(scenario: Scenario, result: ResultDocument):
     bs = optics.BeamSplitter(_real(params["theta"], "theta"))
     op = optics.scissors_output(ref, bs, space)
     result.operators["output_state"] = _serialize_operator(op)
-    result.scalars["purity"] = float(np.trace(op.mat @ op.mat).real)
+    result.scalars["purity"] = _purity(op, 2)
     result.scalars["vacuum_weight"] = float(op.mat[0, 0].real)
     result.scalars["one_photon_weight"] = float(op.mat[1, 1].real)
 

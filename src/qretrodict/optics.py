@@ -5,8 +5,12 @@ The beam-splitter coupling conserves total photon number, so its unitary
 is assembled exactly block-by-block and results whose physics lives
 entirely in the low-photon sectors carry no truncation error at all;
 projection synthesis and the scissors device touch only the block their
-photon counts select.  The detector operators are truncated with a
-geometric tail that shrinks as N grows.
+photon counts select and compute their state on its n+m+1 number states.
+The inefficient counter's state is diagonal and is built from its
+diagonal.  So only the zero-padded (N+1) x (N+1) output grows with the
+truncation: no kernel the scenarios run multiplies (N+1) x (N+1)
+matrices.  The detector operators are truncated with a geometric tail
+that shrinks as N grows.
 
 Included here: ladder operators, the two-mode beam-splitter unitary, the
 reduction of a joint photon-count measurement behind a beam splitter to
@@ -220,14 +224,80 @@ def normal_ordered_damping(eta: float, space: FockSpace) -> Operator:
     return Operator(np.diag((1.0 - eta) ** np.arange(space.dim)).astype(complex))
 
 
+def _lowering_power_band(n: int, dim: int) -> np.ndarray:
+    """Entries (j, j+n) of b^n, multiplied in the order ``matrix_power`` takes.
+
+    The power of the lowering operator b has one nonzero superdiagonal, and
+    each entry of a product of two such bands is a single product of their
+    entries.  So the products ``numpy.linalg.matrix_power`` forms (n = 2
+    and 3 directly, larger n by binary powering) are replayed here on the
+    bands alone, and every entry has the bits of the dense power.
+    """
+    def times(x, y):
+        (xs, p), (ys, q) = x, y
+        return xs[:xs.size - q] * ys[p:], p + q
+
+    b = (np.sqrt(np.arange(1, dim, dtype=float)), 1)
+    if n == 3:
+        return times(times(b, b), b)[0]
+    z = result = None
+    while n > 0:
+        z = b if z is None else times(z, z)
+        n, bit = divmod(n, 2)
+        if bit:
+            result = z if result is None else times(result, z)
+    return np.ones(dim) if result is None else result[0]
+
+
+def _replayed_detector_diagonal(n: int, eta: float, dim: int):
+    """The diagonal of (eta^(n+1)/n!) b'^n D b^n with the bits of the dense
+    product, or None where n! or that product overflows.
+
+    b'^n D b^n is diagonal: entry k is (conj(v) d) v, for v the band of b^n
+    and d the damping entry k - n, each a single product in the dense route.
+    """
+    try:
+        scale = eta ** (n + 1) / math.factorial(n)
+    except OverflowError:
+        return None
+    v = _lowering_power_band(n, dim)
+    damping = ((1.0 - eta) ** np.arange(dim))[:dim - n]
+    with np.errstate(over="ignore", invalid="ignore"):
+        entries = scale * ((v * damping) * v)
+    if not np.isfinite(entries).all():
+        return None
+    out = np.zeros(dim)
+    out[n:] = entries
+    return out
+
+
+def _log_detector_diagonal(n: int, eta: float, dim: int) -> np.ndarray:
+    """eta^(n+1) C(k, n) (1-eta)^(k-n) for each k, evaluated in log space.
+
+    Every entry is at most 1, so nothing here overflows; at eta = 1 the
+    (k-n) log(1-eta) term is 0 for k = n and -inf beyond.
+    """
+    log_binomial = np.array([math.lgamma(k + 1) - math.lgamma(k - n + 1)
+                             for k in range(n, dim)])
+    log_tail = math.log1p(-eta) if eta < 1.0 else -math.inf
+    exponent = (n + 1) * math.log(eta) - math.lgamma(n + 1) + log_binomial
+    exponent[1:] += np.arange(1, dim - n) * log_tail
+    out = np.zeros(dim)
+    out[n:] = np.exp(exponent)
+    return out
+
+
 def inefficient_detector_retro(n: int, eta: float, space: FockSpace) -> Operator:
     """Retrodictive state of an efficiency-``eta`` counter that registered ``n`` photons.
 
-    Built from the ladder-operator form (eta^(n+1)/n!) b'^n D b^n with D
-    the normal-ordered damping operator; the diagonal entries come out as
-    eta^(n+1) C(k, n) (1-eta)^(k-n) for k >= n.  The trace approaches 1
-    from below as the truncation grows; the deficit is the geometric tail
-    beyond N photons.
+    The state is diagonal in the number basis, with entries
+    eta^(n+1) C(k, n) (1-eta)^(k-n) for k >= n, and is built from its
+    diagonal alone.  Wherever the ladder-operator form
+    (eta^(n+1)/n!) b'^n D b^n, with D the normal-ordered damping operator,
+    is finite in floating point, the entries carry its bits; where it
+    overflows (large counts), they are evaluated in log space.  The
+    trace approaches 1 from below as the truncation grows; the deficit is
+    the geometric tail beyond N photons.
     """
     n = int(n)
     eta = float(eta)
@@ -240,31 +310,26 @@ def inefficient_detector_retro(n: int, eta: float, space: FockSpace) -> Operator
             f"detector efficiency must lie in (0, 1], got {eta}; at zero "
             f"efficiency the outcome carries no retrodictive state"
         )
-    b = annihilation(space).mat
-    lower_n = np.linalg.matrix_power(b, n)
-    damping = normal_ordered_damping(eta, space).mat
-    mat = (eta ** (n + 1) / math.factorial(n)) * (
-        lower_n.conj().T @ damping @ lower_n
-    )
+    diagonal = _replayed_detector_diagonal(n, eta, space.dim)
+    if diagonal is None:
+        diagonal = _log_detector_diagonal(n, eta, space.dim)
+    mat = np.zeros((space.dim, space.dim), dtype=complex)
+    np.fill_diagonal(mat, diagonal)
     return Operator(mat)
 
 
-def projection_synthesis_retro(ref: ReferenceState, n: int, m: int,
-                               bs: BeamSplitter, space: FockSpace,
-                               trace_tol: float = retrodict.TRACE_TOL) -> Operator:
-    """Retrodictive state synthesized by counting (n, m) photons behind a beam splitter.
+def _on_support(block: np.ndarray, space: FockSpace) -> Operator:
+    """The operator equal to ``block`` on the leading number states and zero
+    elsewhere."""
+    mat = np.zeros((space.dim, space.dim), dtype=complex)
+    mat[:block.shape[0], :block.shape[1]] = block
+    return Operator(mat)
 
-    Feeding the reference field into the auxiliary port and registering
-    ``n`` and ``m`` photons on the two outputs projects out a mode-b
-    retrodictive state supported on at most n+m photons; the reference
-    amplitudes select its superposition weights.
 
-    Raises
-    ------
-    ZeroProbabilityError
-        If the (n, m) outcome has zero probability for this reference
-        field and coupling.
-    """
+def _synthesis_block(ref: ReferenceState, n: int, m: int, bs: BeamSplitter,
+                     space: FockSpace, trace_tol: float) -> np.ndarray:
+    """The leading (n+m+1) x (n+m+1) block of :func:`projection_synthesis_retro`,
+    whose state is zero outside it."""
     n = int(n)
     m = int(m)
     if n < 0 or m < 0 or n + m > space.truncation:
@@ -281,16 +346,40 @@ def projection_synthesis_retro(ref: ReferenceState, n: int, m: int,
     u = block[n]
     rev = ket[total::-1]
     rho = np.outer(rev, rev.conj()).T
-    out = np.zeros((space.dim, space.dim), dtype=complex)
-    out[:total + 1, :total + 1] = u.conj()[:, None] * (u[None, :] * rho)
-    element = Operator((out + out.conj().T) / 2.0)
-    try:
-        return retrodict.retro_state(element, trace_tol)
-    except ZeroProbabilityError:
+    element = u.conj()[:, None] * (u[None, :] * rho)
+    element = (element + element.conj().T) / 2.0
+    # The trace adds all N+1 diagonal entries, zeros included: the order in
+    # which numpy adds them, and so the normalization's last bit, depends on
+    # their number.
+    diagonal = np.zeros(space.dim, dtype=complex)
+    diagonal[:total + 1] = np.diagonal(element)
+    tr = float(diagonal.sum().real)
+    if tr <= trace_tol:
         raise ZeroProbabilityError(
             f"outcome (n={n}, m={m}) has zero probability for this reference "
             f"field; no retrodictive state exists"
-        ) from None
+        )
+    return element * complex(1.0 / tr)
+
+
+def projection_synthesis_retro(ref: ReferenceState, n: int, m: int,
+                               bs: BeamSplitter, space: FockSpace,
+                               trace_tol: float = retrodict.TRACE_TOL) -> Operator:
+    """Retrodictive state synthesized by counting (n, m) photons behind a beam splitter.
+
+    Feeding the reference field into the auxiliary port and registering
+    ``n`` and ``m`` photons on the two outputs projects out a mode-b
+    retrodictive state supported on at most n+m photons; the reference
+    amplitudes select its superposition weights.  Only that support is
+    computed.
+
+    Raises
+    ------
+    ZeroProbabilityError
+        If the (n, m) outcome has zero probability for this reference
+        field and coupling.
+    """
+    return _on_support(_synthesis_block(ref, n, m, bs, space, trace_tol), space)
 
 
 def scissors_output(ref: ReferenceState, bs: BeamSplitter, space: FockSpace,
@@ -303,7 +392,7 @@ def scissors_output(ref: ReferenceState, bs: BeamSplitter, space: FockSpace,
     result truncates the reference to its vacuum and one-photon parts,
     reweighted by the beam-splitter angle.
     """
-    retro = projection_synthesis_retro(ref, 1, 0, bs, space, trace_tol)
+    retro = _synthesis_block(ref, 1, 0, bs, space, trace_tol)
     # The resource U|1,0> is column 1 of the one-photon block: psi[a] is
     # the amplitude of |n_d = a, n_b = 1-a>.  Projecting mode b onto the
     # retrodictive state leaves psi[a] retro[1-b, 1-a] psi[b]* on n_d <= 1.
@@ -312,17 +401,17 @@ def scissors_output(ref: ReferenceState, bs: BeamSplitter, space: FockSpace,
     # multiply may fuse them and change the last bits of the output.
     _, block = _photon_block(BeamSplitter(math.pi / 4.0), space, 1)
     psi = block[:, 1]
-    out = np.zeros((space.dim, space.dim), dtype=complex)
+    out = np.zeros((2, 2), dtype=complex)
     for a in range(2):
         for b in range(2):
-            out[a, b] = psi[a] * retro.mat[1 - b, 1 - a] * np.conj(psi[b])
+            out[a, b] = psi[a] * retro[1 - b, 1 - a] * np.conj(psi[b])
     tr = float(np.trace(out).real)
     if tr <= trace_tol:
         raise ZeroProbabilityError(
             "the scissors projection has zero probability for this reference "
             "field and coupling"
         )
-    return Operator((out + out.conj().T) / (2.0 * tr))
+    return _on_support((out + out.conj().T) / (2.0 * tr), space)
 
 
 def pure_state_fidelity(a: Operator, b: Operator) -> float:

@@ -1,5 +1,7 @@
 """Shared helpers for building random test instances."""
 
+import math
+
 import numpy as np
 import scipy.linalg
 
@@ -11,6 +13,7 @@ from qretrodict.errors import (
     ZeroProbabilityError,
 )
 from qretrodict.hilbert import Operator
+from qretrodict.optics import annihilation, normal_ordered_damping
 from qretrodict.retrodict import Pom, PreparationEnsemble
 
 
@@ -29,6 +32,24 @@ def matrix_exp(op: Operator) -> Operator:
     if not np.all(np.isfinite(out)):
         raise ConvergenceError("matrix exponential did not converge to a finite result")
     return Operator(out, op.dims)
+
+
+def dense_detector_matrix(n, eta, space) -> np.ndarray:
+    """The inefficient counter's retrodictive state as the ladder-operator
+    product (eta^(n+1)/n!) b'^n D b^n: ``matrix_power`` and two dense
+    (N+1)^3 matrix products, the oracle for the diagonal route.  The matrix
+    is returned as computed, non-finite entries included."""
+    b = annihilation(space).mat
+    lower_n = np.linalg.matrix_power(b, n)
+    damping = normal_ordered_damping(eta, space).mat
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (eta ** (n + 1) / math.factorial(n)) * (
+            lower_n.conj().T @ damping @ lower_n)
+
+
+def dense_purity(op: Operator) -> float:
+    """Tr(rho^2) through the full (N+1)^3 matrix product."""
+    return float(np.trace(op.mat @ op.mat).real)
 
 
 def random_psd(rng, d):

@@ -13,6 +13,7 @@ import runpy
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -36,7 +37,8 @@ from qretrodict.cli import (
     render_json,
     validate_document,
 )
-from support import random_pom, random_unbiased_ensemble
+from qretrodict.hilbert import Operator
+from support import dense_purity, random_pom, random_unbiased_ensemble
 
 
 #: SHA-256 of ``render_json`` for every bundled scenario, recorded before
@@ -639,6 +641,28 @@ class TestExitCodes:
         assert error["category"] == "validation"
         assert "double-precision range" in error["message"]
 
+    @pytest.mark.parametrize("counts, truncation", [(171, 171), (170, 600),
+                                                   (400, 450)])
+    def test_large_detector_counts_exit_0_with_finite_weights(
+            self, tmp_path, capsys, counts, truncation):
+        # n! or b^n is beyond the double range at these counts; the weights
+        # eta^(n+1) C(k, n) (1-eta)^(k-n) are not.
+        doc = {"kind": "detector", "parameters": {
+            "truncation": truncation, "counts": counts, "efficiency": 0.7}}
+        out = tmp_path / "out.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["run", write_scenario(tmp_path, doc), "--out", str(out)])
+        assert (code, capsys.readouterr().err) == (EXIT_OK, "")
+        document = json.loads(out.read_text(encoding="utf-8"),
+                              parse_constant=_reject_constant)
+        weights = document["outputs"]["arrays"]["photon_number_weights"]["values"][0]
+        assert min(weights) == 0.0 and max(weights) <= 1.0
+        assert not any(weights[:counts])
+        trace = document["outputs"]["scalars"]["trace"]
+        assert trace == pytest.approx(math.fsum(weights), rel=1e-12)
+        assert document["diagnostics"]["truncation_tail_deficit"] == max(0.0, 1.0 - trace)
+
     def test_csv_without_tables_exits_3(self, capsys):
         info = next(i for i in list_examples() if i.kind == "detector")
         assert main(["run", info.path, "--format", "csv"]) == EXIT_VALIDATION
@@ -683,6 +707,10 @@ class TestExitCodes:
         with contextlib.redirect_stderr(io.StringIO()):
             codes.update(cli.run(path) for path in paths)
         assert codes <= {EXIT_PARSE, EXIT_VALIDATION}
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 def _nested_description(depth):
@@ -1006,6 +1034,43 @@ def _json_native(value):
     if type(value) is list:
         return all(map(_json_native, value))
     return value is None or type(value) in (str, float, int, bool)
+
+
+@pytest.mark.parametrize("kind", ["synthesis", "scissors"])
+def test_purity_agrees_with_the_dense_product(kind):
+    # The support block adds the same nonzero terms as the full product, in
+    # an order BLAS may choose differently: a few ulp at most.
+    rng = np.random.default_rng(1701)
+    for _ in range(60):
+        amps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        amps = amps[:int(rng.integers(2, 5))]
+        amps /= np.linalg.norm(amps)
+        params = {"reference": [[z.real, z.imag] for z in amps.tolist()],
+                  "theta": float(rng.uniform(0.2, 1.35)),
+                  "truncation": int(rng.integers(4, 65))}
+        if kind == "synthesis":
+            n = int(rng.integers(0, 5))
+            params.update(counts_b=n, counts_c=int(rng.integers(0, 5 - n)))
+        result = execute(validate_document({"kind": kind, "parameters": params}))
+        (matrix,) = (op["matrix"] for op in result.operators.values())
+        op = Operator(matrix.view(np.complex128)[..., 0])
+        assert abs(result.scalars["purity"] - dense_purity(op)) <= 4 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("kind", sorted(_OPTICS_DOCS))
+def test_execute_at_the_truncation_cap_stays_within_its_memory_bound(kind):
+    # Each output is one (N+1)^2 complex matrix, 61 MiB at N = 2000, which
+    # Operator copies on construction: 126 MiB measured for every kind, where
+    # dense (N+1)^3 products and (N+1)^2 temporaries took 248-309 MiB.
+    scenario = validate_document({"kind": kind, "parameters": dict(
+        _OPTICS_DOCS[kind], truncation=2000)})
+    tracemalloc.start()
+    try:
+        execute(scenario)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 150 * 2 ** 20
 
 
 @pytest.mark.parametrize("truncation", [1, 8, 40])

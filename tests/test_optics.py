@@ -2,6 +2,8 @@
 
 import math
 import tracemalloc
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ from qretrodict.optics import (
     scissors_output,
     total_photon_blocks,
 )
-from support import random_density, random_psd
+from support import dense_detector_matrix, random_density, random_psd
 
 
 def detector_diagonal(n, eta, N):
@@ -40,6 +42,12 @@ def detector_diagonal(n, eta, N):
     for kk in range(n, N + 1):
         vals[kk] = eta ** (n + 1) * math.comb(kk, n) * (1 - eta) ** (kk - n)
     return vals
+
+
+def exact_detector_entry(n, eta, k):
+    """eta^(n+1) C(k, n) (1-eta)^(k-n) in exact rationals, rounded once."""
+    eta = Fraction(eta)
+    return float(eta ** (n + 1) * math.comb(k, n) * (1 - eta) ** (k - n))
 
 
 def compose_by_primitives(rho_c, pi_b, pi_c, bs, space):
@@ -87,6 +95,36 @@ def dense_scissors_output(ref, bs, space):
     psi_mat = psi.reshape(dim, dim)  # [n_d, n_b] amplitudes
     out = psi_mat @ retro.mat.T @ psi_mat.conj().T
     return (out + out.conj().T) / (2.0 * np.trace(out).real)
+
+
+def full_matrix_synthesis_retro(ref, n, m, bs, space):
+    """Projection synthesis with (N+1) x (N+1) matrices throughout: the
+    block's element embedded in zeros, then made Hermitian and normalized
+    as a full matrix.  Bit-for-bit oracle for the support-block route."""
+    total = n + m
+    _, block = optics._photon_block(bs, space, total)
+    u = block[n]
+    rev = ref.ket(space)[total::-1]
+    rho = np.outer(rev, rev.conj()).T
+    out = np.zeros((space.dim, space.dim), dtype=complex)
+    out[:total + 1, :total + 1] = u.conj()[:, None] * (u[None, :] * rho)
+    return retrodict.retro_state(Operator((out + out.conj().T) / 2.0))
+
+
+def full_matrix_scissors_output(ref, bs, space):
+    """The scissors output with (N+1) x (N+1) matrices throughout."""
+    retro = full_matrix_synthesis_retro(ref, 1, 0, bs, space)
+    _, block = optics._photon_block(BeamSplitter(math.pi / 4.0), space, 1)
+    psi = block[:, 1]
+    out = np.zeros((space.dim, space.dim), dtype=complex)
+    for a in range(2):
+        for b in range(2):
+            out[a, b] = psi[a] * retro.mat[1 - b, 1 - a] * np.conj(psi[b])
+    return Operator((out + out.conj().T) / (2.0 * float(np.trace(out).real)))
+
+
+def _same_bits(a, b):
+    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def random_reference(rng, length):
@@ -390,6 +428,37 @@ class TestInefficientDetectorRetro:
                 if eta >= 0.5:
                     assert abs(tr - 1.0) <= 1e-8
 
+    def test_equals_the_dense_ladder_product_bit_for_bit(self):
+        # Every count at every truncation up to 64, where the dense product
+        # is finite: real and imaginary parts, signed zeros included.
+        rng = np.random.default_rng(1700)
+        for truncation in range(1, 65):
+            space = FockSpace(truncation)
+            for n in range(truncation + 1):
+                for eta in (1e-300, float(rng.uniform(1e-3, 1.0)), 1.0):
+                    want = dense_detector_matrix(n, eta, space)
+                    assert np.isfinite(want).all()
+                    got = inefficient_detector_retro(n, eta, space).mat
+                    assert _same_bits(got, want), (truncation, n, eta)
+
+    @pytest.mark.parametrize("n", [165, 171, 500, 2000])
+    def test_large_counts_match_exact_rationals(self, n):
+        # n! overflows a double from n = 171, and the ladder-operator
+        # product from lower counts at this truncation; every entry is at
+        # most 1.  Exact values below
+        # 1e-150 are met absolutely: the ladder-operator route, kept where
+        # it is finite, loses them to an underflowing (1-eta)^(k-n).
+        space = FockSpace(2000)
+        for eta in (0.5, 0.9, 1.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = np.diag(inefficient_detector_retro(n, eta, space).mat).real
+            assert np.isfinite(got).all() and got.max() <= 1.0 + 1e-12
+            assert not got[:n].any()
+            for k in [*range(n, 2001, 23), 2000]:
+                want = exact_detector_entry(n, eta, k)
+                assert abs(got[k] - want) <= max(1e-10 * want, 1e-150), (n, eta, k)
+
     def test_rejects_zero_efficiency(self):
         with pytest.raises(ValidationError):
             inefficient_detector_retro(1, 0.0, FockSpace(5))
@@ -463,6 +532,19 @@ class TestProjectionSynthesisRetro:
                 np.testing.assert_allclose(got.mat, expected.mat, rtol=0,
                                            atol=1e-14, err_msg=f"{(n, m)}")
 
+    def test_support_block_equals_the_full_matrix_route_bit_for_bit(self):
+        rng = np.random.default_rng(1702)
+        for truncation in range(1, 65):
+            space = FockSpace(truncation)
+            for _ in range(4):
+                n = int(rng.integers(0, min(truncation, 4) + 1))
+                m = int(rng.integers(0, min(truncation - n, 4 - n) + 1))
+                ref = random_reference(rng, int(rng.integers(1, min(space.dim, 5) + 1)))
+                bs = BeamSplitter(float(rng.uniform(0.1, 1.4)))
+                got = projection_synthesis_retro(ref, n, m, bs, space).mat
+                want = full_matrix_synthesis_retro(ref, n, m, bs, space).mat
+                assert _same_bits(got, want), (truncation, n, m)
+
     def test_reference_longer_than_truncation(self):
         with pytest.raises(DimensionMismatch):
             projection_synthesis_retro(ReferenceState((0.6, 0.0, 0.0, 0.8)), 1, 0,
@@ -525,6 +607,16 @@ class TestScissorsOutput:
         with pytest.raises(ZeroProbabilityError):
             scissors_output(ReferenceState((0.0, 1.0)), BeamSplitter(0.0),
                             FockSpace(3))
+
+    def test_support_block_equals_the_full_matrix_route_bit_for_bit(self):
+        rng = np.random.default_rng(1703)
+        for truncation in range(1, 65):
+            space = FockSpace(truncation)
+            for _ in range(2):
+                ref = random_reference(rng, int(rng.integers(2, min(space.dim, 5) + 1)))
+                bs = BeamSplitter(float(rng.uniform(0.1, 1.4)))
+                got = scissors_output(ref, bs, space).mat
+                assert _same_bits(got, full_matrix_scissors_output(ref, bs, space).mat)
 
     @pytest.mark.parametrize("n_trunc", [6, 12, 24])
     def test_matches_dense_resource_route(self, n_trunc):
