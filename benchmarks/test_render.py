@@ -5,14 +5,23 @@ Run from the repository root (not part of the tier-1 suite)::
     PYTHONPATH=src python -m pytest benchmarks
 
 Each case executes one scenario once and then times only the rendering of
-its result document: ``detector`` at truncation N in {8, 16, 32, 64}, and
-``retrodict`` at dimension d in {4, 16} with k = 2d events and outcomes.
+its result document: ``detector``, ``synthesis`` and ``scissors`` at
+truncation N in {8, 16, 32, 64, 256, 2000}, and ``retrodict`` at
+dimension d in {4, 16} with k = 2d events and outcomes.
 """
 
 import numpy as np
 import pytest
 
 from qretrodict import cli
+
+#: Parameters of each optics kind, besides its truncation.
+_OPTICS = {
+    "detector": {"counts": 3, "efficiency": 0.8},
+    "synthesis": {"reference": [[0.6, 0.0], [0.0, 0.48], [0.64, 0.0]],
+                  "counts_b": 2, "counts_c": 1, "theta": 0.7},
+    "scissors": {"reference": [[0.8, 0.0], [0.0, -0.6]], "theta": 0.9},
+}
 
 
 def _pairs(mat):
@@ -41,10 +50,11 @@ def _result(doc):
     return cli.execute(cli.validate_document(doc))
 
 
-@pytest.mark.parametrize("truncation", [8, 16, 32, 64])
-def test_render_detector(benchmark, truncation):
-    result = _result({"kind": "detector", "parameters": {
-        "truncation": truncation, "counts": 3, "efficiency": 0.8}})
+@pytest.mark.parametrize("truncation", [8, 16, 32, 64, 256, 2000])
+@pytest.mark.parametrize("kind", sorted(_OPTICS))
+def test_render_optics(benchmark, kind, truncation):
+    result = _result({"kind": kind, "parameters": dict(
+        _OPTICS[kind], truncation=truncation)})
     benchmark(cli.render_json, result)
 
 

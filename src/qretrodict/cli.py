@@ -30,7 +30,12 @@ time by the C encoder and poured into a template of its indented layout.
 Operator matrices, and the echoed ``retrodict`` matrices of floats, stay
 numpy arrays up to that point, and each distinct magnitude in one is
 encoded only once.  A matrix holding a JSON integer is echoed from its
-list, since ``1`` must not render as ``1.0``.
+list, since ``1`` must not render as ``1.0``.  An array that is nearly
+all ``+0.0``, as an optics state is beyond its few photons, takes a
+sparse route: only its other entries are encoded, each spliced into the
+cached text of an all-``0.0`` row, and a row without one is that cached
+text itself, so the work follows the non-zero entries and not the
+truncation.  Dense arrays, and any under 64 entries, keep the templates.
 """
 
 from __future__ import annotations
@@ -686,6 +691,50 @@ def _float_texts(value: np.ndarray) -> list:
     return np.array(texts + ["-" + text for text in texts], dtype=object)[index].tolist()
 
 
+#: An array of 64 entries or more, of which fewer than one in this many
+#: has bits that are not all zero, is rendered by :func:`_emit_sparse`.
+#: At (9, 9, 2) to (41, 41, 2), entries at random places, the two routes
+#: took the same time at a density of 0.3-0.4 on a 2-vCPU Xeon host.
+_SPARSE_RATIO = 3
+
+
+@functools.lru_cache(maxsize=64)
+def _zero_row(shape: tuple, nl: str) -> tuple:
+    """The text of an all-``0.0`` row of ``shape`` laid out as :func:`_template`
+    lays it out, and the offset of each entry's ``0.0`` in it, in C order."""
+    gaps = _template(shape, nl).split("%s")
+    offsets = itertools.accumulate((3 + len(gap) for gap in gaps[1:-1]),
+                                   initial=len(gaps[0]))
+    return "0.0".join(gaps), tuple(offsets)
+
+
+def _emit_sparse(flat: np.ndarray, shape: tuple, inner: str, out: list):
+    """Append the rows of the float64 array ``flat`` of ``shape`` to ``out``,
+    each started by ``inner`` and ended by ``,``: the text of an all-``0.0``
+    row, with the text of each entry that is not ``0.0`` spliced in at its
+    offset.  A row without such an entry is the cached text itself."""
+    # An entry's text is not "0.0" exactly where its bits are not all zero:
+    # -0.0 and NaN of either sign included.
+    entries = flat.view(np.int64).nonzero()[0]
+    zero, offsets = _zero_row(shape[1:], inner)
+    size, blank = len(offsets), (inner, zero, ",")
+    row, start = 0, None  # the next row to write, and the written end of an open one
+    for entry, text in zip(entries.tolist(), _float_texts(flat[entries])):
+        at, slot = divmod(entry, size)
+        if at >= row:
+            if start is not None:
+                out += (zero[start:], ",")
+            out += blank * (at - row)
+            out.append(inner)
+            row, start = at + 1, 0
+        offset = offsets[slot]
+        out += (zero[start:offset], text)
+        start = offset + 3
+    if start is not None:
+        out += (zero[start:], ",")
+    out += blank * (shape[0] - row)
+
+
 def _emit(value, nl: str, out: list):
     """Append the text of ``value`` to ``out``; ``nl`` starts its lines.
 
@@ -702,11 +751,15 @@ def _emit(value, nl: str, out: list):
     elif isinstance(value, np.ndarray):
         # A non-empty float64 array of [re, im] pairs, laid out one
         # outermost row at a time from the shape.
-        texts = _float_texts(value)
-        row, size = _template(value.shape[1:], inner), len(texts) // value.shape[0]
         out.append("[")
-        for start in range(0, len(texts), size):
-            out += (inner, row % tuple(texts[start:start + size]), ",")
+        flat = value.reshape(-1)
+        if flat.size < 64 or np.count_nonzero(flat.view(np.int64)) * _SPARSE_RATIO > flat.size:
+            texts = _float_texts(flat)
+            row, size = _template(value.shape[1:], inner), len(texts) // value.shape[0]
+            for start in range(0, len(texts), size):
+                out += (inner, row % tuple(texts[start:start + size]), ",")
+        else:
+            _emit_sparse(flat, value.shape, inner, out)
         out[-1] = nl + "]"
     elif isinstance(value, (list, tuple)) and value:
         array = _numeric_array(value)

@@ -76,12 +76,23 @@ class Operator:
     dims: ModeDims = field(default=None)
 
     def __post_init__(self):
-        mat = np.array(self.mat, dtype=complex)
+        self._seal(np.array(self.mat, dtype=complex), self.dims)
+
+    @classmethod
+    def _adopt(cls, mat: np.ndarray, dims: DimsLike = None) -> "Operator":
+        """The operator of ``mat``, a complex128 matrix that its caller made
+        and hands over: checked and made read-only as by the constructor,
+        but not copied."""
+        op = object.__new__(cls)
+        op._seal(np.asarray(mat, dtype=complex), dims)
+        return op
+
+    def _seal(self, mat: np.ndarray, dims):
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValidationError(f"operator matrix must be square, got shape {mat.shape}")
         if not np.all(np.isfinite(mat)):
             raise ValidationError("operator entries must be finite (no NaN/Inf)")
-        dims = _as_mode_dims(self.dims) if self.dims is not None else ModeDims((mat.shape[0],))
+        dims = _as_mode_dims(dims) if dims is not None else ModeDims((mat.shape[0],))
         if dims.total_dim != mat.shape[0]:
             raise DimensionMismatch(
                 f"mode dims {dims.dims} give total dimension {dims.total_dim}, "

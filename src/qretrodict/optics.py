@@ -315,7 +315,7 @@ def inefficient_detector_retro(n: int, eta: float, space: FockSpace) -> Operator
         diagonal = _log_detector_diagonal(n, eta, space.dim)
     mat = np.zeros((space.dim, space.dim), dtype=complex)
     np.fill_diagonal(mat, diagonal)
-    return Operator(mat)
+    return Operator._adopt(mat)
 
 
 def _on_support(block: np.ndarray, space: FockSpace) -> Operator:
@@ -323,7 +323,7 @@ def _on_support(block: np.ndarray, space: FockSpace) -> Operator:
     elsewhere."""
     mat = np.zeros((space.dim, space.dim), dtype=complex)
     mat[:block.shape[0], :block.shape[1]] = block
-    return Operator(mat)
+    return Operator._adopt(mat)
 
 
 def _synthesis_block(ref: ReferenceState, n: int, m: int, bs: BeamSplitter,

@@ -1060,8 +1060,9 @@ def test_purity_agrees_with_the_dense_product(kind):
 @pytest.mark.parametrize("kind", sorted(_OPTICS_DOCS))
 def test_execute_at_the_truncation_cap_stays_within_its_memory_bound(kind):
     # Each output is one (N+1)^2 complex matrix, 61 MiB at N = 2000, which
-    # Operator copies on construction: 126 MiB measured for every kind, where
-    # dense (N+1)^3 products and (N+1)^2 temporaries took 248-309 MiB.
+    # the Operator takes over without a copy: 65 MiB measured for every kind.
+    # A second copy of the output (126 MiB), or dense (N+1)^3 products and
+    # (N+1)^2 temporaries (248-309 MiB), would break the bound.
     scenario = validate_document({"kind": kind, "parameters": dict(
         _OPTICS_DOCS[kind], truncation=2000)})
     tracemalloc.start()
@@ -1070,16 +1071,44 @@ def test_execute_at_the_truncation_cap_stays_within_its_memory_bound(kind):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 150 * 2 ** 20
+    assert peak < 75 * 2 ** 20
 
 
-@pytest.mark.parametrize("truncation", [1, 8, 40])
+#: SHA-256 of ``render_json`` of each ``_OPTICS_DOCS`` kind at N = 2000,
+#: recorded with the renderer that formatted every entry of an array.
+_CAP_DIGESTS = {
+    "detector": "eb66e0cb2582f6c6ec52863472713d781cce4b4385f4012c79e97d6b1288ab63",
+    "scissors": "4981159a645d7e64d4b1cdbccc7fc46234d69ac3ba1d2a19aeebe0aa63a0d344",
+    "synthesis": "ed490aa2e24dc46e26bd4e5f499682b3df91e9c4b6ab3148bdd008ab424f849d",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_OPTICS_DOCS))
+def test_documents_at_the_truncation_cap_render_their_recorded_bytes(kind):
+    result = execute(validate_document({"kind": kind, "parameters": dict(
+        _OPTICS_DOCS[kind], truncation=2000)}))
+    digest = hashlib.sha256(render_json(result).encode()).hexdigest()
+    assert digest == _CAP_DIGESTS[kind]
+
+
+@pytest.mark.parametrize("truncation", [1, 8, 40, 256])
 @pytest.mark.parametrize("kind", sorted(_OPTICS_DOCS))
 def test_operators_render_like_json_dumps_of_plain_values(tmp_path, kind, truncation):
     result = write_result(tmp_path, {"kind": kind, "parameters": dict(
         _OPTICS_DOCS[kind], truncation=truncation)})
     document = result.to_json_obj()
     assert _json_native(document)
+    assert render_json(result) == dumps_oracle(document)
+
+
+@pytest.mark.parametrize("truncation", [40, 256])
+def test_a_detector_that_counted_every_photon_renders_like_json_dumps(tmp_path, truncation):
+    # The only entry of its state that is not 0.0 is the last one of the last row.
+    result = write_result(tmp_path, {"kind": "detector", "parameters": {
+        "counts": truncation, "efficiency": 0.7, "truncation": truncation}})
+    (operator,) = result.operators.values()
+    assert np.flatnonzero(operator["matrix"]).tolist() == [(truncation + 1) ** 2 * 2 - 2]
+    document = result.to_json_obj()
     assert render_json(result) == dumps_oracle(document)
 
 
@@ -1152,6 +1181,71 @@ def _nested_float_array(draw):
 def test_array_renderer_matches_json_dumps_of_its_list(pair):
     value, plain = pair
     assert cli._dumps(value) == dumps_oracle(plain)
+
+
+_specials = st.sampled_from(
+    [-0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e16, 1e-05]) \
+    | st.floats()
+
+
+@st.composite
+def _sparse_float_array(draw):
+    """A float64 array of depth 1-4, often ``(R, C, 2)``, of +0.0 but for a
+    few drawn specials at row starts, row ends, in the first and the last
+    row or anywhere, and a random fill of a density on either side of the
+    renderer's route cutoff.  Wrapped in a dict half the time; returns the
+    value with the array and with its ``tolist()``."""
+    if draw(st.booleans()):
+        shape = (draw(st.integers(1, 12)), draw(st.integers(1, 12)), 2)
+    else:
+        shape = tuple(draw(st.lists(st.integers(1, 8), min_size=1, max_size=4)))
+    array = np.zeros(shape)
+    rows = array.reshape(shape[0], -1)
+    for _ in range(draw(st.integers(0, 6))):
+        row = draw(st.integers(0, rows.shape[0] - 1))
+        column = draw(st.integers(0, rows.shape[1] - 1))
+        place = draw(st.sampled_from(["start", "end", "first", "last", "any"]))
+        row = {"first": 0, "last": rows.shape[0] - 1}.get(place, row)
+        column = {"start": 0, "end": rows.shape[1] - 1}.get(place, column)
+        rows[row, column] = draw(_specials)
+    density = draw(st.sampled_from([0.0, 0.02, 0.1, 0.3, 0.4, 0.7]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    fill = rng.random(array.size) < density
+    pool = np.array([-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e-05, 0.5, -0.5])
+    array.reshape(-1)[fill] = np.where(rng.random(fill.sum()) < 0.5,
+                                       rng.standard_normal(fill.sum()),
+                                       rng.choice(pool, fill.sum()))
+    if draw(st.booleans()):
+        return {"a": 1, "m": array}, {"a": 1, "m": array.tolist()}
+    return array, array.tolist()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(pair=_sparse_float_array())
+@example(pair=(np.zeros((9, 9, 2)), np.zeros((9, 9, 2)).tolist()))
+@example(pair=(np.diag([-0.0] * 8).reshape(8, 4, 2), np.diag([-0.0] * 8).reshape(8, 4, 2).tolist()))
+@example(pair=(np.diag([math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e16, 1e-05]),
+               np.diag([math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e16,
+                        1e-05]).tolist()))
+def test_sparse_array_renderer_matches_json_dumps_of_its_list(pair):
+    value, plain = pair
+    assert cli._dumps(value) == dumps_oracle(plain)
+
+
+def test_arrays_of_few_non_zero_entries_take_the_sparse_route(monkeypatch):
+    # One entry in three that is not +0.0 takes the splice; one entry more,
+    # the row templates.  Both must render the same bytes as json.dumps.
+    routes = []
+    splice = cli._emit_sparse
+    monkeypatch.setattr(cli, "_emit_sparse", lambda *args: routes.append(args) or splice(*args))
+    cutoff = 72 // cli._SPARSE_RATIO
+    for count, sparse in ((cutoff, True), (cutoff + 1, False)):
+        array = np.zeros((9, 4, 2))  # 72 entries
+        array.reshape(-1)[-count:] = -0.0
+        array.reshape(-1)[-1] = 1.5
+        routes.clear()
+        assert cli._dumps(array) == dumps_oracle(array.tolist())
+        assert bool(routes) is sparse
 
 
 # JSON values for the renderer's oracle test: odd scalars, strings with

@@ -64,6 +64,23 @@ class TestConstruction:
         src[0, 0] = 7.0
         assert op.mat[0, 0] == 1.0
 
+    def test_constructor_neither_freezes_nor_aliases_a_complex_input(self):
+        src = np.eye(3, dtype=complex)
+        op = Operator(src)
+        assert src.flags.writeable
+        assert not np.shares_memory(op.mat, src)
+        assert not op.mat.flags.writeable
+
+    def test_adopted_matrix_is_checked_and_frozen_without_a_copy(self):
+        src = np.eye(3, dtype=complex)
+        op = Operator._adopt(src, (3,))
+        assert op.mat is src and not src.flags.writeable
+        assert op.dims == ModeDims((3,))
+        bad = np.eye(2, dtype=complex)
+        bad[0, 1] = np.nan
+        with pytest.raises(ValidationError):
+            Operator._adopt(bad)
+
 
 class TestTensor:
     def test_entrywise_against_index_formula(self):
