@@ -17,10 +17,7 @@ from typing import Hashable, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ValidationError, ZeroProbabilityError
-
-#: Tolerance for normalization checks on user-supplied distributions.
-CONSTRUCTION_TOL = 1e-9
+from .errors import TOL, ValidationError, ZeroProbabilityError
 
 
 def _as_labels(labels: Sequence[Hashable], what: str) -> Tuple[Hashable, ...]:
@@ -42,7 +39,7 @@ class EventSpace:
         Distinct event identifiers, in a fixed order.
     priors : sequence of float
         One probability per label; nonnegative, summing to 1 within
-        ``CONSTRUCTION_TOL``.  Never renormalized silently.
+        ``errors.TOL``.  Never renormalized silently.
     """
 
     labels: Tuple[Hashable, ...]
@@ -60,7 +57,7 @@ class EventSpace:
         if np.any(priors < 0):
             raise ValidationError(f"priors must be nonnegative, got {priors}")
         total = float(priors.sum())
-        if abs(total - 1.0) > CONSTRUCTION_TOL:
+        if abs(total - 1.0) > TOL:
             raise ValidationError(f"priors must sum to 1, got {total!r}")
         priors.flags.writeable = False
         object.__setattr__(self, "labels", labels)
@@ -82,7 +79,7 @@ class ConditionalTable:
 
     Rows are indexed by conditioning-event label, columns by outcome
     label.  Every row must be nonnegative and sum to 1 within
-    ``CONSTRUCTION_TOL``; malformed rows are rejected, never rescaled.
+    ``errors.TOL``; malformed rows are rejected, never rescaled.
     """
 
     row_labels: Tuple[Hashable, ...]
@@ -105,7 +102,7 @@ class ConditionalTable:
         if np.any(probs < 0):
             raise ValidationError("conditional probabilities must be nonnegative")
         sums = probs.sum(axis=1)
-        bad = np.abs(sums - 1.0) > CONSTRUCTION_TOL
+        bad = np.abs(sums - 1.0) > TOL
         if np.any(bad):
             offender = rows[int(np.argmax(bad))]
             raise ValidationError(

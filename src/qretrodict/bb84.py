@@ -22,8 +22,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .bayes import ConditionalTable
-from .errors import ValidationError
-from .hilbert import DEFAULT_TOL
+from .errors import TOL, ValidationError
 
 #: Canonical label order used by every table in this module.
 LABELS = ("L", "R", "V", "H")
@@ -66,7 +65,7 @@ class PolarizationState:
         if len(amps) != 2:
             raise ValidationError("polarization amplitudes must have two components")
         norm_sq = abs(amps[0]) ** 2 + abs(amps[1]) ** 2
-        if abs(norm_sq - 1.0) > DEFAULT_TOL:
+        if abs(norm_sq - 1.0) > TOL:
             raise ValidationError(f"amplitudes must be normalized, |a|^2 = {norm_sq!r}")
         object.__setattr__(self, "amplitudes", amps)
 
@@ -131,7 +130,7 @@ def retrodictive_table() -> ConditionalTable:
     return ConditionalTable(LABELS, LABELS, predictive_table().probs.T)
 
 
-def eavesdrop_flag(slot: SlotRecord, tol: float = DEFAULT_TOL) -> bool:
+def eavesdrop_flag(slot: SlotRecord) -> bool:
     """Whether a slot's preparation/outcome pair is impossible over an honest channel.
 
     True iff the preparation and the outcome state are orthogonal: such a
@@ -140,7 +139,7 @@ def eavesdrop_flag(slot: SlotRecord, tol: float = DEFAULT_TOL) -> bool:
     """
     alice = PolarizationState.canonical(slot.alice_choice)
     bob = PolarizationState.canonical(slot.bob_outcome)
-    return alice.overlap_probability(bob) < tol
+    return alice.overlap_probability(bob) < TOL
 
 
 @dataclass(frozen=True)

@@ -7,14 +7,14 @@ tables, labelled real arrays, complex operators, scalars and
 diagnostics.  Output is deterministic: the same scenario file always
 produces byte-identical JSON.
 
-Exit codes: 0 success, 2 unreadable/unparsable scenario (nesting too
-deep for the parser included), 3 validation
-failure (schema or domain invariants; the schema caps ``truncation`` at
-2000 photons and BB84 ``slots`` at 10^7, or 10^6 with records, so
-oversized documents exit 3 before any allocation; an integer beyond the
-double-precision range where a real number is expected also exits 3),
-4 computation failure (for example conditioning on a zero-probability
-outcome, or a scenario too large for the available memory).
+Exit codes: 0 success, 1 an ``--out`` path that cannot be written, 2
+unreadable/unparsable scenario (nesting too deep for the parser included),
+3 validation failure (schema or domain invariants; the schema caps
+``truncation`` at 2000 photons and BB84 ``slots`` at 10^7, or 10^6 with
+records, so oversized documents exit 3 before any allocation; an integer
+beyond the double-precision range where a real number is expected also
+exits 3), 4 computation failure (for example conditioning on an outcome
+of zero probability, or a scenario too large for the available memory).
 
 Validation is one in-module walk of the shipped schema, which also
 words every rejection.  At each matrix and vector ``$ref`` one flat pass
@@ -56,6 +56,8 @@ import numpy as np
 
 from . import bayes, bb84, optics, retrodict
 from .errors import (
+    TOL,
+    TRACE_TOL,
     BiasedSourceError,
     ComputationError,
     NumericIntegrityError,
@@ -70,9 +72,6 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_COMPUTATION = 4
-
-#: Every emitted probability-table row must sum to 1 within this tolerance.
-TABLE_ROW_SUM_TOL = 1e-9
 
 #: Python types of a JSON number, as a parsed document holds them.
 _NUMBER_TYPES = frozenset((int, float))
@@ -327,7 +326,7 @@ class ResultDocument:
         for name, table in self.tables.items():
             for row_label, row in zip(table["rows"], table["values"]):
                 total = sum(row)
-                if not abs(total - 1.0) <= TABLE_ROW_SUM_TOL:
+                if not abs(total - 1.0) <= TOL:
                     raise NumericIntegrityError(
                         f"table {name!r} row {row_label!r} sums to {total!r}, "
                         f"expected 1"
@@ -486,7 +485,7 @@ def _run_retrodict(scenario: Scenario, result: ResultDocument):
 
     result.tables["outcome_distribution"] = _array(
         ["prior"], pom.labels, [outcome_dist])
-    active = ~(weights <= retrodict.TRACE_TOL)
+    active = ~(weights <= TRACE_TOL)
     if active.any():
         rows = (retrodict.retro_conditional_unbiased(prep, pom.stack[active])
                 if prep is not None

@@ -6,6 +6,13 @@ raised while computing (zero-probability outcomes, numeric integrity
 violations) are computation errors.
 """
 
+#: Absolute tolerance of every completeness, normalization, positivity and
+#: probability-range check in the package.
+TOL = 1e-9
+
+#: Weight at or below which an outcome counts as having zero probability.
+TRACE_TOL = 1e-12
+
 
 class QRetrodictError(Exception):
     """Base class for all errors raised by this package."""

@@ -19,10 +19,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import DimensionMismatch, ValidationError
-
-#: Default absolute tolerance for the numerical predicates.
-DEFAULT_TOL = 1e-9
+from .errors import TOL, DimensionMismatch, ValidationError
 
 DimsLike = Union["ModeDims", Sequence[int]]
 
@@ -186,11 +183,11 @@ def add(a: Operator, b: Operator) -> Operator:
     return Operator(a.mat + b.mat, a.dims)
 
 
-def is_hermitian(op: Operator, tol: float = DEFAULT_TOL) -> bool:
+def is_hermitian(op: Operator, tol: float = TOL) -> bool:
     return bool(np.max(np.abs(op.mat - op.mat.conj().T)) <= tol)
 
 
-def psd_mask(mats: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def psd_mask(mats: np.ndarray, tol: float = TOL) -> np.ndarray:
     """:func:`is_psd` of each matrix ``mats[..., :, :]``, with one batched
     hermiticity test and one batched ``eigvalsh`` call for all of them."""
     adj = np.swapaxes(mats, -1, -2).conj()
@@ -199,11 +196,11 @@ def psd_mask(mats: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     return hermitian & (smallest >= -tol)
 
 
-def is_psd(op: Operator, tol: float = DEFAULT_TOL) -> bool:
+def is_psd(op: Operator, tol: float = TOL) -> bool:
     """Positive semidefinite within ``tol``: hermitian, smallest eigenvalue >= -tol."""
     return bool(psd_mask(op.mat, tol))
 
 
-def is_unitary(op: Operator, tol: float = DEFAULT_TOL) -> bool:
+def is_unitary(op: Operator, tol: float = TOL) -> bool:
     gram = op.mat.conj().T @ op.mat
     return bool(np.max(np.abs(gram - np.eye(op.total_dim))) <= tol)

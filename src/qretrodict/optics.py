@@ -28,11 +28,8 @@ from typing import Sequence
 
 import numpy as np
 
-from . import retrodict
-from .errors import DimensionMismatch, ValidationError, ZeroProbabilityError
+from .errors import TOL, TRACE_TOL, DimensionMismatch, ValidationError, ZeroProbabilityError
 from .hilbert import ModeDims, Operator
-
-NORMALIZATION_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -83,7 +80,7 @@ class ReferenceState:
         if not np.all(np.isfinite(amps)):
             raise ValidationError("reference amplitudes must be finite")
         norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > NORMALIZATION_TOL:
+        if abs(norm_sq - 1.0) > TOL:
             raise ValidationError(
                 f"reference amplitudes must be normalized, |c|^2 = {norm_sq!r}"
             )
@@ -327,7 +324,7 @@ def _on_support(block: np.ndarray, space: FockSpace) -> Operator:
 
 
 def _synthesis_block(ref: ReferenceState, n: int, m: int, bs: BeamSplitter,
-                     space: FockSpace, trace_tol: float) -> np.ndarray:
+                     space: FockSpace) -> np.ndarray:
     """The leading (n+m+1) x (n+m+1) block of :func:`projection_synthesis_retro`,
     whose state is zero outside it."""
     n = int(n)
@@ -354,7 +351,7 @@ def _synthesis_block(ref: ReferenceState, n: int, m: int, bs: BeamSplitter,
     diagonal = np.zeros(space.dim, dtype=complex)
     diagonal[:total + 1] = np.diagonal(element)
     tr = float(diagonal.sum().real)
-    if tr <= trace_tol:
+    if tr <= TRACE_TOL:
         raise ZeroProbabilityError(
             f"outcome (n={n}, m={m}) has zero probability for this reference "
             f"field; no retrodictive state exists"
@@ -363,8 +360,7 @@ def _synthesis_block(ref: ReferenceState, n: int, m: int, bs: BeamSplitter,
 
 
 def projection_synthesis_retro(ref: ReferenceState, n: int, m: int,
-                               bs: BeamSplitter, space: FockSpace,
-                               trace_tol: float = retrodict.TRACE_TOL) -> Operator:
+                               bs: BeamSplitter, space: FockSpace) -> Operator:
     """Retrodictive state synthesized by counting (n, m) photons behind a beam splitter.
 
     Feeding the reference field into the auxiliary port and registering
@@ -379,11 +375,10 @@ def projection_synthesis_retro(ref: ReferenceState, n: int, m: int,
         If the (n, m) outcome has zero probability for this reference
         field and coupling.
     """
-    return _on_support(_synthesis_block(ref, n, m, bs, space, trace_tol), space)
+    return _on_support(_synthesis_block(ref, n, m, bs, space), space)
 
 
-def scissors_output(ref: ReferenceState, bs: BeamSplitter, space: FockSpace,
-                    trace_tol: float = retrodict.TRACE_TOL) -> Operator:
+def scissors_output(ref: ReferenceState, bs: BeamSplitter, space: FockSpace) -> Operator:
     """Mode-d state prepared by the quantum-scissors device.
 
     The single-photon entangled resource (a photon split 50:50 between
@@ -392,7 +387,7 @@ def scissors_output(ref: ReferenceState, bs: BeamSplitter, space: FockSpace,
     result truncates the reference to its vacuum and one-photon parts,
     reweighted by the beam-splitter angle.
     """
-    retro = _synthesis_block(ref, 1, 0, bs, space, trace_tol)
+    retro = _synthesis_block(ref, 1, 0, bs, space)
     # The resource U|1,0> is column 1 of the one-photon block: psi[a] is
     # the amplitude of |n_d = a, n_b = 1-a>.  Projecting mode b onto the
     # retrodictive state leaves psi[a] retro[1-b, 1-a] psi[b]* on n_d <= 1.
@@ -406,7 +401,7 @@ def scissors_output(ref: ReferenceState, bs: BeamSplitter, space: FockSpace,
         for b in range(2):
             out[a, b] = psi[a] * retro[1 - b, 1 - a] * np.conj(psi[b])
     tr = float(np.trace(out).real)
-    if tr <= trace_tol:
+    if tr <= TRACE_TOL:
         raise ZeroProbabilityError(
             "the scissors projection has zero probability for this reference "
             "field and coupling"

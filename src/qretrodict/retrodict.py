@@ -28,41 +28,34 @@ import numpy as np
 
 from . import hilbert
 from .errors import (
+    TOL,
+    TRACE_TOL,
     BiasedSourceError,
     DimensionMismatch,
     NumericIntegrityError,
     ValidationError,
     ZeroProbabilityError,
 )
-from .hilbert import DEFAULT_TOL, ModeDims, Operator
-
-#: Tolerance for completeness / normalization checks at construction time.
-COMPLETENESS_TOL = 1e-9
-
-#: Default floor below which an outcome's weight counts as zero probability.
-TRACE_TOL = 1e-12
+from .hilbert import ModeDims, Operator
 
 
-def _real_trace(op: Operator) -> float:
-    return float(np.trace(op.mat).real)
+def _overlaps(ops: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """``tr(ops[a] @ stack[b])`` for every a and b, one einsum per row a.
 
-
-def _overlaps(op: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """``tr(op @ stack[b])`` for every b, one einsum for the whole row.
-
-    Each entry has the bits of ``einsum('ij,ji->', op, stack[b])``; a
-    batched ``'aij,bji->ab'`` over several rows does not, already at d=2.
+    Each entry has the bits of ``einsum('ij,ji->', ops[a], stack[b])``; a
+    batched ``'aij,bji->ab'`` over all rows does not, already at d=2.
     """
-    return np.einsum("ij,bji->b", op, stack)
+    raw = np.empty((len(ops), len(stack)), dtype=complex)
+    for a, op in enumerate(ops):
+        raw[a] = np.einsum("ij,bji->b", op, stack)
+    return raw
 
 
 def _born_rows(states: np.ndarray, stack: np.ndarray, tol: float) -> np.ndarray:
     """:func:`born_probability` of each of ``states`` for each element, a
-    row per state, one :func:`_overlaps` einsum each.  The range is
-    checked once for the table, and its first fault in row order raises."""
-    raw = np.empty((len(states), len(stack)), dtype=complex)
-    for i, state in enumerate(states):
-        raw[i] = _overlaps(state, stack)
+    row per state.  The range is checked once for the table, and its
+    first fault in row order raises."""
+    raw = _overlaps(states, stack)
     p = raw.real
     complex_part = np.abs(raw.imag) > tol
     bad = complex_part | (p < -tol) | (p > 1.0 + tol)
@@ -85,7 +78,7 @@ def _check_dims(states: ModeDims, dims: ModeDims):
 
 
 def _traces(stack: np.ndarray) -> np.ndarray:
-    """The real part of each matrix's trace, bit for bit :func:`_real_trace`."""
+    """The real part of each matrix's trace, with the bits of its own ``np.trace``."""
     return np.trace(stack, axis1=1, axis2=2).real
 
 
@@ -100,7 +93,7 @@ class OperatorStack:
 
     Construction checks that the entries are finite and the labels unique,
     then element by element that each lives on the first one's dims and is
-    positive semidefinite within ``COMPLETENESS_TOL``, then the whole set;
+    positive semidefinite within ``errors.TOL``, then the whole set;
     the first fault found raises.  Each element check is one batched test
     of the whole stack (one :func:`hilbert.psd_mask` call for positivity),
     and the first fault in element order is read off their table.
@@ -115,7 +108,7 @@ class OperatorStack:
     kind = "operator stack"
     noun = "element"
     #: How far outside ``[0, 1]`` an overlap with an element may fall.
-    _row_tol = DEFAULT_TOL
+    _row_tol = TOL
 
     def __init__(self, elements: Iterable[Tuple[Hashable, Operator]]):
         pairs = tuple((label, op) for label, op in elements)
@@ -164,7 +157,7 @@ class OperatorStack:
             *self._faults_before(labels),
             (np.arange(len(labels)) == n, lambda i: DimensionMismatch(
                 f"{self._name(labels[i])} lives on dims {dims[i]}, expected {expected}")),
-            (~hilbert.psd_mask(stack, COMPLETENESS_TOL), lambda i: ValidationError(
+            (~hilbert.psd_mask(stack), lambda i: ValidationError(
                 f"{self._name(labels[i])} is not positive semidefinite")),
             *self._faults_after(labels, stack),
         ]
@@ -256,7 +249,7 @@ class Pom(OperatorStack):
 
     def _check_set(self):
         deviation = _completeness_deviation(self.stack)
-        if deviation > COMPLETENESS_TOL:
+        if deviation > TOL:
             raise ValidationError(f"{self.kind} elements must sum to the identity; "
                                   f"max deviation {deviation:.3e}")
 
@@ -273,9 +266,9 @@ class PreparationPom(Pom):
     @property
     def _row_tol(self) -> float:
         # Element a is d * prior_a * state_a, and each state passed its
-        # positivity check within DEFAULT_TOL, so its overlaps may stray
-        # up to d * prior_a <= d times that far outside [0, 1].
-        return self.dims.total_dim * DEFAULT_TOL
+        # positivity check within TOL, so its overlaps may stray up to
+        # d * prior_a <= d times that far outside [0, 1].
+        return self.dims.total_dim * TOL
 
 
 class BiasedElements(OperatorStack):
@@ -289,8 +282,8 @@ class BiasedElements(OperatorStack):
     kind = "biased-source"
 
     def _check_set(self):
-        total = sum(np.trace(self.stack, axis1=1, axis2=2).real.tolist())
-        if abs(total - 1.0) > COMPLETENESS_TOL:
+        total = sum(_traces(self.stack).tolist())
+        if abs(total - 1.0) > TOL:
             raise ValidationError(f"biased-source element traces must sum to 1 (they "
                                   f"are the priors), got {total!r}")
 
@@ -348,12 +341,12 @@ class PreparationEnsemble(OperatorStack):
 
     def _faults_after(self, labels: list, stack: np.ndarray) -> list:
         traces = _traces(stack)
-        return [(np.abs(traces - 1.0) > COMPLETENESS_TOL, lambda i: ValidationError(
+        return [(np.abs(traces - 1.0) > TOL, lambda i: ValidationError(
             f"state of event {labels[i]!r} has trace {float(traces[i])!r}, expected 1"))]
 
     def _check_set(self):
         total = sum(self.priors.tolist())
-        if abs(total - 1.0) > COMPLETENESS_TOL:
+        if abs(total - 1.0) > TOL:
             raise ValidationError(f"priors must sum to 1, got {total!r}")
 
     def state(self, label: Hashable) -> Operator:
@@ -367,14 +360,13 @@ class PreparationEnsemble(OperatorStack):
         return Operator(np.sum(self.priors[:, None, None] * self.stack, axis=0), self.dims)
 
 
-def born_probability(state: Operator, element: Operator,
-                     tol: float = DEFAULT_TOL) -> float:
+def born_probability(state: Operator, element: Operator) -> float:
     """Probability of the outcome ``element`` given the density operator ``state``.
 
-    The trace of the product must be real and inside ``[-tol, 1 + tol]``;
-    the return value is clamped onto ``[0, 1]``.  ``state`` is assumed to
-    be a valid density operator and ``element`` a positive operator — the
-    range check is the guard against violations.
+    The trace of the product must be real and inside ``[-TOL, 1 + TOL]``
+    (``errors.TOL``); the return value is clamped onto ``[0, 1]``.
+    ``state`` is assumed to be a valid density operator and ``element`` a
+    positive operator — the range check is the guard against violations.
 
     Raises
     ------
@@ -385,7 +377,7 @@ def born_probability(state: Operator, element: Operator,
         the tolerated probability range.
     """
     _check_dims(state.dims, element.dims)
-    return float(_born_rows(state.mat[None], element.mat[None], tol)[0, 0])
+    return float(_born_rows(state.mat[None], element.mat[None], TOL)[0, 0])
 
 
 def _preparation_stack(ens: PreparationEnsemble) -> Tuple[np.ndarray, float]:
@@ -395,18 +387,17 @@ def _preparation_stack(ens: PreparationEnsemble) -> Tuple[np.ndarray, float]:
     return stack, _completeness_deviation(stack)
 
 
-def is_unbiased(ens: PreparationEnsemble, tol: float = DEFAULT_TOL) -> bool:
+def is_unbiased(ens: PreparationEnsemble) -> bool:
     """Whether the source's average output is the maximally mixed state.
 
     Decided as the preparation POM's completeness: the elements
-    ``d * prior * state`` sum to the identity within ``tol``.  It holds
-    exactly when :func:`preparation_pom` with the same ``tol`` succeeds.
+    ``d * prior * state`` sum to the identity within ``errors.TOL``.  It
+    holds exactly when :func:`preparation_pom` succeeds.
     """
-    return _preparation_stack(ens)[1] <= tol
+    return _preparation_stack(ens)[1] <= TOL
 
 
-def preparation_pom(ens: PreparationEnsemble,
-                    tol: float = DEFAULT_TOL) -> PreparationPom:
+def preparation_pom(ens: PreparationEnsemble) -> PreparationPom:
     """Preparation POM of an unbiased ensemble.
 
     Each element is the event's density operator scaled by its prior and
@@ -417,12 +408,12 @@ def preparation_pom(ens: PreparationEnsemble,
     Raises
     ------
     BiasedSourceError
-        If the ensemble is not unbiased within ``tol``.  Biased sources
+        If the ensemble is not unbiased within ``errors.TOL``.  Biased sources
         have no preparation POM; use :meth:`BiasedElements.from_ensemble`
         with :func:`retro_conditional_biased` instead.
     """
     stack, deviation = _preparation_stack(ens)
-    if deviation > tol:
+    if deviation > TOL:
         raise BiasedSourceError(
             "ensemble is not unbiased, so it has no preparation POM; build "
             "BiasedElements.from_ensemble(ens) and use retro_conditional_biased"
@@ -430,7 +421,7 @@ def preparation_pom(ens: PreparationEnsemble,
     return PreparationPom._derived(ens, stack)
 
 
-def retro_state(element: Operator, trace_tol: float = TRACE_TOL) -> Operator:
+def retro_state(element: Operator) -> Operator:
     """Retrodictive density operator of a measurement outcome.
 
     This is the POM element normalized to unit trace: conditioned on the
@@ -440,11 +431,11 @@ def retro_state(element: Operator, trace_tol: float = TRACE_TOL) -> Operator:
     Raises
     ------
     ZeroProbabilityError
-        If the element's trace is at or below ``trace_tol``: an outcome
-        that cannot fire has no retrodictive state.
+        If the element's trace is at or below ``errors.TRACE_TOL``: an
+        outcome that cannot fire has no retrodictive state.
     """
-    tr = _real_trace(element)
-    if tr <= trace_tol:
+    tr = float(_traces(element.mat[None])[0])
+    if tr <= TRACE_TOL:
         raise _no_retro_state(tr)
     return hilbert.scale(element, 1.0 / tr)
 
@@ -460,12 +451,11 @@ def outcome_prior(element: Operator) -> float:
     Equals the element trace divided by the space dimension — the outcome
     probability for the maximally mixed input.
     """
-    return _real_trace(element) / element.dims.total_dim
+    return float(_traces(element.mat[None])[0]) / element.dims.total_dim
 
 
 def retro_conditional_unbiased(prep: PreparationPom, element: Operator | np.ndarray,
-                               event: Optional[Hashable] = None,
-                               trace_tol: float = TRACE_TOL) -> float | np.ndarray:
+                               event: Optional[Hashable] = None) -> float | np.ndarray:
     """Posterior probability of a preparation event given a measurement outcome.
 
     Valid for unbiased sources only: the posterior is the overlap of the
@@ -478,17 +468,11 @@ def retro_conditional_unbiased(prep: PreparationPom, element: Operator | np.ndar
     element, and no event, returns their rows, each bit for bit the row
     of its element alone.
     """
-    position = None if event is None else prep._position(event)
-    if isinstance(element, np.ndarray):
-        return _unbiased_rows(prep, _outcome_stack(element, prep, event), trace_tol)
-    _check_dims(element.dims, prep.dims)
-    row = _unbiased_rows(prep, element.mat[None], trace_tol)[0]
-    return row if position is None else float(row[position])
+    return _posterior(_unbiased_rows, prep, element, event)
 
 
 def retro_conditional_biased(lam: BiasedElements, element: Operator | np.ndarray,
-                             event: Optional[Hashable] = None,
-                             trace_tol: float = TRACE_TOL) -> float | np.ndarray:
+                             event: Optional[Hashable] = None) -> float | np.ndarray:
     """Posterior probability of a preparation event for a possibly biased source.
 
     The posterior is the overlap of the event's prior-weighted state with
@@ -510,33 +494,34 @@ def retro_conditional_biased(lam: BiasedElements, element: Operator | np.ndarray
     ZeroProbabilityError
         If every event has (numerically) zero overlap with the outcome.
     """
-    position = None if event is None else lam._position(event, "event")
+    return _posterior(_biased_rows, lam, element, event)
+
+
+def _posterior(rows, source: OperatorStack, element: Operator | np.ndarray,
+               event: Optional[Hashable]) -> float | np.ndarray:
+    """``event``'s posterior, or the row or rows, that ``rows(source, stack)``
+    gives for ``element``: an ``Operator`` on ``source``'s dims or a stack."""
+    position = None if event is None else source._position(event, "event")
     if isinstance(element, np.ndarray):
-        return _biased_rows(lam, _outcome_stack(element, lam, event), trace_tol)
-    if element.dims.dims != lam.dims.dims:
+        if event is not None:
+            raise ValidationError("an event selects from one element's row; "
+                                  "pass that element as an Operator")
+        if element.shape[1:] != source.stack.shape[1:]:
+            raise DimensionMismatch(f"elements of shape {element.shape[1:]} do not "
+                                    f"match source dims {source.dims.dims}")
+        return rows(source, element)
+    if element.dims.dims != source.dims.dims:
         raise DimensionMismatch(f"element dims {element.dims.dims} do not match "
-                                f"source dims {lam.dims.dims}")
-    row = _biased_rows(lam, element.mat[None], trace_tol)[0]
+                                f"source dims {source.dims.dims}")
+    row = rows(source, element.mat[None])[0]
     return row if position is None else float(row[position])
 
 
-def _outcome_stack(elements: np.ndarray, source: OperatorStack,
-                   event: Optional[Hashable]) -> np.ndarray:
-    if event is not None:
-        raise ValidationError("an event selects from one element's row; "
-                              "pass that element as an Operator")
-    if elements.shape[1:] != source.stack.shape[1:]:
-        raise DimensionMismatch(f"elements of shape {elements.shape[1:]} do not "
-                                f"match source dims {source.dims.dims}")
-    return elements
-
-
-def _unbiased_rows(prep: PreparationPom, elements: np.ndarray,
-                   trace_tol: float) -> np.ndarray:
+def _unbiased_rows(prep: PreparationPom, elements: np.ndarray) -> np.ndarray:
     # Each retrodictive state is its element scaled by one over its trace,
     # the bits of retro_state; the first zero-trace element stops the table.
     traces = _traces(elements)
-    zero = traces <= trace_tol
+    zero = traces <= TRACE_TOL
     n = int(np.argmax(zero)) if zero.any() else len(elements)
     states = elements[:n] * (1.0 / traces[:n]).astype(complex)[:, None, None]
     rows = _born_rows(states, prep.stack, prep._row_tol)
@@ -545,18 +530,14 @@ def _unbiased_rows(prep: PreparationPom, elements: np.ndarray,
     return rows
 
 
-def _biased_rows(lam: BiasedElements, elements: np.ndarray,
-                 trace_tol: float) -> np.ndarray:
+def _biased_rows(lam: BiasedElements, elements: np.ndarray) -> np.ndarray:
     # tr(lam_a E) as tr(E^T lam_a^T): the sum then runs over the entries in
     # the order of the single-pair einsum('ij,ji->', lam_a, E).
-    weighted = lam.stack.transpose(0, 2, 1)
-    raw = np.empty((len(elements), len(lam)), dtype=complex)
-    for i, element in enumerate(elements):
-        raw[i] = _overlaps(element.T, weighted)
-    bad = (np.abs(raw.imag) > DEFAULT_TOL) | (raw.real < -DEFAULT_TOL)
+    raw = _overlaps(elements.transpose(0, 2, 1), lam.stack.transpose(0, 2, 1))
+    bad = (np.abs(raw.imag) > TOL) | (raw.real < -TOL)
     overlaps = np.where(raw.real < 0.0, 0.0, raw.real)
     denominators = overlaps.sum(axis=1)
-    faulty = bad.any(axis=1) | (denominators <= trace_tol)
+    faulty = bad.any(axis=1) | (denominators <= TRACE_TOL)
     if faulty.any():
         row = int(np.argmax(faulty))
         if bad[row].any():
@@ -571,8 +552,7 @@ def _biased_rows(lam: BiasedElements, elements: np.ndarray,
 
 def predictive_conditional_subset(state: Operator, pom: Pom,
                                   subset: Iterable[Hashable],
-                                  outcome: Hashable,
-                                  trace_tol: float = TRACE_TOL) -> float:
+                                  outcome: Hashable) -> float:
     """Outcome probability when only a subset of outcomes is of interest.
 
     Conditions the ordinary outcome distribution of ``state`` on the
@@ -591,7 +571,7 @@ def predictive_conditional_subset(state: Operator, pom: Pom,
         raise ValidationError(f"outcome {outcome!r} is not in the subset {members!r}")
     probs = {label: born_probability(state, pom.element(label)) for label in members}
     total = sum(probs.values())
-    if total <= trace_tol:
+    if total <= TRACE_TOL:
         raise ZeroProbabilityError(
             "the subset of interest has zero probability; conditioning undefined"
         )

@@ -527,6 +527,17 @@ class TestExitCodes:
         assert main(["run", write_scenario(tmp_path, doc)]) == EXIT_VALIDATION
         assert message in json.loads(capsys.readouterr().err)["error"]["message"]
 
+    def test_unwritable_output_path_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "absent-dir" / "x.json"
+        path = write_scenario(tmp_path, bus_train_doc())
+        assert main(["run", path, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)["error"]
+        assert (error["category"], error["exit_code"]) == ("io", 1)
+        assert str(out) in error["message"]
+        assert not out.exists() and not out.parent.exists()
+
     def test_zero_probability_outcome_exits_4(self, tmp_path, capsys):
         doc = bus_train_doc()
         doc["parameters"]["conditional"] = [[1.0, 0.0], [1.0, 0.0]]

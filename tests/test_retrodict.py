@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qretrodict import bayes, hilbert, retrodict
+from qretrodict import bayes, errors, hilbert, retrodict
 from qretrodict.errors import (
     BiasedSourceError,
     DimensionMismatch,
@@ -209,10 +209,10 @@ class TestPreparationPom:
     @pytest.mark.parametrize("excess, accepted", [(0.5, True), (1.5, False)])
     def test_rows_may_leave_the_unit_range_by_d_times_the_tolerance(self, excess,
                                                                      accepted):
-        # A hand-built element holding 1 + excess * d * DEFAULT_TOL: states
-        # checked within DEFAULT_TOL, scaled by d * prior, can reach 1 + d * tol.
+        # A hand-built element holding 1 + excess * d * TOL: states checked
+        # within TOL, scaled by d * prior, can reach 1 + d * TOL.
         d = 4
-        over = 1.0 + excess * d * hilbert.DEFAULT_TOL
+        over = 1.0 + excess * d * errors.TOL
         basis = Pom(tuple((f"o{i}", ket(np.eye(d)[i])) for i in range(d)))
         stack = np.stack([np.diag(np.eye(d)[i] * (over if i == 0 else 1.0))
                           for i in range(d)]).astype(complex)
@@ -334,7 +334,7 @@ class TestRetroConditionalUnbiased:
 
     def test_unknown_event_label(self):
         prep = preparation_pom(polarization_ensemble())
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="unknown event label 'X'"):
             retro_conditional_unbiased(prep, 0.5 * ket(V), "X")
 
 
@@ -391,8 +391,8 @@ class TestRetroConditionalBiased:
 
     def test_unknown_event_label(self):
         lam = self.skewed_source()
-        with pytest.raises(ValidationError):
-            retro_conditional_biased(lam, ket([1, 0]), "2")
+        with pytest.raises(ValidationError, match="unknown event label 'X'"):
+            retro_conditional_biased(lam, ket([1, 0]), "X")
 
     @staticmethod
     def per_cell_posterior(lam, element, event):

@@ -233,6 +233,23 @@ def test_a_stack_of_outcomes_gives_rows_and_takes_no_event():
             posterior(source, pom.stack[:, :2, :2])
 
 
+@pytest.mark.parametrize("dims, message", [
+    # Same side length, other modes: the dims, not the shape, must match.
+    ((2, 2), r"element dims \(2, 2\) do not match source dims \(4,\)"),
+    ((3,), r"element dims \(3,\) do not match source dims \(4,\)"),
+], ids=["modes", "size"])
+def test_an_outcome_element_on_other_dims_is_a_dimension_mismatch(dims, message):
+    rng = np.random.default_rng(12)
+    prep = preparation_pom(random_unbiased_ensemble(rng, 4, 3))
+    lam = BiasedElements.from_ensemble(random_biased_ensemble(rng, 4, 3))
+    element = Operator(np.eye(math.prod(dims)) / 2, dims)
+    for posterior, source in ((retro_conditional_unbiased, prep),
+                              (retro_conditional_biased, lam)):
+        for event in (None, source.labels[0]):
+            with pytest.raises(DimensionMismatch, match=message):
+                posterior(source, element, event)
+
+
 def qubit(*diag):
     return Operator(np.diag(diag).astype(complex))
 
