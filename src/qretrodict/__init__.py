@@ -42,17 +42,7 @@ from .errors import (
     ValidationError,
     ZeroProbabilityError,
 )
-from .hilbert import (
-    ModeDims,
-    Operator,
-    adjoint,
-    identity,
-    is_hermitian,
-    is_psd,
-    is_unitary,
-    partial_trace,
-    tensor,
-)
+from .hilbert import ModeDims, Operator
 from .optics import (
     BeamSplitter,
     FockSpace,
@@ -61,7 +51,6 @@ from .optics import (
     compose_measurement_pom,
     inefficient_detector_retro,
     projection_synthesis_retro,
-    pure_state_fidelity,
     scissors_output,
 )
 from .retrodict import (
@@ -94,13 +83,6 @@ __all__ = [
     # operators
     "ModeDims",
     "Operator",
-    "identity",
-    "tensor",
-    "partial_trace",
-    "adjoint",
-    "is_hermitian",
-    "is_psd",
-    "is_unitary",
     # classical probability
     "EventSpace",
     "ConditionalTable",
@@ -129,7 +111,6 @@ __all__ = [
     "inefficient_detector_retro",
     "projection_synthesis_retro",
     "scissors_output",
-    "pure_state_fidelity",
     # polarization key distribution
     "PolarizationState",
     "SlotRecord",

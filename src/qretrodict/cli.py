@@ -8,7 +8,8 @@ diagnostics.  Output is deterministic: the same scenario file always
 produces byte-identical JSON.
 
 Exit codes: 0 success, 1 an ``--out`` path that cannot be written, 2
-unreadable/unparsable scenario (nesting too deep for the parser included),
+unreadable/unparsable scenario (text that is not UTF-8 and nesting too
+deep for the parser included),
 3 validation failure (schema or domain invariants; the schema caps
 ``truncation`` at 2000 photons and BB84 ``slots`` at 10^7, or 10^6 with
 records, so oversized documents exit 3 before any allocation; an integer
@@ -615,9 +616,10 @@ def validate_document(doc) -> Scenario:
 def load_scenario(path) -> Scenario:
     """Read and validate a scenario file.
 
-    Raises OSError or json.JSONDecodeError for unreadable input,
-    RecursionError for arrays or objects nested too deeply to read, and
-    ValidationError for schema violations.
+    Raises OSError, UnicodeDecodeError (a file that is not UTF-8) or
+    json.JSONDecodeError for unreadable input, RecursionError for arrays
+    or objects nested too deeply to read, and ValidationError for schema
+    violations.
     """
     text = Path(path).read_text(encoding="utf-8")
     return validate_document(json.loads(text))
@@ -633,6 +635,8 @@ def execute(scenario: Scenario) -> ResultDocument:
 #: Without an indent, ``encode`` runs the C encoder.  No rendered value
 #: holds itself, so its circular-reference bookkeeping is skipped.
 _ENCODER = json.JSONEncoder(check_circular=False)
+#: What ``_ENCODER.encode`` writes for a ``str``, without its dispatch.
+_encode_str = json.encoder.encode_basestring_ascii
 
 
 def _numeric_array(value):
@@ -763,7 +767,10 @@ def _emit(value, nl: str, out: list):
     elif isinstance(value, (list, tuple)) and value:
         array = _numeric_array(value)
         out.append("[")
-        if array is None:
+        if array is None and set(map(type, value)) == {str}:
+            # Labels, such as a detector's N+1 column names: one join.
+            out += (inner, ("," + inner).join(map(_encode_str, value)), ",")
+        elif array is None:
             for item in value:
                 out.append(inner)
                 _emit(item, inner, out)
@@ -824,7 +831,7 @@ def run(scenario_path, output_format: str = "json", out_path=None) -> int:
     """
     try:
         scenario = load_scenario(scenario_path)
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         return _report_error("parse", EXIT_PARSE,
                              f"cannot read scenario {scenario_path!r}: {exc}")
     except ValidationError as exc:

@@ -1,14 +1,12 @@
-"""Complex operator algebra over finite-dimensional, multi-mode Hilbert spaces.
+"""Complex operators on finite-dimensional, multi-mode Hilbert spaces.
 
 Every state, measurement element and unitary in this package is carried by
 :class:`Operator`: a square complex matrix tagged with the list of per-mode
-dimensions it acts on.  All values are immutable after construction and all
-operations are pure functions, so everything here is safe for unrestricted
-concurrent reads.
-
-The Kronecker index convention is fixed once: in ``tensor(a, b)`` the left
-operand owns the slower-varying index, i.e. basis state ``|i>|k>`` sits at
-row ``i * dim_b + k``, matching ``numpy.kron``.
+dimensions it acts on.  Its ``+``, ``-``, ``@`` and ``*`` are the whole
+algebra; each returns a new operator and refuses operands on other mode
+dims.  All values are immutable after construction, so everything here is
+safe for unrestricted concurrent reads.  :func:`psd_mask` is the
+positivity check of a whole stack of matrices, in one batched call.
 """
 
 from __future__ import annotations
@@ -41,15 +39,6 @@ class ModeDims:
     @property
     def total_dim(self) -> int:
         return math.prod(self.dims)
-
-    @property
-    def n_modes(self) -> int:
-        return len(self.dims)
-
-    def drop(self, mode_index: int) -> "ModeDims":
-        """Dims with one mode removed; the empty product collapses to a scalar space."""
-        remaining = self.dims[:mode_index] + self.dims[mode_index + 1:]
-        return ModeDims(remaining if remaining else (1,))
 
 
 def _as_mode_dims(dims: DimsLike) -> ModeDims:
@@ -103,18 +92,26 @@ class Operator:
     def total_dim(self) -> int:
         return self.dims.total_dim
 
-    # Small conveniences; the module-level functions are the primary API.
+    def _same_dims(self, other: "Operator", what: str) -> ModeDims:
+        if self.dims.dims != other.dims.dims:
+            raise DimensionMismatch(f"{what} requires matching mode dims, got "
+                                    f"{self.dims.dims} and {other.dims.dims}")
+        return self.dims
+
     def __add__(self, other: "Operator") -> "Operator":
-        return add(self, other)
+        dims = self._same_dims(other, "add")
+        return Operator(self.mat + other.mat, dims)
 
     def __sub__(self, other: "Operator") -> "Operator":
-        return add(self, scale(other, -1.0))
+        dims = self._same_dims(other, "subtract")
+        return Operator(self.mat - other.mat, dims)
 
     def __matmul__(self, other: "Operator") -> "Operator":
-        return matmul(self, other)
+        dims = self._same_dims(other, "matmul")
+        return Operator(self.mat @ other.mat, dims)
 
     def __mul__(self, c: complex) -> "Operator":
-        return scale(self, c)
+        return Operator(self.mat * complex(c), self.dims)
 
     __rmul__ = __mul__
 
@@ -122,85 +119,11 @@ class Operator:
         return f"Operator(dims={self.dims.dims}, mat=\n{self.mat})"
 
 
-def identity(dims: DimsLike) -> Operator:
-    """Unit operator on the space described by ``dims``."""
-    d = _as_mode_dims(dims)
-    return Operator(np.eye(d.total_dim, dtype=complex), d)
-
-
-def tensor(a: Operator, b: Operator) -> Operator:
-    """Kronecker product; result dims are the concatenated operand dims."""
-    return Operator(np.kron(a.mat, b.mat), ModeDims(a.dims.dims + b.dims.dims))
-
-
-def partial_trace(op: Operator, mode_index: int) -> Operator:
-    """Trace out one mode.
-
-    The result lives on the remaining modes (a 1x1 scalar space when the
-    last mode is traced out) and has the same total trace as the input.
-    """
-    n = op.dims.n_modes
-    if not 0 <= mode_index < n:
-        raise DimensionMismatch(
-            f"mode index {mode_index} out of range for {n}-mode operator"
-        )
-    shape = op.dims.dims + op.dims.dims
-    reduced = np.trace(
-        op.mat.reshape(shape), axis1=mode_index, axis2=mode_index + n
-    )
-    new_dims = op.dims.drop(mode_index)
-    d = new_dims.total_dim
-    return Operator(reduced.reshape(d, d), new_dims)
-
-
-def _check_same_dims(a: Operator, b: Operator, what: str):
-    if a.dims.dims != b.dims.dims:
-        raise DimensionMismatch(
-            f"{what} requires matching mode dims, got {a.dims.dims} and {b.dims.dims}"
-        )
-
-
-def adjoint(op: Operator) -> Operator:
-    """Conjugate transpose."""
-    return Operator(op.mat.conj().T, op.dims)
-
-
-def trace(op: Operator) -> complex:
-    return complex(np.trace(op.mat))
-
-
-def matmul(a: Operator, b: Operator) -> Operator:
-    _check_same_dims(a, b, "matmul")
-    return Operator(a.mat @ b.mat, a.dims)
-
-
-def scale(op: Operator, c: complex) -> Operator:
-    return Operator(op.mat * complex(c), op.dims)
-
-
-def add(a: Operator, b: Operator) -> Operator:
-    _check_same_dims(a, b, "add")
-    return Operator(a.mat + b.mat, a.dims)
-
-
-def is_hermitian(op: Operator, tol: float = TOL) -> bool:
-    return bool(np.max(np.abs(op.mat - op.mat.conj().T)) <= tol)
-
-
-def psd_mask(mats: np.ndarray, tol: float = TOL) -> np.ndarray:
-    """:func:`is_psd` of each matrix ``mats[..., :, :]``, with one batched
+def psd_mask(mats: np.ndarray) -> np.ndarray:
+    """Positivity of each matrix ``mats[..., :, :]`` within ``errors.TOL``:
+    hermitian, and smallest eigenvalue at least -TOL, with one batched
     hermiticity test and one batched ``eigvalsh`` call for all of them."""
     adj = np.swapaxes(mats, -1, -2).conj()
-    hermitian = np.max(np.abs(mats - adj), axis=(-2, -1)) <= tol
+    hermitian = np.max(np.abs(mats - adj), axis=(-2, -1)) <= TOL
     smallest = np.linalg.eigvalsh((mats + adj) / 2.0)[..., 0]
-    return hermitian & (smallest >= -tol)
-
-
-def is_psd(op: Operator, tol: float = TOL) -> bool:
-    """Positive semidefinite within ``tol``: hermitian, smallest eigenvalue >= -tol."""
-    return bool(psd_mask(op.mat, tol))
-
-
-def is_unitary(op: Operator, tol: float = TOL) -> bool:
-    gram = op.mat.conj().T @ op.mat
-    return bool(np.max(np.abs(gram - np.eye(op.total_dim))) <= tol)
+    return hermitian & (smallest >= -TOL)

@@ -12,19 +12,18 @@ truncation: no kernel the scenarios run multiplies (N+1) x (N+1)
 matrices.  The detector operators are truncated with a geometric tail
 that shrinks as N grows.
 
-Included here: ladder operators, the two-mode beam-splitter unitary, the
-reduction of a joint photon-count measurement behind a beam splitter to
-an effective single-mode POM element, the closed-form retrodictive state
-of an inefficient photon counter, projection synthesis of retrodictive
-states, and the quantum-scissors device that projects a truncated copy
-of a reference field out of an entangled single-photon resource.
+Included here: the two-mode beam-splitter unitary, the reduction of a
+joint photon-count measurement behind a beam splitter to an effective
+single-mode POM element, the closed-form retrodictive state of an
+inefficient photon counter, projection synthesis of retrodictive states,
+and the quantum-scissors device that projects a truncated copy of a
+reference field out of an entangled single-photon resource.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -98,51 +97,11 @@ class ReferenceState:
         out[:amps.size] = amps
         return out
 
-    def projector(self, space: FockSpace) -> Operator:
-        v = self.ket(space)
-        return Operator(np.outer(v, v.conj()))
-
-
-def annihilation(space: FockSpace) -> Operator:
-    """Lowering operator: takes |k> to sqrt(k) |k-1>."""
-    mat = np.diag(np.sqrt(np.arange(1, space.dim, dtype=float)), k=1)
-    return Operator(mat.astype(complex))
-
-
-def creation(space: FockSpace) -> Operator:
-    """Raising operator, the adjoint of :func:`annihilation`."""
-    return Operator(annihilation(space).mat.conj().T)
-
-
-def number_projector(space: FockSpace, n: int) -> Operator:
-    """Projector onto the ``n``-photon number state."""
-    if not 0 <= n <= space.truncation:
-        raise ValidationError(
-            f"photon number {n} outside the truncation 0..{space.truncation}"
-        )
-    mat = np.zeros((space.dim, space.dim), dtype=complex)
-    mat[n, n] = 1.0
-    return Operator(mat)
-
 
 def _block_counts(space: FockSpace, total: int) -> np.ndarray:
     """Mode-b photon numbers of the two-mode states with ``total`` photons."""
     return np.arange(max(0, total - space.truncation),
                      min(total, space.truncation) + 1)
-
-
-def total_photon_blocks(space: FockSpace):
-    """Two-mode basis indices grouped by total photon number.
-
-    Index ``n_b * dim + n_c`` addresses |n_b, n_c>; the beam-splitter
-    unitary is block-diagonal over these groups.
-    """
-    dim = space.dim
-    blocks = []
-    for total in range(2 * space.truncation + 1):
-        nb = _block_counts(space, total)
-        blocks.append((nb * dim + (total - nb)).tolist())
-    return blocks
 
 
 def _photon_block(bs: BeamSplitter, space: FockSpace, total: int):
@@ -207,18 +166,6 @@ def compose_measurement_pom(rho_c: Operator, pi_b: Operator, pi_c: Operator,
     w = np.einsum("nmjk,kK->nmjK", w, rho_c.mat, optimize=True)
     out = np.einsum("nmik,nmjk->ij", u.conj(), w, optimize=True)
     return Operator((out + out.conj().T) / 2.0)
-
-
-def normal_ordered_damping(eta: float, space: FockSpace) -> Operator:
-    """Normal-ordered exponential of the damped number operator.
-
-    Diagonal with entries (1 - eta)^k; full transmission (eta = 1) leaves
-    only the vacuum projector.
-    """
-    eta = float(eta)
-    if not 0.0 <= eta <= 1.0:
-        raise ValidationError(f"damping parameter must lie in [0, 1], got {eta}")
-    return Operator(np.diag((1.0 - eta) ** np.arange(space.dim)).astype(complex))
 
 
 def _lowering_power_band(n: int, dim: int) -> np.ndarray:
@@ -407,12 +354,3 @@ def scissors_output(ref: ReferenceState, bs: BeamSplitter, space: FockSpace) -> 
             "field and coupling"
         )
     return _on_support((out + out.conj().T) / (2.0 * tr), space)
-
-
-def pure_state_fidelity(a: Operator, b: Operator) -> float:
-    """Overlap fidelity Tr(ab) of two (near-)pure density operators."""
-    if a.dims.dims != b.dims.dims:
-        raise DimensionMismatch(
-            f"fidelity requires matching dims, got {a.dims.dims} and {b.dims.dims}"
-        )
-    return float(np.einsum("ij,ji->", a.mat, b.mat).real)

@@ -26,7 +26,6 @@ from typing import Hashable, Iterable, Optional, Tuple
 
 import numpy as np
 
-from . import hilbert
 from .errors import (
     TOL,
     TRACE_TOL,
@@ -36,7 +35,7 @@ from .errors import (
     ValidationError,
     ZeroProbabilityError,
 )
-from .hilbert import ModeDims, Operator
+from .hilbert import ModeDims, Operator, psd_mask
 
 
 def _overlaps(ops: np.ndarray, stack: np.ndarray) -> np.ndarray:
@@ -95,7 +94,7 @@ class OperatorStack:
     then element by element that each lives on the first one's dims and is
     positive semidefinite within ``errors.TOL``, then the whole set;
     the first fault found raises.  Each element check is one batched test
-    of the whole stack (one :func:`hilbert.psd_mask` call for positivity),
+    of the whole stack (one :func:`psd_mask` call for positivity),
     and the first fault in element order is read off their table.
     ``OperatorStack(pairs)`` takes ``(label, Operator)`` pairs and
     :meth:`from_matrices` bare matrices; both copy them into the stack and
@@ -157,7 +156,7 @@ class OperatorStack:
             *self._faults_before(labels),
             (np.arange(len(labels)) == n, lambda i: DimensionMismatch(
                 f"{self._name(labels[i])} lives on dims {dims[i]}, expected {expected}")),
-            (~hilbert.psd_mask(stack), lambda i: ValidationError(
+            (~psd_mask(stack), lambda i: ValidationError(
                 f"{self._name(labels[i])} is not positive semidefinite")),
             *self._faults_after(labels, stack),
         ]
@@ -437,7 +436,7 @@ def retro_state(element: Operator) -> Operator:
     tr = float(_traces(element.mat[None])[0])
     if tr <= TRACE_TOL:
         raise _no_retro_state(tr)
-    return hilbert.scale(element, 1.0 / tr)
+    return element * (1.0 / tr)
 
 
 def _no_retro_state(tr: float) -> ZeroProbabilityError:

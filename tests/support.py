@@ -1,4 +1,5 @@
-"""Shared helpers for building random test instances."""
+"""Shared helpers for the tests: random instances, the dense oracles, and
+the Hilbert-space and Fock-space toolkit those oracles are built from."""
 
 import math
 
@@ -6,15 +7,137 @@ import numpy as np
 import scipy.linalg
 
 from qretrodict.errors import (
+    TOL,
     ComputationError,
     DimensionMismatch,
     NumericIntegrityError,
     ValidationError,
     ZeroProbabilityError,
 )
-from qretrodict.hilbert import Operator
-from qretrodict.optics import annihilation, normal_ordered_damping
+from qretrodict.hilbert import ModeDims, Operator
 from qretrodict.retrodict import Pom, PreparationEnsemble
+
+
+# --- Multi-mode operators.  In ``tensor(a, b)`` the left operand owns the
+# slower-varying index: |i>|k> sits at row ``i * dim_b + k``, as in
+# ``numpy.kron``.
+
+def identity(dims) -> Operator:
+    """Unit operator on the space of per-mode dimensions ``dims``."""
+    d = ModeDims(tuple(dims))
+    return Operator(np.eye(d.total_dim, dtype=complex), d)
+
+
+def tensor(a: Operator, b: Operator) -> Operator:
+    """Kronecker product; result dims are the concatenated operand dims."""
+    return Operator(np.kron(a.mat, b.mat), ModeDims(a.dims.dims + b.dims.dims))
+
+
+def partial_trace(op: Operator, mode_index: int) -> Operator:
+    """Trace out one mode.
+
+    The result lives on the remaining modes (a 1x1 scalar space when the
+    last mode is traced out) and has the same total trace as the input.
+    """
+    dims = op.dims.dims
+    n = len(dims)
+    if not 0 <= mode_index < n:
+        raise DimensionMismatch(
+            f"mode index {mode_index} out of range for {n}-mode operator"
+        )
+    reduced = np.trace(op.mat.reshape(dims + dims), axis1=mode_index,
+                       axis2=mode_index + n)
+    remaining = ModeDims(dims[:mode_index] + dims[mode_index + 1:] or (1,))
+    d = remaining.total_dim
+    return Operator(reduced.reshape(d, d), remaining)
+
+
+def adjoint(op: Operator) -> Operator:
+    """Conjugate transpose."""
+    return Operator(op.mat.conj().T, op.dims)
+
+
+def is_hermitian(op: Operator, tol: float = TOL) -> bool:
+    return bool(np.max(np.abs(op.mat - op.mat.conj().T)) <= tol)
+
+
+def is_psd(op: Operator, tol: float = TOL) -> bool:
+    """Positivity of one operator: hermitian within tol, and the smallest
+    eigenvalue of that one matrix at least -tol."""
+    if not is_hermitian(op, tol):
+        return False
+    herm = (op.mat + op.mat.conj().T) / 2.0
+    return float(np.linalg.eigvalsh(herm)[0]) >= -tol
+
+
+def is_unitary(op: Operator, tol: float = TOL) -> bool:
+    gram = op.mat.conj().T @ op.mat
+    return bool(np.max(np.abs(gram - np.eye(op.total_dim))) <= tol)
+
+
+# --- Single-mode Fock-space operators, truncated at ``space.truncation``.
+
+def annihilation(space) -> Operator:
+    """Lowering operator: takes |k> to sqrt(k) |k-1>."""
+    mat = np.diag(np.sqrt(np.arange(1, space.dim, dtype=float)), k=1)
+    return Operator(mat.astype(complex))
+
+
+def creation(space) -> Operator:
+    """Raising operator, the adjoint of :func:`annihilation`."""
+    return Operator(annihilation(space).mat.conj().T)
+
+
+def number_projector(space, n: int) -> Operator:
+    """Projector onto the ``n``-photon number state."""
+    if not 0 <= n <= space.truncation:
+        raise ValidationError(
+            f"photon number {n} outside the truncation 0..{space.truncation}"
+        )
+    mat = np.zeros((space.dim, space.dim), dtype=complex)
+    mat[n, n] = 1.0
+    return Operator(mat)
+
+
+def reference_projector(ref, space) -> Operator:
+    """The projector |ref><ref| of a reference field on ``space``."""
+    v = ref.ket(space)
+    return Operator(np.outer(v, v.conj()))
+
+
+def total_photon_blocks(space):
+    """Two-mode basis indices grouped by total photon number.
+
+    Index ``n_b * dim + n_c`` addresses |n_b, n_c>; the beam-splitter
+    unitary is block-diagonal over these groups.
+    """
+    dim, cap = space.dim, space.truncation
+    blocks = []
+    for total in range(2 * cap + 1):
+        nb = np.arange(max(0, total - cap), min(total, cap) + 1)
+        blocks.append((nb * dim + (total - nb)).tolist())
+    return blocks
+
+
+def normal_ordered_damping(eta: float, space) -> Operator:
+    """Normal-ordered exponential of the damped number operator.
+
+    Diagonal with entries (1 - eta)^k; full transmission (eta = 1) leaves
+    only the vacuum projector.
+    """
+    eta = float(eta)
+    if not 0.0 <= eta <= 1.0:
+        raise ValidationError(f"damping parameter must lie in [0, 1], got {eta}")
+    return Operator(np.diag((1.0 - eta) ** np.arange(space.dim)).astype(complex))
+
+
+def pure_state_fidelity(a: Operator, b: Operator) -> float:
+    """Overlap fidelity Tr(ab) of two (near-)pure density operators."""
+    if a.dims.dims != b.dims.dims:
+        raise DimensionMismatch(
+            f"fidelity requires matching dims, got {a.dims.dims} and {b.dims.dims}"
+        )
+    return float(np.einsum("ij,ji->", a.mat, b.mat).real)
 
 
 class ConvergenceError(ComputationError):
@@ -103,17 +226,6 @@ def random_biased_ensemble(rng, d, n_events):
 # They are the element-by-element code that retrodict.OperatorStack and its
 # row kernel replaced, kept here to check the stack bit for bit.
 
-COMPLETENESS_TOL = 1e-9
-
-
-def psd_one(op, tol):
-    """Positivity of one operator: hermitian within tol, smallest eigenvalue >= -tol."""
-    if not bool(np.max(np.abs(op.mat - op.mat.conj().T)) <= tol):
-        return False
-    herm = (op.mat + op.mat.conj().T) / 2.0
-    return float(np.linalg.eigvalsh(herm)[0]) >= -tol
-
-
 def oracle_elements(elements, kind, *, require_completeness, trace_sum=False):
     """Checked (label, Operator) pairs of a POM (``kind`` "POM" or "preparation
     POM", with completeness) or of biased-source elements (with ``trace_sum``)."""
@@ -130,19 +242,19 @@ def oracle_elements(elements, kind, *, require_completeness, trace_sum=False):
                 f"{kind} element {label!r} lives on dims {op.dims.dims}, "
                 f"expected {dims.dims}"
             )
-        if not psd_one(op, COMPLETENESS_TOL):
+        if not is_psd(op):
             raise ValidationError(f"{kind} element {label!r} is not positive semidefinite")
     if require_completeness:
         total = np.sum([op.mat for _, op in elements], axis=0)
         deviation = float(np.max(np.abs(total - np.eye(dims.total_dim))))
-        if deviation > COMPLETENESS_TOL:
+        if deviation > TOL:
             raise ValidationError(
                 f"{kind} elements must sum to the identity; "
                 f"max deviation {deviation:.3e}"
             )
     if trace_sum:
         total = sum(float(np.trace(op.mat).real) for _, op in elements)
-        if abs(total - 1.0) > COMPLETENESS_TOL:
+        if abs(total - 1.0) > TOL:
             raise ValidationError(
                 f"biased-source element traces must sum to 1 (they are the "
                 f"priors), got {total!r}"
@@ -169,15 +281,15 @@ def oracle_ensemble(events):
                 f"state of event {label!r} lives on dims {op.dims.dims}, "
                 f"expected {dims.dims}"
             )
-        if not psd_one(op, COMPLETENESS_TOL):
+        if not is_psd(op):
             raise ValidationError(f"state of event {label!r} is not positive semidefinite")
         trace = float(np.trace(op.mat).real)
-        if abs(trace - 1.0) > COMPLETENESS_TOL:
+        if abs(trace - 1.0) > TOL:
             raise ValidationError(
                 f"state of event {label!r} has trace {trace!r}, expected 1"
             )
     total = sum(prior for _, prior, _ in events)
-    if abs(total - 1.0) > COMPLETENESS_TOL:
+    if abs(total - 1.0) > TOL:
         raise ValidationError(f"priors must sum to 1, got {total!r}")
     return events
 

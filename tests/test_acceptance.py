@@ -13,12 +13,17 @@ import numpy as np
 import pytest
 
 from qretrodict import bayes, bb84, optics, retrodict
-from qretrodict.hilbert import Operator, identity, is_psd
+from qretrodict.hilbert import Operator
 from support import (
+    identity,
+    is_psd,
+    number_projector,
+    pure_state_fidelity,
     random_biased_ensemble,
     random_pom,
     random_psd,
     random_unbiased_ensemble,
+    total_photon_blocks,
 )
 
 #: Conditional probabilities linking the four polarization choices to the
@@ -90,7 +95,7 @@ def test_photon_counter_retrodiction_matches_the_binomial_closed_form():
     elementwise within 1e-9 after matching normalization; the raw trace
     sits within max(1e-8, truncation tail) of 1."""
     space = optics.FockSpace(40)
-    vacuum = optics.number_projector(space, 0)
+    vacuum = number_projector(space, 0)
     ident = identity([space.dim])
     for n in (0, 1, 2):
         for eta in (0.3, 0.5, 0.9):
@@ -109,7 +114,7 @@ def test_photon_counter_retrodiction_matches_the_binomial_closed_form():
 
             splitter = optics.BeamSplitter(math.acos(math.sqrt(eta)))
             pipeline = retrodict.retro_state(optics.compose_measurement_pom(
-                vacuum, optics.number_projector(space, n), ident,
+                vacuum, number_projector(space, n), ident,
                 splitter, space))
             np.testing.assert_allclose(pipeline.mat, np.diag(diag / sum(diag)),
                                        atol=1e-9,
@@ -133,7 +138,7 @@ def test_scissors_device_truncates_the_reference_to_its_closed_form():
         expected[1] = amps[1] * math.sin(theta)
         expected /= np.linalg.norm(expected)
         closed = Operator(np.outer(expected, expected.conj()))
-        assert optics.pure_state_fidelity(got, closed) >= 1 - 1e-10
+        assert pure_state_fidelity(got, closed) >= 1 - 1e-10
 
     balanced = optics.scissors_output(
         optics.ReferenceState((1 / math.sqrt(2), 1 / math.sqrt(2))),
@@ -141,7 +146,7 @@ def test_scissors_device_truncates_the_reference_to_its_closed_form():
     target = np.zeros(space.dim, dtype=complex)
     target[0] = target[1] = 1 / math.sqrt(2)
     closed = Operator(np.outer(target, target.conj()))
-    assert optics.pure_state_fidelity(balanced, closed) >= 1 - 1e-10
+    assert pure_state_fidelity(balanced, closed) >= 1 - 1e-10
 
 
 def test_structural_invariants_hold_across_randomized_instances():
@@ -168,7 +173,7 @@ def test_structural_invariants_hold_across_randomized_instances():
     for theta, truncation in ((0.3, 6), (math.pi / 4, 8), (1.2, 10)):
         space = optics.FockSpace(truncation)
         u = optics.beam_splitter_unitary(optics.BeamSplitter(theta), space).mat
-        for total_photons, idx in enumerate(optics.total_photon_blocks(space)):
+        for total_photons, idx in enumerate(total_photon_blocks(space)):
             if total_photons > space.truncation:
                 continue
             block = u[np.ix_(idx, idx)]

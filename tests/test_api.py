@@ -1,6 +1,5 @@
 """The public API's signatures: the numerical tolerances are fixed in
-``qretrodict.errors``, so no public callable takes one, except the
-``hilbert`` predicates, whose tolerance is part of their question."""
+``qretrodict.errors``, so no public callable takes one."""
 
 import inspect
 
@@ -8,7 +7,6 @@ import qretrodict
 from qretrodict import retrodict
 
 TOLERANCE_PARAMETERS = {"tol", "trace_tol"}
-PREDICATES = ("is_hermitian", "is_psd", "is_unitary")
 STACK_CLASSES = (retrodict.OperatorStack, retrodict.Pom, retrodict.PreparationPom,
                  retrodict.BiasedElements, retrodict.PreparationEnsemble)
 
@@ -22,7 +20,7 @@ def parameters(obj) -> set:
 
 def test_no_public_callable_takes_a_tolerance():
     named = {name: getattr(qretrodict, name) for name in qretrodict.__all__
-             if callable(getattr(qretrodict, name)) and name not in PREDICATES}
+             if callable(getattr(qretrodict, name))}
     for cls in STACK_CLASSES:
         named.update((f"{cls.__name__}.{name}", member)
                      for name, member in inspect.getmembers(cls, callable)
@@ -30,8 +28,3 @@ def test_no_public_callable_takes_a_tolerance():
     assert len(named) > 50
     assert [name for name, obj in named.items()
             if TOLERANCE_PARAMETERS & parameters(obj)] == []
-
-
-def test_the_hilbert_predicates_keep_their_tolerance():
-    for name in PREDICATES:
-        assert "tol" in parameters(getattr(qretrodict, name)), name

@@ -482,6 +482,16 @@ class TestExitCodes:
         assert main(["run", str(path)]) == EXIT_PARSE
         assert json.loads(capsys.readouterr().err)["error"]["category"] == "parse"
 
+    def test_file_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"kind": "bayes", "description": "\xff"}')
+        assert main(["run", str(path)]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)["error"]
+        assert (error["category"], error["exit_code"]) == ("parse", EXIT_PARSE)
+        assert "utf-8" in error["message"]
+
     def test_schema_violation_exits_3(self, tmp_path, capsys):
         path = write_scenario(tmp_path, {"kind": "bayes"})
         assert main(["run", str(path)]) == EXIT_VALIDATION
@@ -1287,8 +1297,9 @@ _ragged = st.lists(st.lists(_plain_number, min_size=1, max_size=3),
                    min_size=2, max_size=3)
 _mixed = st.lists(_plain_number | st.booleans() | st.none(), min_size=1,
                   max_size=4)
+_text_list = st.lists(_odd_text, min_size=1, max_size=5)
 _render_values = st.recursive(
-    st.one_of(_odd_scalar, _odd_text, _number_array(), _ragged, _mixed),
+    st.one_of(_odd_scalar, _odd_text, _number_array(), _ragged, _mixed, _text_list),
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(_odd_text, inner, max_size=4),
     max_leaves=12)
@@ -1305,6 +1316,14 @@ def test_renderer_matches_json_dumps(value):
     ("a", (1, 2.0)), [(1, 2), [3, 4]], ((1, 2), (3, 4)), [[1, 2]] * 3,
 ], ids=["tuples", "tuple-row", "tuple-array", "shared-rows"])
 def test_renderer_matches_json_dumps_beyond_parsed_json(value):
+    assert cli._dumps(value) == dumps_oracle(value)
+
+
+@pytest.mark.parametrize("value", [
+    [""], ["", ""], ['"', '\\"', "a, b"], ["ü", "\u2603", "\U0001f600", "\x00\n"],
+    ["only"], ("a", "b"), {"cols": [str(k) for k in range(41)]}, [["a", "b"], ["c"]],
+], ids=["empty-string", "empty-strings", "quotes", "non-ascii", "one", "tuple", "labels", "nested"])
+def test_string_lists_render_like_json_dumps(value):
     assert cli._dumps(value) == dumps_oracle(value)
 
 

@@ -1,12 +1,21 @@
-"""Tests for the multi-mode operator algebra."""
+"""Tests for the multi-mode operator algebra, and for the tests' own
+multi-mode toolkit in ``support``."""
 
 import numpy as np
 import pytest
 
-from qretrodict import hilbert
 from qretrodict.errors import DimensionMismatch, ValidationError
 from qretrodict.hilbert import ModeDims, Operator
-from support import matrix_exp
+from support import (
+    adjoint,
+    identity,
+    is_hermitian,
+    is_psd,
+    is_unitary,
+    matrix_exp,
+    partial_trace,
+    tensor,
+)
 
 
 def random_operator(rng, dims):
@@ -88,7 +97,7 @@ class TestTensor:
         rng = np.random.default_rng(7)
         a = random_operator(rng, [2])
         b = random_operator(rng, [2])
-        t = hilbert.tensor(a, b)
+        t = tensor(a, b)
         assert t.dims.dims == (2, 2)
         for i in range(2):
             for j in range(2):
@@ -102,12 +111,12 @@ class TestTensor:
         for _ in range(20):
             a = random_operator(rng, [rng.integers(1, 5)])
             b = random_operator(rng, [rng.integers(1, 5)])
-            lhs = hilbert.trace(hilbert.tensor(a, b))
-            rhs = hilbert.trace(a) * hilbert.trace(b)
+            lhs = np.trace(tensor(a, b).mat)
+            rhs = np.trace(a.mat) * np.trace(b.mat)
             np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
     def test_identity_tensor_identity(self):
-        t = hilbert.tensor(hilbert.identity([2]), hilbert.identity([3]))
+        t = tensor(identity([2]), identity([3]))
         np.testing.assert_allclose(t.mat, np.eye(6))
         assert t.dims.dims == (2, 3)
 
@@ -141,7 +150,7 @@ class TestPartialTrace:
         for dims in ([2, 3], [3, 2], [2, 2, 3], [4]):
             op = random_operator(rng, dims)
             for mode in range(len(dims)):
-                got = hilbert.partial_trace(op, mode)
+                got = partial_trace(op, mode)
                 np.testing.assert_allclose(got.mat, self.brute_force(op, mode),
                                            atol=1e-12)
 
@@ -149,24 +158,24 @@ class TestPartialTrace:
         rng = np.random.default_rng(31)
         a = random_operator(rng, [3])
         b = random_operator(rng, [2])
-        ab = hilbert.tensor(a, b)
-        over_b = hilbert.partial_trace(ab, 1)
+        ab = tensor(a, b)
+        over_b = partial_trace(ab, 1)
         np.testing.assert_allclose(over_b.mat, a.mat * np.trace(b.mat), atol=1e-12)
-        over_a = hilbert.partial_trace(ab, 0)
+        over_a = partial_trace(ab, 0)
         np.testing.assert_allclose(over_a.mat, b.mat * np.trace(a.mat), atol=1e-12)
 
     def test_preserves_total_trace(self):
         rng = np.random.default_rng(37)
         op = random_operator(rng, [2, 3, 2])
         for mode in range(3):
-            reduced = hilbert.partial_trace(op, mode)
-            np.testing.assert_allclose(hilbert.trace(reduced), hilbert.trace(op),
+            reduced = partial_trace(op, mode)
+            np.testing.assert_allclose(np.trace(reduced.mat), np.trace(op.mat),
                                        atol=1e-12)
 
     def test_only_mode_leaves_scalar_space(self):
         rng = np.random.default_rng(41)
         op = random_operator(rng, [4])
-        reduced = hilbert.partial_trace(op, 0)
+        reduced = partial_trace(op, 0)
         assert reduced.mat.shape == (1, 1)
         assert reduced.dims.dims == (1,)
         np.testing.assert_allclose(reduced.mat[0, 0], np.trace(op.mat), atol=1e-12)
@@ -174,9 +183,9 @@ class TestPartialTrace:
     def test_rejects_out_of_range_mode(self):
         op = Operator(np.eye(6), ModeDims((2, 3)))
         with pytest.raises(DimensionMismatch):
-            hilbert.partial_trace(op, 2)
+            partial_trace(op, 2)
         with pytest.raises(DimensionMismatch):
-            hilbert.partial_trace(op, -1)
+            partial_trace(op, -1)
 
 
 class TestAlgebra:
@@ -185,24 +194,28 @@ class TestAlgebra:
         for _ in range(10):
             a = random_operator(rng, [3])
             b = random_operator(rng, [3])
-            lhs = hilbert.adjoint(hilbert.matmul(a, b))
-            rhs = hilbert.matmul(hilbert.adjoint(b), hilbert.adjoint(a))
+            lhs = adjoint(a @ b)
+            rhs = adjoint(b) @ adjoint(a)
             np.testing.assert_allclose(lhs.mat, rhs.mat, atol=1e-12)
 
     def test_add_scale_matmul_mismatch_raises(self):
         a = Operator(np.eye(2))
         b = Operator(np.eye(3))
         with pytest.raises(DimensionMismatch):
-            hilbert.add(a, b)
+            a + b
         with pytest.raises(DimensionMismatch):
-            hilbert.matmul(a, b)
+            a - b
+        with pytest.raises(DimensionMismatch):
+            a @ b
 
     def test_mode_structure_mismatch_raises(self):
         # Same total size, different factorization: refuse to combine.
         a = Operator(np.eye(4), ModeDims((4,)))
         b = Operator(np.eye(4), ModeDims((2, 2)))
         with pytest.raises(DimensionMismatch):
-            hilbert.add(a, b)
+            a + b
+        with pytest.raises(DimensionMismatch):
+            a @ b
 
     def test_operator_dunders_delegate(self):
         rng = np.random.default_rng(47)
@@ -227,43 +240,42 @@ class TestMatrixExp:
         rng = np.random.default_rng(53)
         for _ in range(5):
             a = random_anti_hermitian(rng, 6)
-            prod = hilbert.matmul(matrix_exp(a),
-                                  matrix_exp(hilbert.scale(a, -1.0)))
+            prod = matrix_exp(a) @ matrix_exp(-1.0 * a)
             assert np.max(np.abs(prod.mat - np.eye(6))) <= 1e-10
 
     def test_anti_hermitian_exponential_is_unitary(self):
         rng = np.random.default_rng(59)
         for _ in range(10):
             u = matrix_exp(random_anti_hermitian(rng, 5))
-            assert hilbert.is_unitary(u, tol=1e-9)
+            assert is_unitary(u, tol=1e-9)
 
 
 class TestPredicates:
     def test_is_hermitian(self):
-        assert hilbert.is_hermitian(Operator(np.array([[1.0, 2 + 1j], [2 - 1j, 3.0]])))
-        assert not hilbert.is_hermitian(Operator(np.array([[0, 1], [0, 0]], dtype=complex)))
+        assert is_hermitian(Operator(np.array([[1.0, 2 + 1j], [2 - 1j, 3.0]])))
+        assert not is_hermitian(Operator(np.array([[0, 1], [0, 0]], dtype=complex)))
 
     def test_is_psd_accepts_gram_matrices(self):
         rng = np.random.default_rng(61)
         for _ in range(10):
             x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            assert hilbert.is_psd(Operator(x.conj().T @ x))
+            assert is_psd(Operator(x.conj().T @ x))
 
     def test_is_psd_rejects_negative_direction(self):
-        assert not hilbert.is_psd(Operator(np.diag([1.0, -0.5]).astype(complex)))
+        assert not is_psd(Operator(np.diag([1.0, -0.5]).astype(complex)))
 
     def test_is_psd_rejects_non_hermitian(self):
-        assert not hilbert.is_psd(Operator(np.array([[1, 1], [0, 1]], dtype=complex)))
+        assert not is_psd(Operator(np.array([[1, 1], [0, 1]], dtype=complex)))
 
     def test_psd_tolerance_admits_tiny_negative_eigenvalue(self):
         op = Operator(np.diag([1.0, -1e-12]).astype(complex))
-        assert hilbert.is_psd(op)
-        assert not hilbert.is_psd(op, tol=1e-15)
+        assert is_psd(op)
+        assert not is_psd(op, tol=1e-15)
 
     def test_is_unitary(self):
-        assert hilbert.is_unitary(hilbert.identity([4]))
+        assert is_unitary(identity([4]))
         theta = 0.7
         rot = np.array([[np.cos(theta), -np.sin(theta)],
                         [np.sin(theta), np.cos(theta)]], dtype=complex)
-        assert hilbert.is_unitary(Operator(rot))
-        assert not hilbert.is_unitary(Operator(2 * np.eye(2, dtype=complex)))
+        assert is_unitary(Operator(rot))
+        assert not is_unitary(Operator(2 * np.eye(2, dtype=complex)))

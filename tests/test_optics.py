@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from qretrodict import hilbert, optics, retrodict
+from qretrodict import optics, retrodict
 from qretrodict.errors import (
     DimensionMismatch,
     ValidationError,
@@ -20,19 +20,30 @@ from qretrodict.optics import (
     BeamSplitter,
     FockSpace,
     ReferenceState,
-    annihilation,
     beam_splitter_unitary,
     compose_measurement_pom,
-    creation,
     inefficient_detector_retro,
+    projection_synthesis_retro,
+    scissors_output,
+)
+from support import (
+    adjoint,
+    annihilation,
+    creation,
+    dense_detector_matrix,
+    identity,
+    is_psd,
+    is_unitary,
     normal_ordered_damping,
     number_projector,
-    projection_synthesis_retro,
+    partial_trace,
     pure_state_fidelity,
-    scissors_output,
+    random_density,
+    random_psd,
+    reference_projector,
+    tensor,
     total_photon_blocks,
 )
-from support import dense_detector_matrix, random_density, random_psd
 
 
 def detector_diagonal(n, eta, N):
@@ -53,11 +64,9 @@ def exact_detector_entry(n, eta, k):
 def compose_by_primitives(rho_c, pi_b, pi_c, bs, space):
     """Reference route for the composed POM element using two-mode primitives."""
     u = beam_splitter_unitary(bs, space)
-    weighted = hilbert.tensor(hilbert.identity([space.dim]), rho_c)
-    joint = hilbert.tensor(pi_b, pi_c)
-    m = hilbert.matmul(hilbert.matmul(hilbert.matmul(weighted, hilbert.adjoint(u)),
-                                      joint), u)
-    return hilbert.partial_trace(m, 1)
+    weighted = tensor(identity([space.dim]), rho_c)
+    joint = tensor(pi_b, pi_c)
+    return partial_trace(weighted @ adjoint(u) @ joint @ u, 1)
 
 
 def kron_beam_splitter_unitary(bs, space):
@@ -80,7 +89,7 @@ def kron_beam_splitter_unitary(bs, space):
 
 def dense_synthesis_retro(ref, n, m, bs, space):
     """Synthesized retrodictive state through the dense composed element."""
-    element = compose_measurement_pom(ref.projector(space), number_projector(space, n),
+    element = compose_measurement_pom(reference_projector(ref, space), number_projector(space, n),
                                       number_projector(space, m), bs, space)
     return retrodict.retro_state(element)
 
@@ -257,7 +266,7 @@ class TestBeamSplitterUnitary:
 
     def test_full_truncated_matrix_is_unitary(self):
         u = beam_splitter_unitary(BeamSplitter(0.4), FockSpace(5))
-        assert hilbert.is_unitary(u, tol=1e-10)
+        assert is_unitary(u, tol=1e-10)
 
 
 class TestComposeMeasurementPom:
@@ -267,7 +276,7 @@ class TestComposeMeasurementPom:
         rho_c = random_density(rng, space.dim)
         for n in range(space.dim):
             got = compose_measurement_pom(rho_c, number_projector(space, n),
-                                          hilbert.identity([space.dim]),
+                                          identity([space.dim]),
                                           BeamSplitter(0.0), space)
             np.testing.assert_allclose(got.mat, number_projector(space, n).mat,
                                        atol=1e-12)
@@ -295,7 +304,7 @@ class TestComposeMeasurementPom:
         pi_c = number_projector(space, 2)
         element = compose_measurement_pom(rho_c, pi_b, pi_c, bs, space)
         u = beam_splitter_unitary(bs, space)
-        joint = hilbert.tensor(pi_b, pi_c)
+        joint = tensor(pi_b, pi_c)
         for _ in range(20):
             rho_b = random_density(rng, space.dim)
             lhs = np.trace(rho_b.mat @ element.mat)
@@ -309,7 +318,7 @@ class TestComposeMeasurementPom:
         element = compose_measurement_pom(
             random_density(rng, space.dim), number_projector(space, 2),
             number_projector(space, 1), BeamSplitter(0.3), space)
-        assert hilbert.is_psd(element, 1e-9)
+        assert is_psd(element, 1e-9)
 
     def test_counting_outcomes_resolve_identity(self):
         # With vacuum in the coupled port, every input photon ends up
@@ -406,7 +415,7 @@ class TestInefficientDetectorRetro:
             bs = BeamSplitter(math.acos(math.sqrt(eta)))
             element = compose_measurement_pom(
                 number_projector(space, 0), number_projector(space, n),
-                hilbert.identity([space.dim]), bs, space)
+                identity([space.dim]), bs, space)
             # The element itself is the closed form up to one factor of eta.
             closed = inefficient_detector_retro(n, eta, space)
             np.testing.assert_allclose(eta * element.mat, closed.mat, atol=1e-12)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qretrodict import bayes, errors, hilbert, retrodict
+from qretrodict import bayes, errors, retrodict
 from qretrodict.errors import (
     BiasedSourceError,
     DimensionMismatch,
@@ -27,6 +27,8 @@ from qretrodict.retrodict import (
     retro_state,
 )
 from support import (
+    identity,
+    is_psd,
     random_biased_ensemble,
     random_density,
     random_pom,
@@ -123,7 +125,7 @@ class TestBornProbability:
     def test_identity_element_is_certain(self):
         rng = np.random.default_rng(13)
         rho = random_density(rng, 4)
-        assert born_probability(rho, hilbert.identity([4])) == pytest.approx(1.0)
+        assert born_probability(rho, identity([4])) == pytest.approx(1.0)
 
     def test_circular_state_against_linear_element(self):
         # A left-circular input meets the half-weight vertical element 1/4
@@ -260,12 +262,12 @@ class TestRetroState:
             for _, op in pom.elements:
                 rho = retro_state(op)
                 np.testing.assert_allclose(np.trace(rho.mat), 1.0, atol=1e-12)
-                assert hilbert.is_psd(rho, 1e-9)
+                assert is_psd(rho, 1e-9)
 
 
 class TestOutcomePrior:
     def test_identity_fires_always(self):
-        assert outcome_prior(hilbert.identity([2])) == pytest.approx(1.0)
+        assert outcome_prior(identity([2])) == pytest.approx(1.0)
 
     def test_half_projector_on_qubit(self):
         assert outcome_prior(0.5 * ket(V)) == pytest.approx(0.25, abs=1e-15)

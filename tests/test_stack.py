@@ -42,6 +42,7 @@ from qretrodict.retrodict import (
 from support import (
     biased_posterior_one_by_one,
     born_one,
+    is_psd,
     oracle_elements,
     oracle_ensemble,
     oracle_retrodict,
@@ -331,8 +332,8 @@ def test_psd_mask_is_is_psd_for_each_matrix():
     mats = [np.diag([1.0, -t]) for t in (0.0, 9.9e-10, 1e-9, 1.01e-9, 1e-3)]
     mats += [np.array([[1.0, t], [0.0, 1.0]]) for t in (5e-10, 1e-9, 2e-9)]
     mats += [random_pom(rng, 2, 2).elements[0][1].mat]
-    mask = hilbert.psd_mask(np.array(mats, dtype=complex), 1e-9)
-    assert mask.tolist() == [hilbert.is_psd(Operator(m), 1e-9) for m in mats]
+    mask = hilbert.psd_mask(np.array(mats, dtype=complex))
+    assert mask.tolist() == [is_psd(Operator(m)) for m in mats]
     assert mask.tolist() == [True, True, True, False, False, True, True, False, True]
 
 
