@@ -11,7 +11,10 @@ A slot whose preparation and outcome are orthogonal cannot occur over an
 undisturbed channel, so observing one flags an eavesdropper (or channel
 error).  The Monte-Carlo helper simulates honest transmission and the
 minimal intercept-resend attack, in which an eavesdropper measures in a
-random basis and forwards her outcome.
+random basis and forwards her outcome.  It draws every slot as numpy
+indices; Bob's basis is always his outcome's, so a slot is fixed by the
+code ``alice * 4 + outcome``, the tally is one count of the codes, and
+each slot's record is one of 16 shared ``SlotRecord``s.
 """
 
 from __future__ import annotations
@@ -185,6 +188,16 @@ _BASIS_NAMES = ("circular", "linear")
 _BASIS_MEMBERS = np.array([[0, 1], [2, 3]])
 _BASIS_OF_STATE = np.array([0, 0, 1, 1])
 
+#: Whether a state and an outcome, by index, belong to the same basis.
+_SAME_BASIS = _BASIS_OF_STATE[:, None] == _BASIS_OF_STATE[None, :]
+
+#: The record of each slot code ``alice * 4 + outcome``: Bob's basis is
+#: always that of his outcome, so the code fixes the slot.  Each record is
+#: built and checked once, and every slot of its code shares it.
+_RECORDS = np.empty(16, dtype=object)
+_RECORDS[:] = [SlotRecord(LABELS[a], _BASIS_NAMES[_BASIS_OF_STATE[o]], LABELS[o])
+               for a in range(4) for o in range(4)]
+
 # P(first basis member | input state, measurement basis).
 _P_FIRST = np.array([
     [PolarizationState.canonical(LABELS[_BASIS_MEMBERS[basis][0]])
@@ -210,7 +223,8 @@ def simulate_slots(count: int, rng_seed: int,
     photon in a random basis and forwards her outcome state, which
     scrambles a quarter of the same-basis slots.
 
-    Returns the per-slot records and a :class:`SimulationSummary`.
+    Returns the per-slot records, each one of 16 shared ``SlotRecord``s,
+    and a :class:`SimulationSummary`.
     """
     count = int(count)
     if count < 1:
@@ -228,18 +242,16 @@ def simulate_slots(count: int, rng_seed: int,
         transmitted_idx = _measure(rng, alice_idx, eve_basis_idx)
     outcome_idx = _measure(rng, transmitted_idx, bob_basis_idx)
 
-    outcome_counts = np.zeros((4, 4), dtype=int)
-    np.add.at(outcome_counts, (alice_idx, outcome_idx), 1)
-    same_basis = _BASIS_OF_STATE[alice_idx] == bob_basis_idx
-    errors = same_basis & (alice_idx != outcome_idx)
-    records = [SlotRecord(LABELS[a], _BASIS_NAMES[b], LABELS[o])
-               for a, b, o in zip(alice_idx, bob_basis_idx, outcome_idx)]
+    code = alice_idx * 4 + outcome_idx
+    outcome_counts = np.bincount(code, minlength=16).reshape(4, 4)
+    same_basis = int(outcome_counts[_SAME_BASIS].sum())
+    errors = same_basis - int(np.trace(outcome_counts))
     summary = SimulationSummary(
         slots=count,
         attack=attack,
         outcome_counts=outcome_counts,
-        flagged=int(errors.sum()),
-        same_basis_slots=int(same_basis.sum()),
-        same_basis_errors=int(errors.sum()),
+        flagged=errors,
+        same_basis_slots=same_basis,
+        same_basis_errors=errors,
     )
-    return records, summary
+    return _RECORDS[code].tolist(), summary

@@ -19,24 +19,28 @@ of zero probability, or a scenario too large for the available memory).
 
 Validation is one in-module walk of the shipped schema, which also
 words every rejection.  At each matrix and vector ``$ref`` one flat pass
-over its entries checks them and parses them into a float64 array of
-``[re, im]`` pairs, which a ``retrodict`` run stacks and checks as
-``(k, d, d)`` arrays without walking the entries again.  The messages
-are pinned to jsonschema 4.26's wording, which the tests check against
-the installed jsonschema; jsonschema itself is never imported here.
+over its entries checks them (a value it declines is walked entry by
+entry), and each valid one is parsed once into a float64 array of
+``[re, im]`` pairs, or into the fault it hit, which the run words when
+it reaches that matrix.  A ``retrodict`` run stacks and checks the
+arrays as ``(k, d, d)`` arrays without walking the entries again.  The
+messages are pinned to jsonschema 4.26's wording, which the tests check
+against the installed jsonschema; jsonschema itself is never imported
+here.
 
 JSON output is byte for byte ``json.dumps(doc, indent=2, sort_keys=True)``
-and a newline, but each rectangular number array is encoded one row at a
-time by the C encoder and poured into a template of its indented layout.
-Operator matrices, and the echoed ``retrodict`` matrices of floats, stay
-numpy arrays up to that point, and each distinct magnitude in one is
-encoded only once.  A matrix holding a JSON integer is echoed from its
-list, since ``1`` must not render as ``1.0``.  An array that is nearly
-all ``+0.0``, as an optics state is beyond its few photons, takes a
-sparse route: only its other entries are encoded, each spliced into the
-cached text of an all-``0.0`` row, and a row without one is that cached
-text itself, so the work follows the non-zero entries and not the
-truncation.  Dense arrays, and any under 64 entries, keep the templates.
+and a newline, but each rectangular number array is encoded by one call
+of the C encoder and poured, one row at a time, into a template of its
+indented layout.  Operator matrices, and the echoed ``retrodict``
+matrices of floats, stay numpy arrays up to that point, and each
+distinct magnitude in one is encoded only once.  A matrix holding a
+JSON integer is echoed from its list, since ``1`` must not render as
+``1.0``.  An array that is nearly all ``+0.0``, as an optics state is
+beyond its few photons, takes a sparse route: only its other entries are
+encoded, each spliced into the cached text of an all-``0.0`` row, and a
+row without one is that cached text itself, so the work follows the
+non-zero entries and not the truncation.  Dense arrays, and any under 64
+entries, keep the templates.
 """
 
 from __future__ import annotations
@@ -120,44 +124,42 @@ def _leaves(rows):
     return (flat, kinds) if kinds <= _NUMBER_TYPES else None
 
 
-def _pair_array(rows, flat, kinds):
-    """A matrix's numbers ``flat`` as a ``(rows, cols, 2)`` float64 array of
-    ``[re, im]`` pairs, and the value that echoes the matrix: the array, or
+def _pair_array(rows, leaves=None):
+    """The valid matrix ``rows`` as a ``(rows, cols, 2)`` float64 array of
+    ``[re, im]`` pairs, and the value that echoes it: the array, or
     ``rows`` if it holds an integer, since ``1`` must not render as ``1.0``.
 
-    Raises OverflowError for an integer beyond the double range, and
-    numpy's ValueError for rows of unequal length.
+    ``leaves`` are its numbers and their types as :func:`_leaves` gives
+    them; without them they are gathered from ``rows``, whose lists and
+    numbers may then be subclasses.  A matrix no such array can hold gives
+    its fault instead: an OverflowError for an integer beyond the double
+    range, found first, or a ValueError for rows of unequal length.
     """
-    values = np.array(flat, dtype=np.float64)
+    if leaves is None:
+        flat = list(itertools.chain.from_iterable(itertools.chain.from_iterable(rows)))
+        leaves = flat, set(map(type, flat))
+    flat, kinds = leaves
+    try:
+        values = np.array(flat, dtype=np.float64)
+    except OverflowError as exc:
+        return exc
     widths = set(map(len, rows))
     if len(widths) > 1:
-        np.array(rows, dtype=np.float64)  # raises, naming the ragged shape
+        # numpy's words for ``np.array(rows, dtype=np.float64)``.
+        return ValueError(
+            "setting an array element with a sequence. The requested array has an "
+            "inhomogeneous shape after 1 dimensions. The detected shape was "
+            f"({len(rows)},) + inhomogeneous part.")
     values = values.reshape(len(rows), widths.pop(), 2)
-    return values, rows if int in kinds else values
+    return values, rows if any(issubclass(kind, int) for kind in kinds) else values
 
 
-def _matrix_ok(rows, parsed=None, path=()) -> bool:
-    """Whether ``rows`` matches ``$defs/matrix``.  If so, and ``parsed`` is a
-    dict, ``parsed[path]`` is its :func:`_pair_array` where one exists."""
-    leaves = _leaves(rows)
-    if leaves is None:
-        return False
-    if parsed is not None:
-        try:
-            parsed[path] = _pair_array(rows, *leaves)
-        except (OverflowError, ValueError):
-            pass  # the run words the fault, in its turn
-    return True
-
-
-def _vector_ok(entries, parsed=None, path=()) -> bool:
-    """Whether ``entries`` matches ``$defs/vector``: a matrix's one row."""
-    return _matrix_ok([entries], parsed, path)
-
-
-#: Flat passes that accept what these definitions accept.  A value they
-#: decline (a bad entry, or a list subclass) is walked entry by entry.
-_FAST_REFS = {"#/$defs/vector": _vector_ok, "#/$defs/matrix": _matrix_ok}
+#: The rows of the value at each of these references, a vector being a
+#: matrix's one row.  :func:`_leaves` accepts rows as the definitions do,
+#: in one flat pass; a value it declines (a bad entry, or a list subclass)
+#: is walked entry by entry.
+_FAST_REFS = {"#/$defs/vector": lambda entries: [entries],
+              "#/$defs/matrix": lambda rows: rows}
 
 
 def _errors(value, schema, path=(), parsed=None):
@@ -173,8 +175,9 @@ def _errors(value, schema, path=(), parsed=None):
     only on Python objects no JSON text parses to, such as a complex
     number, which is no ``number`` here.
 
-    With a dict ``parsed``, a valid walk leaves in it every matrix and
-    vector of ``value`` as :func:`_matrix_ok` parses it, by path.
+    With a dict ``parsed``, a valid walk leaves in it, by path, every
+    matrix and vector of ``value`` as :func:`_pair_array` parses it, or the
+    fault it hit.
     """
     if isinstance(schema, bool):
         if not schema:
@@ -182,10 +185,15 @@ def _errors(value, schema, path=(), parsed=None):
         return
     for keyword, rule in schema.items():
         if keyword == "$ref":
-            fast = _FAST_REFS.get(rule)
-            if fast is None or not fast(value, parsed, path):
+            as_rows = _FAST_REFS.get(rule)
+            leaves = None if as_rows is None else _leaves(as_rows(value))
+            if leaves is None:
                 name = rule.removeprefix("#/$defs/")
                 yield from _errors(value, _schema()["$defs"][name], path, parsed)
+            if as_rows is not None and parsed is not None:
+                # Reached only if the value is valid: a walk that keeps
+                # ``parsed`` is dropped at its first error.
+                parsed[path] = _pair_array(as_rows(value), leaves)
         elif keyword == "type":
             if not _TYPES[rule](value):
                 yield path, schema, value, f"{value!r} is not of type {rule!r}"
@@ -271,12 +279,11 @@ class Scenario:
     """A validated scenario document.
 
     ``arrays`` holds, by path, each matrix and vector of the document as
-    :func:`_pair_array` parsed it during validation.
+    :func:`_pair_array` parsed it during validation, or the fault it hit.
     """
 
     kind: str
     parameters: dict
-    description: str = ""
     document: dict = field(default_factory=dict)
     arrays: dict = field(default_factory=dict)
 
@@ -289,8 +296,8 @@ class ResultDocument:
     emission), ``arrays`` labelled real matrices without that guarantee,
     ``operators`` complex matrices, ``scalars`` named numbers.  An
     operator's ``matrix``, and each matrix of floats a ``retrodict``
-    ``scenario`` echoes, is a float64 array of ``[re, im]`` pairs until
-    :meth:`to_json_obj` turns it into nested lists.
+    ``scenario`` echoes, is a float64 array of ``[re, im]`` pairs, which
+    the renderer writes as nested lists.
     """
 
     scenario: dict
@@ -300,10 +307,6 @@ class ResultDocument:
     scalars: dict = field(default_factory=dict)
     records: Optional[list] = None
     diagnostics: dict = field(default_factory=dict)
-
-    def to_json_obj(self) -> dict:
-        """The result document as plain JSON values: lists, dicts, str and numbers."""
-        return _plain(self._document())
 
     def _document(self) -> dict:
         """The result document as :func:`_emit` takes it, operator arrays kept."""
@@ -334,17 +337,6 @@ class ResultDocument:
                     )
 
 
-def _plain(value):
-    """``value`` with each numpy array in it as nested lists."""
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, dict):
-        return {key: _plain(item) for key, item in value.items()}
-    if isinstance(value, list):
-        return [_plain(item) for item in value]
-    return value
-
-
 def _out_of_range(where: str) -> ValidationError:
     return ValidationError(
         f"{where} holds a number outside the double-precision range")
@@ -362,23 +354,19 @@ def _real(value, where: str) -> float:
         raise _out_of_range(where) from None
 
 
-def _pairs_at(scenario: Scenario, path: tuple, rows, where: str) -> tuple:
-    """:func:`_pair_array` of the valid matrix ``rows`` at ``path``: the one
-    validation parsed, or else its fault as a ValidationError."""
-    found = scenario.arrays.get(path)
-    if found is None:
-        try:
-            found = _pair_array(rows, *_leaves(rows))
-        except OverflowError:
-            raise _out_of_range(where) from None
-        except ValueError as exc:
-            raise ValidationError(f"malformed matrix: {exc}") from None
+def _pairs_at(scenario: Scenario, path: tuple, where: str) -> tuple:
+    """The array and echo validation parsed for the matrix at ``path``, or
+    else its fault as a ValidationError naming the matrix ``where``."""
+    found = scenario.arrays[path]
+    if isinstance(found, OverflowError):
+        raise _out_of_range(where)
+    if isinstance(found, ValueError):
+        raise ValidationError(f"malformed matrix: {found}")
     return found
 
 
 def _reference(scenario: Scenario) -> optics.ReferenceState:
-    values, _ = _pairs_at(scenario, ("parameters", "reference"),
-                          [scenario.parameters["reference"]], "reference")
+    values, _ = _pairs_at(scenario, ("parameters", "reference"), "reference")
     return optics.ReferenceState(values[0].view(np.complex128)[:, 0])
 
 
@@ -397,7 +385,7 @@ def _operator_matrices(scenario: Scenario, group: str, key: str, name: str) -> t
         if "prior" in item:
             priors.append(_real(item["prior"], f"prior of event {label!r}"))
         values, echo = _pairs_at(scenario, ("parameters", group, i, key),
-                                 item[key], name.format(label))
+                                 name.format(label))
         if values.shape[0] != values.shape[1]:
             raise ValidationError(
                 f"operator matrix must be square, got shape {values.shape[:2]}")
@@ -578,10 +566,9 @@ def _run_bb84(scenario: Scenario, result: ResultDocument):
     result.diagnostics["seed"] = int(seed)
     result.diagnostics["attack"] = attack
     if params.get("include_records", False):
-        result.records = [
-            {"alice_choice": r.alice_choice, "bob_basis": r.bob_basis,
-             "bob_outcome": r.bob_outcome} for r in records
-        ]
+        # Each record's own field dict: one per distinct record, shared by
+        # its slots, and never mutated.
+        result.records = list(map(vars, records))
 
 
 _RUNNERS = {
@@ -609,8 +596,7 @@ def validate_document(doc) -> Scenario:
         raise ValidationError(
             f"scenario does not match the schema at {_json_path(path)}: {message}")
     return Scenario(kind=doc["kind"], parameters=doc.get("parameters", {}),
-                    description=doc.get("description", ""), document=doc,
-                    arrays=arrays)
+                    document=doc, arrays=arrays)
 
 
 def load_scenario(path) -> Scenario:
@@ -668,30 +654,36 @@ def _template(shape: tuple, nl: str) -> str:
     return "[" + inner + ("," + inner).join(slots) + nl + "]"
 
 
-def _float_texts(value: np.ndarray) -> list:
-    """The JSON text of each entry of a float64 array, in C order.
+def _texts(numbers: list) -> list:
+    """The JSON text of each of the Python ``numbers``: one C encode, split
+    at the separator, which no number's text holds."""
+    return _ENCODER.encode(numbers)[1:-1].split(", ")
+
+
+def _float_texts(flat: np.ndarray) -> list:
+    """The JSON text of each entry of a flat float64 array.
 
     Each distinct magnitude is encoded once, and a negative entry is "-"
     and its magnitude's text, so two entries of a Hermitian matrix that
     mirror each other share one encoding.  NaN of either sign is ``NaN``.
-    The distinct magnitudes are found by one sort, and every entry's text
-    is picked with one gather.  Below 64 entries the numpy calls cost
-    more than the encodings they save, and each entry is encoded.
+    Below 64 entries the numpy calls cost more than the encodings they
+    save, and each entry is encoded.
     """
-    flat = value.reshape(-1)
     if flat.size < 64:
-        return _ENCODER.encode(flat.tolist())[1:-1].split(", ")
-    magnitudes = np.abs(flat)
-    order = magnitudes.argsort()
-    ordered = magnitudes[order]
-    first = np.empty(flat.size, dtype=bool)  # the first of each run of equal magnitudes
-    first[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    texts = _ENCODER.encode(ordered[first].tolist())[1:-1].split(", ")
-    index = np.empty(flat.size, dtype=np.intp)
-    index[order] = np.cumsum(first) - 1
+        return _texts(flat.tolist())
+    magnitudes, index = np.unique(np.abs(flat), return_inverse=True)
+    texts = _texts(magnitudes.tolist())
     index[np.signbit(flat) & ~np.isnan(flat)] += len(texts)
     return np.array(texts + ["-" + text for text in texts], dtype=object)[index].tolist()
+
+
+def _fill_rows(texts: list, shape, inner: str, out: list):
+    """Append ``texts``, the entries of an array of ``shape`` in C order, to
+    ``out`` one outermost row at a time, each poured into its template and
+    started by ``inner`` and ended by ``,``."""
+    row, size = _template(tuple(shape[1:]), inner), len(texts) // shape[0]
+    for start in range(0, len(texts), size):
+        out += (inner, row % tuple(texts[start:start + size]), ",")
 
 
 #: An array of 64 entries or more, of which fewer than one in this many
@@ -757,10 +749,7 @@ def _emit(value, nl: str, out: list):
         out.append("[")
         flat = value.reshape(-1)
         if flat.size < 64 or np.count_nonzero(flat.view(np.int64)) * _SPARSE_RATIO > flat.size:
-            texts = _float_texts(flat)
-            row, size = _template(value.shape[1:], inner), len(texts) // value.shape[0]
-            for start in range(0, len(texts), size):
-                out += (inner, row % tuple(texts[start:start + size]), ",")
+            _fill_rows(_float_texts(flat), value.shape, inner, out)
         else:
             _emit_sparse(flat, value.shape, inner, out)
         out[-1] = nl + "]"
@@ -776,13 +765,8 @@ def _emit(value, nl: str, out: list):
                 _emit(item, inner, out)
                 out.append(",")
         else:
-            # One outermost row at a time, so only one row's number texts
-            # exist at once.  No number's text holds the separator ", ".
             shape, flat = array
-            row, size = _template(tuple(shape[1:]), inner), len(flat) // shape[0]
-            for start in range(0, len(flat), size):
-                numbers = _ENCODER.encode(flat[start:start + size])[1:-1]
-                out += (inner, row % tuple(numbers.split(", ")), ",")
+            _fill_rows(_texts(flat), shape, inner, out)
         out[-1] = nl + "]"
     else:
         out.append(_ENCODER.encode(value))

@@ -160,13 +160,14 @@ class OperatorStack:
                 f"{self._name(labels[i])} is not positive semidefinite")),
             *self._faults_after(labels, stack),
         ]
-        # No element after the first on other dims is reached.
-        bad = np.zeros((min(len(labels), n + 1), len(checks)), dtype=bool)
-        for column, (mask, _) in enumerate(checks):
-            rows = min(len(mask), len(bad))
-            bad[:rows, column] = mask[:rows]
-        if bad.any():
-            i, column = divmod(int(np.argmax(bad)), len(checks))
+        # The first fault is the least (element, check) pair of each check's
+        # first failing element.  No element after the first on other dims
+        # is reached.
+        reached = min(len(labels), n + 1)
+        firsts = [(int(np.argmax(mask[:reached])), column)
+                  for column, (mask, _) in enumerate(checks) if mask[:reached].any()]
+        if firsts:
+            i, column = min(firsts)
             raise checks[column][1](i)
         self._set(labels=tuple(labels), _index=index, dims=ModeDims(expected), stack=stack)
         self._check_set()

@@ -1,11 +1,13 @@
-"""Shared helpers for the tests: random instances, the dense oracles, and
-the Hilbert-space and Fock-space toolkit those oracles are built from."""
+"""Shared helpers for the tests: random instances, the dense oracles, the
+Hilbert-space and Fock-space toolkit those oracles are built from, and the
+oracles of the CLI's output and of the BB84 tally."""
 
 import math
 
 import numpy as np
 import scipy.linalg
 
+from qretrodict import bb84
 from qretrodict.errors import (
     TOL,
     ComputationError,
@@ -413,3 +415,46 @@ def oracle_retrodict(params):
                 raise NumericIntegrityError(
                     f"table {name!r} row {label!r} sums to {sum(row)!r}, expected 1")
     return tables, diagnostics
+
+
+# --- Oracles of the CLI's output and of the BB84 tally.
+
+def plain(value):
+    """``value`` with each numpy array in it as nested lists."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {key: plain(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [plain(item) for item in value]
+    return value
+
+
+def to_json_obj(result):
+    """A CLI ``ResultDocument`` as plain JSON values (lists, dicts, str and
+    numbers): the input of the ``json.dumps`` oracle of the renderer."""
+    return plain(result._document())
+
+
+def simulate_slots_per_slot(count, rng_seed, attack="none"):
+    """``bb84.simulate_slots`` as it was built before the slot codes: the
+    same draws, one ``SlotRecord`` per slot from its three indices, and the
+    tallies from ``np.add.at`` and per-slot masks."""
+    rng = np.random.default_rng(rng_seed)
+    alice_idx = rng.integers(0, 4, size=count)
+    bob_basis_idx = rng.integers(0, 2, size=count)
+    transmitted_idx = alice_idx
+    if attack == "intercept_resend":
+        eve_basis_idx = rng.integers(0, 2, size=count)
+        transmitted_idx = bb84._measure(rng, alice_idx, eve_basis_idx)
+    outcome_idx = bb84._measure(rng, transmitted_idx, bob_basis_idx)
+    outcome_counts = np.zeros((4, 4), dtype=int)
+    np.add.at(outcome_counts, (alice_idx, outcome_idx), 1)
+    same_basis = bb84._BASIS_OF_STATE[alice_idx] == bob_basis_idx
+    errors = same_basis & (alice_idx != outcome_idx)
+    records = [bb84.SlotRecord(bb84.LABELS[a], bb84._BASIS_NAMES[b], bb84.LABELS[o])
+               for a, b, o in zip(alice_idx, bob_basis_idx, outcome_idx)]
+    return records, bb84.SimulationSummary(
+        slots=count, attack=attack, outcome_counts=outcome_counts,
+        flagged=int(errors.sum()), same_basis_slots=int(same_basis.sum()),
+        same_basis_errors=int(errors.sum()))

@@ -1,5 +1,7 @@
 """Tests for the four-state polarization key-distribution example."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from qretrodict.bb84 import (
 )
 from qretrodict.errors import ValidationError
 from qretrodict.hilbert import Operator
+from support import simulate_slots_per_slot
 
 EXPECTED_TABLE = np.array([
     [1 / 2, 0, 1 / 4, 1 / 4],
@@ -219,3 +222,30 @@ class TestSimulateSlots:
         row_sums = freqs.sum(axis=1)
         active = summary.outcome_counts.sum(axis=1) > 0
         np.testing.assert_allclose(row_sums[active], 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("attack", ["none", "intercept_resend"])
+    @pytest.mark.parametrize("count", [1, 2, 17, 4096])
+    def test_records_and_tally_match_the_per_slot_construction(self, count, attack):
+        for seed in (0, 1, 7, 2 ** 31 - 1):
+            records, summary = simulate_slots(count, rng_seed=seed, attack=attack)
+            expected, oracle = simulate_slots_per_slot(count, seed, attack)
+            assert records == expected
+            np.testing.assert_array_equal(summary.outcome_counts, oracle.outcome_counts)
+            assert (summary.slots, summary.attack, summary.flagged,
+                    summary.same_basis_slots, summary.same_basis_errors) == (
+                oracle.slots, oracle.attack, oracle.flagged,
+                oracle.same_basis_slots, oracle.same_basis_errors)
+
+    @pytest.mark.parametrize("attack", ["none", "intercept_resend"])
+    def test_a_million_slots_stay_within_their_memory_bound(self, attack):
+        # Measured peaks: 45.8 MiB without and 61.0 MiB with the attack, the
+        # draws and one reference per slot.  One SlotRecord per slot took
+        # 125-140 MiB.
+        tracemalloc.start()
+        try:
+            records, _ = simulate_slots(10 ** 6, rng_seed=3, attack=attack)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(records) == 10 ** 6
+        assert peak < 70 * 2 ** 20

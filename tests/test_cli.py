@@ -38,7 +38,7 @@ from qretrodict.cli import (
     validate_document,
 )
 from qretrodict.hilbert import Operator
-from support import dense_purity, random_pom, random_unbiased_ensemble
+from support import dense_purity, random_pom, random_unbiased_ensemble, to_json_obj
 
 
 #: SHA-256 of ``render_json`` for every bundled scenario, recorded before
@@ -86,7 +86,7 @@ def bus_train_doc(**overrides):
 
 
 def run_to_document(path):
-    return execute(load_scenario(path)).to_json_obj()
+    return to_json_obj(execute(load_scenario(path)))
 
 
 class TestBundledScenarios:
@@ -464,8 +464,29 @@ class TestFastValidation:
 
         doc = retrodict_doc(2, 2)
         doc["parameters"]["events"][0]["state"][0] = Row([[0.5, 0.0], [0, 0]])
-        assert not cli._matrix_ok(doc["parameters"]["events"][0]["state"])
+        assert cli._leaves(doc["parameters"]["events"][0]["state"]) is None
         assert validate_document(doc).kind == "retrodict"
+
+    def test_values_only_the_entry_walk_accepts_run_like_their_plain_twins(self):
+        # Validation parses them too, so execute never meets an unparsed matrix.
+        class Row(list):
+            pass
+
+        with_ints, floats_only = retrodict_doc(2, 2), retrodict_doc(2, 2)
+        for event in floats_only["parameters"]["events"]:
+            event["state"] = [[[float(x) for x in pair] for pair in row]
+                              for row in event["state"]]
+        for doc in (with_ints, floats_only):
+            doc["parameters"]["events"][1]["state"][0] = Row(
+                doc["parameters"]["events"][1]["state"][0])
+        synthesis = {"kind": "synthesis", "parameters": {
+            "reference": [[np.float64(0.6), 0.0], [0.0, -0.8]],
+            "counts_b": 1, "counts_c": 0, "theta": 0.6, "truncation": 8}}
+        assert cli._leaves([synthesis["parameters"]["reference"]]) is None
+        for doc in (with_ints, floats_only, synthesis):
+            twin = json.loads(json.dumps(doc))
+            assert render_json(execute(validate_document(doc))) \
+                == render_json(execute(validate_document(twin)))
 
 
 class TestExitCodes:
@@ -644,14 +665,19 @@ class TestExitCodes:
         ("retrodict", {"events": [{"label": "a", "prior": HUGE,
                                    "state": [[[1, 0]]]}],
                        "pom": [{"label": "b", "element": [[[1, 0]]]}]}),
+        # Reported before the ragged row of the same matrix.
+        ("retrodict", {"events": [{"label": "a", "prior": 1.0,
+                                   "state": [[[1, 0], [0, 0]], [[HUGE, 0]]]}],
+                       "pom": [{"label": "b", "element": [[[1, 0]]]}]}),
         ("bayes", {"events": ["a"], "priors": [HUGE], "outcomes": ["x"],
                    "conditional": [[1.0]]}),
         ("detector", {"counts": 0, "efficiency": HUGE, "truncation": 3}),
         ("scissors", {"reference": [[1, 0]], "theta": -HUGE, "truncation": 3}),
         ("synthesis", {"reference": [[0, HUGE]], "counts_b": 0, "counts_c": 0,
                        "theta": 0.5, "truncation": 3}),
-    ], ids=["retrodict-entry", "retrodict-prior", "bayes-priors",
-            "detector-efficiency", "scissors-theta", "synthesis-reference"])
+    ], ids=["retrodict-entry", "retrodict-prior", "retrodict-entry-ragged",
+            "bayes-priors", "detector-efficiency", "scissors-theta",
+            "synthesis-reference"])
     def test_number_beyond_double_range_exits_3(self, tmp_path, capsys,
                                                 kind, params):
         path = write_scenario(tmp_path, {"kind": kind, "parameters": params})
@@ -956,7 +982,7 @@ class TestRendering:
     def test_csv_values_parse_back_to_the_json_floats(self, tmp_path):
         path = write_scenario(tmp_path, bus_train_doc())
         result = execute(load_scenario(path))
-        document = result.to_json_obj()
+        document = to_json_obj(result)
         for line in render_csv(result).splitlines()[1:]:
             name, row, col, value = line.split(",")
             table = document["outputs"]["tables"][name]
@@ -1009,7 +1035,7 @@ def _pairs(mat):
 class TestFastRendering:
     def test_detector_at_truncation_40_matches_json_dumps(self, tmp_path):
         result = detector_result(tmp_path, 40)
-        assert render_json(result) == dumps_oracle(result.to_json_obj())
+        assert render_json(result) == dumps_oracle(to_json_obj(result))
 
     def test_retrodict_at_d16_k32_matches_json_dumps(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -1021,7 +1047,7 @@ class TestFastRendering:
             "pom": [{"label": label, "element": _pairs(op.mat)}
                     for label, op in pom.elements]}})
         assert result.diagnostics["source"] == "unbiased"
-        assert render_json(result) == dumps_oracle(result.to_json_obj())
+        assert render_json(result) == dumps_oracle(to_json_obj(result))
 
     def test_peak_memory_stays_below_json_dumps(self, tmp_path):
         result = detector_result(tmp_path, 200)
@@ -1035,7 +1061,7 @@ class TestFastRendering:
                 tracemalloc.stop()
 
         ours = peak(lambda: render_json(result))
-        oracle = peak(lambda: dumps_oracle(result.to_json_obj()))
+        oracle = peak(lambda: dumps_oracle(to_json_obj(result)))
         assert ours <= oracle
 
 
@@ -1117,7 +1143,7 @@ def test_documents_at_the_truncation_cap_render_their_recorded_bytes(kind):
 def test_operators_render_like_json_dumps_of_plain_values(tmp_path, kind, truncation):
     result = write_result(tmp_path, {"kind": kind, "parameters": dict(
         _OPTICS_DOCS[kind], truncation=truncation)})
-    document = result.to_json_obj()
+    document = to_json_obj(result)
     assert _json_native(document)
     assert render_json(result) == dumps_oracle(document)
 
@@ -1129,7 +1155,7 @@ def test_a_detector_that_counted_every_photon_renders_like_json_dumps(tmp_path, 
         "counts": truncation, "efficiency": 0.7, "truncation": truncation}})
     (operator,) = result.operators.values()
     assert np.flatnonzero(operator["matrix"]).tolist() == [(truncation + 1) ** 2 * 2 - 2]
-    document = result.to_json_obj()
+    document = to_json_obj(result)
     assert render_json(result) == dumps_oracle(document)
 
 
@@ -1159,7 +1185,7 @@ def test_retrodict_echo_renders_like_json_dumps_of_plain_values(tmp_path, name):
     assert isinstance(echoed["events"][0]["state"], list) is (name == "ints")
     assert isinstance(echoed["events"][1]["state"], np.ndarray)
     assert isinstance(echoed["pom"][1]["element"], list)
-    document = result.to_json_obj()
+    document = to_json_obj(result)
     assert _json_native(document)
     assert render_json(result) == dumps_oracle(document)
     assert dumps_oracle(document["scenario"]) == dumps_oracle(doc)
