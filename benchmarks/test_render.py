@@ -6,8 +6,10 @@ Run from the repository root (not part of the tier-1 suite)::
 
 Each case executes one scenario once and then times only the rendering of
 its result document: ``detector``, ``synthesis`` and ``scissors`` at
-truncation N in {8, 16, 32, 64, 256, 2000}, and ``retrodict`` at
-dimension d in {4, 16} with k = 2d events and outcomes.
+truncation N in {8, 16, 32, 64, 256, 2000}, ``retrodict`` at
+dimension d in {4, 16} with k = 2d events and outcomes, and ``bb84`` with
+``include_records`` at 10^4 and 10^5 slots.  One more case renders only
+the N + 1 column labels of a detector's weights at N = 40.
 """
 
 import numpy as np
@@ -63,3 +65,20 @@ def test_render_retrodict(benchmark, d):
     result = _result(_retrodict_doc(d, 2 * d))
     assert result.diagnostics["source"] == "unbiased"
     benchmark(cli.render_json, result)
+
+
+@pytest.mark.parametrize("slots", [10 ** 4, 10 ** 5])
+def test_render_bb84_records(benchmark, slots):
+    result = _result({"kind": "bb84", "parameters": {
+        "slots": slots, "seed": 5, "attack": "intercept_resend",
+        "include_records": True}})
+    assert len(result.records) == slots
+    benchmark(cli.render_json, result)
+
+
+def test_render_detector_labels(benchmark):
+    result = _result({"kind": "detector", "parameters": dict(
+        _OPTICS["detector"], truncation=40)})
+    labels = result.arrays["photon_number_weights"]["cols"]
+    assert len(labels) == 41
+    benchmark(cli._dumps, labels)

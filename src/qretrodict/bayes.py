@@ -63,15 +63,6 @@ class EventSpace:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "priors", priors)
 
-    def index(self, label: Hashable) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise ValidationError(f"unknown event label {label!r}") from None
-
-    def prior(self, label: Hashable) -> float:
-        return float(self.priors[self.index(label)])
-
 
 @dataclass(frozen=True)
 class ConditionalTable:

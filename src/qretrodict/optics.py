@@ -348,9 +348,4 @@ def scissors_output(ref: ReferenceState, bs: BeamSplitter, space: FockSpace) -> 
         for b in range(2):
             out[a, b] = psi[a] * retro[1 - b, 1 - a] * np.conj(psi[b])
     tr = float(np.trace(out).real)
-    if tr <= TRACE_TOL:
-        raise ZeroProbabilityError(
-            "the scissors projection has zero probability for this reference "
-            "field and coupling"
-        )
     return _on_support((out + out.conj().T) / (2.0 * tr), space)

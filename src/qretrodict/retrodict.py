@@ -206,9 +206,6 @@ class OperatorStack:
     def __len__(self):
         return len(self.labels)
 
-    def __iter__(self):
-        return iter(self.elements)
-
     @property
     def elements(self) -> Tuple[Tuple[Hashable, Operator], ...]:
         return tuple((label, Operator(mat, self.dims))

@@ -41,6 +41,22 @@ class TestValidation:
         with pytest.raises(ValidationError):
             EventSpace((), [])
 
+    def test_priors_must_match_the_labels(self):
+        with pytest.raises(ValidationError) as info:
+            EventSpace(("a", "b"), [1.0])
+        assert str(info.value) == "expected 2 priors, got array of shape (1,)"
+
+    def test_table_shape_must_match_the_labels(self):
+        with pytest.raises(ValidationError) as info:
+            ConditionalTable(("a",), ("x", "y"), [[1.0]])
+        assert str(info.value) == "expected table of shape (1, 2), got (1, 1)"
+
+    def test_unknown_conditioning_label(self):
+        table = ConditionalTable(("a",), ("x",), [[1.0]])
+        with pytest.raises(ValidationError) as info:
+            table.row("z")
+        assert str(info.value) == "unknown conditioning label 'z'"
+
     def test_rows_must_sum_to_one_without_renormalization(self):
         with pytest.raises(ValidationError):
             ConditionalTable(("a",), ("x", "y"), [[0.3, 0.6]])

@@ -62,6 +62,16 @@ class TestPolarizationStates:
         with pytest.raises(ValidationError):
             PolarizationState("D", (1.0, 0.0))
 
+    def test_basis_of_an_unknown_label_is_an_error(self):
+        with pytest.raises(ValidationError) as info:
+            bb84.basis_of("D")
+        assert str(info.value) == "unknown polarization label 'D'"
+
+    def test_rejects_amplitudes_of_other_length(self):
+        with pytest.raises(ValidationError) as info:
+            PolarizationState("V", (1.0,))
+        assert str(info.value) == "polarization amplitudes must have two components"
+
     def test_rejects_unnormalized_amplitudes(self):
         with pytest.raises(ValidationError):
             PolarizationState("V", (1.0, 1.0))

@@ -88,6 +88,18 @@ class TestPomValidation:
         with pytest.raises(ValidationError):
             pom.element("2")
 
+    def test_rejects_an_empty_stack(self):
+        with pytest.raises(ValidationError) as info:
+            Pom(())
+        assert str(info.value) == "POM requires at least one element"
+
+    def test_rejects_non_finite_bare_matrices(self):
+        # An Operator checks its own entries; bare matrices are checked
+        # with the stack.
+        with pytest.raises(ValidationError) as info:
+            Pom.from_matrices(["a"], [np.array([[np.nan]])])
+        assert str(info.value) == "operator entries must be finite (no NaN/Inf)"
+
 
 class TestEnsembleValidation:
     def test_rejects_non_unit_trace_state(self):
@@ -115,6 +127,16 @@ class TestEnsembleValidation:
         lam = BiasedElements.from_ensemble(ens)
         traces = [np.trace(op.mat).real for _, op in lam.elements]
         np.testing.assert_allclose(traces, ens.priors, atol=1e-12)
+
+    def test_events_of_bare_matrices_are_made_when_first_asked(self):
+        up, down = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+        ens = PreparationEnsemble.from_matrices(["a", "b"], [up, down],
+                                                priors=[0.25, 0.75])
+        events = ens.events
+        assert [(label, prior, op.dims.dims) for label, prior, op in events] == \
+            [("a", 0.25, (2,)), ("b", 0.75, (2,))]
+        assert [op.mat.tolist() for _, _, op in events] == [up.tolist(), down.tolist()]
+        assert ens.events is events
 
     def test_biased_elements_reject_wrong_total_trace(self):
         with pytest.raises(ValidationError):
@@ -151,6 +173,12 @@ class TestBornProbability:
             born_probability(rho, Operator(3 * np.eye(2)))
         with pytest.raises(NumericIntegrityError):
             born_probability(rho, Operator(-0.001 * np.eye(2)))
+
+    def test_imaginary_overlap_is_an_integrity_error(self):
+        rho = Operator(np.diag([0.5 + 0.1j, 0.5]))
+        with pytest.raises(NumericIntegrityError) as info:
+            born_probability(rho, ket([1, 0]))
+        assert str(info.value) == "outcome probability has imaginary part 1.000e-01"
 
     def test_tolerated_overshoot_is_clamped(self):
         rho = ket([1, 0])
@@ -339,6 +367,13 @@ class TestRetroConditionalUnbiased:
         with pytest.raises(ValidationError, match="unknown event label 'X'"):
             retro_conditional_unbiased(prep, 0.5 * ket(V), "X")
 
+    def test_zero_trace_element_has_no_posterior(self):
+        prep = preparation_pom(polarization_ensemble())
+        with pytest.raises(ZeroProbabilityError) as info:
+            retro_conditional_unbiased(prep, Operator(np.zeros((2, 2))))
+        assert str(info.value) == ("element trace 0.0 is not positive; the outcome "
+                                   "has zero probability and no retrodictive state")
+
 
 class TestRetroConditionalBiased:
     def skewed_source(self):
@@ -395,6 +430,13 @@ class TestRetroConditionalBiased:
         lam = self.skewed_source()
         with pytest.raises(ValidationError, match="unknown event label 'X'"):
             retro_conditional_biased(lam, ket([1, 0]), "X")
+
+    def test_non_real_overlap_is_an_integrity_error(self):
+        lam = self.skewed_source()
+        with pytest.raises(NumericIntegrityError) as info:
+            retro_conditional_biased(lam, Operator(np.diag([0.5 + 0.5j, 0.5])))
+        assert str(info.value) == ("overlap of event '0' with the outcome is not "
+                                   "a nonnegative real: (0.45+0.45j)")
 
     @staticmethod
     def per_cell_posterior(lam, element, event):

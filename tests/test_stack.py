@@ -595,3 +595,30 @@ def test_cli_reports_the_first_of_two_faults_like_the_oracle(tmp_path, faults, m
     reported = json.loads(err.getvalue())["error"]["message"]
     assert reported == str(expected.value)
     assert reported.startswith(message)
+
+
+@pytest.mark.parametrize("priors, source", [((0.5, 0.5), "unbiased"),
+                                            ((0.7, 0.3), "biased")])
+def test_a_zero_trace_element_is_listed_without_a_retrodictive_row(tmp_path, priors,
+                                                                   source):
+    doc = _qubit_document()
+    for event, prior in zip(doc["parameters"]["events"], priors):
+        event["prior"] = prior
+    one = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    zero = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    doc["parameters"]["pom"] = [{"label": "x", "element": one},
+                                {"label": "never", "element": zero}]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.run(str(path)) == cli.EXIT_OK
+    result = json.loads(out.getvalue())
+    assert result["diagnostics"]["source"] == source
+    assert result["diagnostics"]["zero_probability_outcomes"] == ["never"]
+    assert result["outputs"]["tables"]["retrodictive"]["rows"] == ["x"]
+    tables, diagnostics = oracle_retrodict(doc["parameters"])
+    assert json.dumps(result["outputs"]["tables"], sort_keys=True) == \
+        json.dumps(tables, sort_keys=True)
+    assert json.dumps(result["diagnostics"], sort_keys=True) == \
+        json.dumps(diagnostics, sort_keys=True)
