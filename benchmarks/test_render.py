@@ -7,7 +7,9 @@ Run from the repository root (not part of the tier-1 suite)::
 Each case executes one scenario once and then times only the rendering of
 its result document: ``detector``, ``synthesis`` and ``scissors`` at
 truncation N in {8, 16, 32, 64, 256, 2000}, ``retrodict`` at
-dimension d in {4, 16} with k = 2d events and outcomes, and ``bb84`` with
+dimension d in {4, 16} with k = 2d events and outcomes (and once more at
+d = 16 with an integer ``0`` for the imaginary part of each diagonal
+entry, so its matrices are echoed from their lists), and ``bb84`` with
 ``include_records`` at 10^4 and 10^5 slots.  One more case renders only
 the N + 1 column labels of a detector's weights at N = 40.
 """
@@ -64,6 +66,20 @@ def test_render_optics(benchmark, kind, truncation):
 def test_render_retrodict(benchmark, d):
     result = _result(_retrodict_doc(d, 2 * d))
     assert result.diagnostics["source"] == "unbiased"
+    benchmark(cli.render_json, result)
+
+
+def test_render_retrodict_integer_echo(benchmark):
+    # Each diagonal entry's imaginary part is the JSON integer 0, so every
+    # matrix is echoed from its list, not from its parsed array.
+    doc = _retrodict_doc(16, 32)
+    params = doc["parameters"]
+    matrices = [e["state"] for e in params["events"]] + [p["element"] for p in params["pom"]]
+    for matrix in matrices:
+        for i, row in enumerate(matrix):
+            row[i][1] = 0
+    result = _result(doc)
+    assert all(type(e["state"]) is list for e in result.scenario["parameters"]["events"])
     benchmark(cli.render_json, result)
 
 

@@ -89,6 +89,11 @@ class PolarizationState:
         return float(abs(inner) ** 2)
 
 
+#: ``overlap_probability`` of the canonical states ``LABELS[i]`` and ``LABELS[j]``.
+_OVERLAPS = np.array([[PolarizationState.canonical(a).overlap_probability(
+    PolarizationState.canonical(b)) for b in LABELS] for a in LABELS])
+
+
 @dataclass(frozen=True)
 class SlotRecord:
     """One transmission slot: Alice's choice, Bob's basis and Bob's outcome."""
@@ -117,10 +122,7 @@ def predictive_table() -> ConditionalTable:
     Rows are Alice's choices, columns Bob's outcomes; every entry is half
     the squared overlap of the two states (half for Bob's basis choice).
     """
-    states = [PolarizationState.canonical(label) for label in LABELS]
-    # Each basis is chosen with probability 1/2, then the overlap decides.
-    return ConditionalTable(LABELS, LABELS, [
-        [0.5 * row.overlap_probability(col) for col in states] for row in states])
+    return ConditionalTable(LABELS, LABELS, 0.5 * _OVERLAPS)
 
 
 def retrodictive_table() -> ConditionalTable:
@@ -140,9 +142,8 @@ def eavesdrop_flag(slot: SlotRecord) -> bool:
     correlation has zero probability without interference, so seeing one
     reveals an eavesdropper or a channel error.
     """
-    alice = PolarizationState.canonical(slot.alice_choice)
-    bob = PolarizationState.canonical(slot.bob_outcome)
-    return alice.overlap_probability(bob) < TOL
+    alice, bob = LABELS.index(slot.alice_choice), LABELS.index(slot.bob_outcome)
+    return bool(_OVERLAPS[alice, bob] < TOL)
 
 
 @dataclass(frozen=True)
@@ -199,12 +200,7 @@ _RECORDS[:] = [SlotRecord(LABELS[a], _BASIS_NAMES[_BASIS_OF_STATE[o]], LABELS[o]
                for a in range(4) for o in range(4)]
 
 # P(first basis member | input state, measurement basis).
-_P_FIRST = np.array([
-    [PolarizationState.canonical(LABELS[_BASIS_MEMBERS[basis][0]])
-     .overlap_probability(PolarizationState.canonical(label))
-     for basis in (0, 1)]
-    for label in LABELS
-])
+_P_FIRST = _OVERLAPS[_BASIS_MEMBERS[:, 0]].T
 
 
 def _measure(rng, state_idx: np.ndarray, basis_idx: np.ndarray) -> np.ndarray:

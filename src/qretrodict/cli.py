@@ -7,7 +7,8 @@ tables, labelled real arrays, complex operators, scalars and
 diagnostics.  Output is deterministic: the same scenario file always
 produces byte-identical JSON.
 
-Exit codes: 0 success, 1 an ``--out`` path that cannot be written, 2
+Exit codes: 0 success, 1 an ``--out`` path or a standard output that
+cannot be written (a reader that has gone before the end included), 2
 unreadable/unparsable scenario (text that is not UTF-8 and nesting too
 deep for the parser included),
 3 validation failure (schema or domain invariants; the schema caps
@@ -19,14 +20,15 @@ of zero probability, or a scenario too large for the available memory).
 
 Validation is one in-module walk of the shipped schema, which also
 words every rejection.  At each matrix and vector ``$ref`` one flat pass
-over its entries checks them (a value it declines is walked entry by
-entry), and each valid one is parsed once into a float64 array of
-``[re, im]`` pairs, or into the fault it hit, which the run words when
-it reaches that matrix.  A ``retrodict`` run stacks and checks the
-arrays as ``(k, d, d)`` arrays without walking the entries again.  The
-messages are pinned to jsonschema 4.26's wording, which the tests check
-against the installed jsonschema; jsonschema itself is never imported
-here.
+of :func:`_number_array`, which also finds the renderer's number arrays,
+checks that the value is a ``(rows, cols, 2)`` array of numbers (a value
+it declines, ragged rows included, is walked entry by entry), and each
+valid one is parsed once into a float64 array of ``[re, im]`` pairs, or
+into the fault it hit, which the run words when it reaches that matrix.
+A ``retrodict`` run stacks and checks the arrays as ``(k, d, d)`` arrays
+without walking the entries again.  The messages are pinned to
+jsonschema 4.26's wording, which the tests check against the installed
+jsonschema; jsonschema itself is never imported here.
 
 JSON output is byte for byte ``json.dumps(doc, indent=2, sort_keys=True)``
 and a newline, but each rectangular number array is encoded by one call
@@ -40,10 +42,10 @@ beyond its few photons, takes a sparse route: only its other entries are
 encoded, each spliced into the cached text of an all-``0.0`` row, and a
 row without one is that cached text itself, so the work follows the
 non-zero entries and not the truncation.  Dense arrays, and any under 64
-entries, keep the templates.  Every other list takes one loop: a string
-is encoded where it stands, and any other item is rendered once and its
-text reused wherever the same object recurs in that list, so BB84
-records, which share 16 dicts, render from 16 texts.
+entries, keep the templates.  Every other list, and every tuple, takes
+one loop: a string is encoded where it stands, and any other item is
+rendered once and its text reused wherever the same object recurs in
+that list, so BB84 records, which share 16 dicts, render from 16 texts.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ import functools
 import io
 import itertools
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from importlib import resources
@@ -71,7 +74,7 @@ from .errors import (
     NumericIntegrityError,
     ValidationError,
 )
-from .hilbert import Operator
+from .hilbert import Operator, _check_square_finite
 
 SCHEMA_VERSION = 1
 SCHEMA_RESOURCE = "scenario-v1.schema.json"
@@ -112,55 +115,63 @@ def _equal(value, expected) -> bool:
     return isinstance(value, bool) is isinstance(expected, bool) and value == expected
 
 
-def _leaves(rows):
-    """The numbers of ``rows`` in order, and their types, if ``$defs/matrix``
-    accepts ``rows``: a non-empty list of non-empty lists of ``[number,
-    number]`` pairs.  Else None.  One flat pass, without a loop in Python."""
-    if type(rows) is not list or not rows or set(map(type, rows)) != {list} \
-            or not all(rows):
+def _number_array(value):
+    """The shape, the numbers in C order and their types, if ``value`` is a
+    non-empty list of plain lists nested into a rectangular array of
+    numbers, else None.  One flat pass per level, without a loop in Python;
+    a list whose first item is neither a list nor a number is declined at once."""
+    if type(value) is not list or not value:
         return None
-    pairs = list(itertools.chain.from_iterable(rows))
-    if set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}:
+    shape, flat = [len(value)], value
+    while type(flat[0]) is list:
+        if set(map(type, flat)) != {list}:
+            return None
+        widths = set(map(len, flat))
+        if len(widths) > 1 or 0 in widths:
+            return None
+        shape += widths
+        flat = list(itertools.chain.from_iterable(flat))
+    if type(flat[0]) not in _NUMBER_TYPES:
         return None
-    flat = list(itertools.chain.from_iterable(pairs))
     kinds = set(map(type, flat))
-    return (flat, kinds) if kinds <= _NUMBER_TYPES else None
+    return (tuple(shape), flat, kinds) if kinds <= _NUMBER_TYPES else None
 
 
-def _pair_array(rows, leaves=None):
+def _pair_array(rows, array=None):
     """The valid matrix ``rows`` as a ``(rows, cols, 2)`` float64 array of
     ``[re, im]`` pairs, and the value that echoes it: the array, or
     ``rows`` if it holds an integer, since ``1`` must not render as ``1.0``.
 
-    ``leaves`` are its numbers and their types as :func:`_leaves` gives
-    them; without them they are gathered from ``rows``, whose lists and
-    numbers may then be subclasses.  A matrix no such array can hold gives
-    its fault instead: an OverflowError for an integer beyond the double
-    range, found first, or a ValueError for rows of unequal length.
+    ``array`` is ``rows`` as :func:`_number_array` gives it; without it the
+    numbers are gathered from ``rows``, whose lists and numbers may then be
+    subclasses and whose rows may be ragged.  A matrix no such array can
+    hold gives its fault instead: an OverflowError for an integer beyond
+    the double range, found first, or a ValueError for ragged rows.
     """
-    if leaves is None:
+    if array is None:
         flat = list(itertools.chain.from_iterable(itertools.chain.from_iterable(rows)))
-        leaves = flat, set(map(type, flat))
-    flat, kinds = leaves
+        widths = set(map(len, rows))
+        shape = (len(rows), widths.pop(), 2) if len(widths) == 1 else None
+        array = shape, flat, set(map(type, flat))
+    shape, flat, kinds = array
     try:
         values = np.array(flat, dtype=np.float64)
     except OverflowError as exc:
         return exc
-    widths = set(map(len, rows))
-    if len(widths) > 1:
+    if shape is None:
         # numpy's words for ``np.array(rows, dtype=np.float64)``.
         return ValueError(
             "setting an array element with a sequence. The requested array has an "
             "inhomogeneous shape after 1 dimensions. The detected shape was "
             f"({len(rows)},) + inhomogeneous part.")
-    values = values.reshape(len(rows), widths.pop(), 2)
+    values = values.reshape(shape)
     return values, rows if any(issubclass(kind, int) for kind in kinds) else values
 
 
 #: The rows of the value at each of these references, a vector being a
-#: matrix's one row.  :func:`_leaves` accepts rows as the definitions do,
-#: in one flat pass; a value it declines (a bad entry, or a list subclass)
-#: is walked entry by entry.
+#: matrix's one row.  Rows that :func:`_number_array` gives the shape
+#: ``(rows, cols, 2)`` are valid as they stand; any other value (a bad
+#: entry, ragged rows, or a list subclass) is walked entry by entry.
 _FAST_REFS = {"#/$defs/vector": lambda entries: [entries],
               "#/$defs/matrix": lambda rows: rows}
 
@@ -188,15 +199,16 @@ def _errors(value, schema, path=(), parsed=None):
         return
     for keyword, rule in schema.items():
         if keyword == "$ref":
-            as_rows = _FAST_REFS.get(rule)
-            leaves = None if as_rows is None else _leaves(as_rows(value))
-            if leaves is None:
+            rows = _FAST_REFS[rule](value) if rule in _FAST_REFS else None
+            array = None if rows is None else _number_array(rows)
+            if array is None or array[0][2:] != (2,):
+                array = None
                 name = rule.removeprefix("#/$defs/")
                 yield from _errors(value, _schema()["$defs"][name], path, parsed)
-            if as_rows is not None and parsed is not None:
+            if rows is not None and parsed is not None:
                 # Reached only if the value is valid: a walk that keeps
                 # ``parsed`` is dropped at its first error.
-                parsed[path] = _pair_array(as_rows(value), leaves)
+                parsed[path] = _pair_array(rows, array)
         elif keyword == "type":
             if not _TYPES[rule](value):
                 yield path, schema, value, f"{value!r} is not of type {rule!r}"
@@ -389,13 +401,10 @@ def _operator_matrices(scenario: Scenario, group: str, key: str, name: str) -> t
             priors.append(_real(item["prior"], f"prior of event {label!r}"))
         values, echo = _pairs_at(scenario, ("parameters", group, i, key),
                                  name.format(label))
-        if values.shape[0] != values.shape[1]:
-            raise ValidationError(
-                f"operator matrix must be square, got shape {values.shape[:2]}")
-        if not np.isfinite(values).all():
-            raise ValidationError("operator entries must be finite (no NaN/Inf)")
+        matrix = values.view(np.complex128)[..., 0]
+        _check_square_finite(matrix)
         labels.append(label)
-        matrices.append(values.view(np.complex128)[..., 0])
+        matrices.append(matrix)
         echoes.append(echo)
     return labels, priors, matrices, echoes
 
@@ -627,22 +636,6 @@ _ENCODER = json.JSONEncoder(check_circular=False)
 _encode_str = json.encoder.encode_basestring_ascii
 
 
-def _numeric_array(value):
-    """Shape and flat leaves of a rectangular nested list of numbers, else None."""
-    shape, flat = [], [value]
-    while True:
-        lengths = set(map(len, flat))
-        if len(lengths) > 1 or 0 in lengths:
-            return None
-        shape += lengths
-        flat = list(itertools.chain.from_iterable(flat))
-        kinds = set(map(type, flat))
-        if kinds <= _NUMBER_TYPES:
-            return shape, flat
-        if kinds != {list}:
-            return None
-
-
 @functools.lru_cache(maxsize=64)
 def _template(shape: tuple, nl: str) -> str:
     """``%s`` slots laid out as an indented array of ``shape`` starting at ``nl``.
@@ -756,7 +749,7 @@ def _emit(value, nl: str, out: list):
             _emit_sparse(flat, value.shape, inner, out)
         out[-1] = nl + "]"
     elif isinstance(value, (list, tuple)) and value:
-        array = _numeric_array(value)
+        array = _number_array(value)
         out.append("[")
         if array is None:
             # A string is encoded where it stands.  Any other item is
@@ -774,7 +767,7 @@ def _emit(value, nl: str, out: list):
                     text = texts[id(item)] = "".join(piece)
                 out += (inner, text, ",")
         else:
-            shape, flat = array
+            shape, flat, _ = array
             _fill_rows(_texts(flat), shape, inner, out)
         out[-1] = nl + "]"
     else:
@@ -840,13 +833,18 @@ def run(scenario_path, output_format: str = "json", out_path=None) -> int:
     except MemoryError as exc:
         return _report_error("computation", EXIT_COMPUTATION,
                              f"not enough memory for this scenario: {exc}")
-    if out_path is None:
-        sys.stdout.write(rendered)
-    else:
-        try:
+    try:
+        if out_path is None:
+            sys.stdout.write(rendered)
+            sys.stdout.flush()
+        else:
             Path(out_path).write_text(rendered, encoding="utf-8")
-        except OSError as exc:
-            return _report_error("io", 1, f"cannot write {out_path!r}: {exc}")
+    except OSError as exc:  # a closed pipe included
+        if out_path is None:
+            # What is still buffered goes to the null device at exit.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        where = "to standard output" if out_path is None else repr(out_path)
+        return _report_error("io", 1, f"cannot write {where}: {exc}")
     return EXIT_OK
 
 

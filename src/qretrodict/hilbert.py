@@ -45,6 +45,15 @@ def _as_mode_dims(dims: DimsLike) -> ModeDims:
     return dims if isinstance(dims, ModeDims) else ModeDims(tuple(dims))
 
 
+def _check_square_finite(mat):
+    """Raise ValidationError unless ``mat`` is square, then unless it is finite."""
+    shape = np.shape(mat)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ValidationError(f"operator matrix must be square, got shape {shape}")
+    if not np.isfinite(mat).all():
+        raise ValidationError("operator entries must be finite (no NaN/Inf)")
+
+
 @dataclass(frozen=True, eq=False)
 class Operator:
     """Square complex matrix tagged with its mode structure.
@@ -74,10 +83,7 @@ class Operator:
         return op
 
     def _seal(self, mat: np.ndarray, dims):
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValidationError(f"operator matrix must be square, got shape {mat.shape}")
-        if not np.all(np.isfinite(mat)):
-            raise ValidationError("operator entries must be finite (no NaN/Inf)")
+        _check_square_finite(mat)
         dims = _as_mode_dims(dims) if dims is not None else ModeDims((mat.shape[0],))
         if dims.total_dim != mat.shape[0]:
             raise DimensionMismatch(

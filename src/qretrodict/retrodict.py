@@ -35,7 +35,7 @@ from .errors import (
     ValidationError,
     ZeroProbabilityError,
 )
-from .hilbert import ModeDims, Operator, psd_mask
+from .hilbert import ModeDims, Operator, _check_square_finite, psd_mask
 
 
 def _overlaps(ops: np.ndarray, stack: np.ndarray) -> np.ndarray:
@@ -90,17 +90,18 @@ class OperatorStack:
     """Labelled positive operators on one space: ``labels``, a dict from
     label to index, and ``stack``, one read-only ``(k, d, d)`` array.
 
-    Construction checks that the entries are finite and the labels unique,
-    then element by element that each lives on the first one's dims and is
-    positive semidefinite within ``errors.TOL``, then the whole set;
-    the first fault found raises.  Each element check is one batched test
-    of the whole stack (one :func:`psd_mask` call for positivity),
-    and the first fault in element order is read off their table.
+    Each element is a square, finite matrix, as an ``Operator`` checks it.
+    Construction checks that the labels are unique, then element by
+    element that each lives on the first one's dims and is positive
+    semidefinite within ``errors.TOL``, then the whole set; the first
+    fault found raises.  Each element check is one batched test of the
+    whole stack (one :func:`psd_mask` call for positivity), and the first
+    fault in element order is read off their table.
     ``OperatorStack(pairs)`` takes ``(label, Operator)`` pairs and
-    :meth:`from_matrices` bare matrices; both copy them into the stack and
-    run the same checks.  A stack derived from a checked one (a
-    preparation POM, biased-source elements) skips the element checks.
-    Its attributes cannot be reassigned.
+    :meth:`from_matrices` bare matrices; both copy them into the stack.
+    A stack derived from a checked one (a preparation POM, biased-source
+    elements) skips the element checks.  Its attributes cannot be
+    reassigned.
     """
 
     #: What the set and one of its members are called in error messages.
@@ -120,8 +121,9 @@ class OperatorStack:
         """The elements ``matrices``, each a square complex matrix on one mode
         of its side length, under ``labels``.
 
-        The matrices are copied into the stack, and ``fields`` (an
-        ensemble's ``priors``) are copied and set before the checks run.
+        Each matrix is checked as an ``Operator`` checks its own, in element
+        order, then copied into the stack; ``fields`` (an ensemble's
+        ``priors``) are copied and set before the stack's checks run.
         """
         labels, matrices = list(labels), list(matrices)
         fields = {name: np.array(value, dtype=float) for name, value in fields.items()}
@@ -129,9 +131,7 @@ class OperatorStack:
             raise ValidationError(f"{cls.kind} needs one matrix and one of each of "
                                   f"{sorted(fields)} per label")
         for mat in matrices:
-            if np.ndim(mat) != 2 or np.shape(mat)[0] != np.shape(mat)[1]:
-                raise ValidationError(
-                    f"operator matrix must be square, got shape {np.shape(mat)}")
+            _check_square_finite(mat)
         self = cls.__new__(cls)._set(**fields)
         self._check(labels, matrices, [np.shape(mat)[:1] for mat in matrices])
         return self
@@ -144,8 +144,6 @@ class OperatorStack:
         # fails its dims check.
         n = next((i for i, d in enumerate(dims) if d != dims[0]), len(dims))
         stack = np.array(mats[:n], dtype=complex)
-        if not np.isfinite(stack).all():
-            raise ValidationError("operator entries must be finite (no NaN/Inf)")
         index = {label: i for i, label in enumerate(labels)}
         if len(index) != len(labels):
             raise ValidationError(f"{self.kind} labels must be unique, got {labels!r}")

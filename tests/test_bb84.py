@@ -16,7 +16,7 @@ from qretrodict.bb84 import (
     retrodictive_table,
     simulate_slots,
 )
-from qretrodict.errors import ValidationError
+from qretrodict.errors import TOL, ValidationError
 from qretrodict.hilbert import Operator
 from support import simulate_slots_per_slot
 
@@ -170,6 +170,22 @@ class TestRetrodictiveTable:
             for choice in LABELS:
                 got = retrodict.retro_conditional_unbiased(prep, element, choice)
                 assert got == pytest.approx(table.prob(choice, outcome), abs=1e-12)
+
+
+class TestOverlapTable:
+    def test_tables_and_flag_are_the_overlap_probabilities_bit_for_bit(self):
+        pred = predictive_table().probs
+        for i, a in enumerate(LABELS):
+            for j, b in enumerate(LABELS):
+                overlap = PolarizationState.canonical(a).overlap_probability(
+                    PolarizationState.canonical(b))
+                assert float(pred[i, j]).hex() == (0.5 * overlap).hex()
+                assert eavesdrop_flag(SlotRecord(a, bb84.basis_of(b), b)) \
+                    is (overlap < TOL)
+                if a == bb84.BASES[bb84.basis_of(a)][0]:
+                    # The chance that measuring b in a's basis gives a.
+                    basis = bb84._BASIS_NAMES.index(bb84.basis_of(a))
+                    assert float(bb84._P_FIRST[j, basis]).hex() == overlap.hex()
 
 
 class TestEavesdropFlag:

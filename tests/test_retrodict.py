@@ -94,11 +94,23 @@ class TestPomValidation:
         assert str(info.value) == "POM requires at least one element"
 
     def test_rejects_non_finite_bare_matrices(self):
-        # An Operator checks its own entries; bare matrices are checked
-        # with the stack.
+        # An Operator checks its own entries; bare matrices are checked by
+        # the same check, one by one, before the stack is built.
         with pytest.raises(ValidationError) as info:
             Pom.from_matrices(["a"], [np.array([[np.nan]])])
         assert str(info.value) == "operator entries must be finite (no NaN/Inf)"
+
+    @pytest.mark.parametrize("flip, message", [
+        (False, "operator entries must be finite (no NaN/Inf)"),
+        (True, "operator matrix must be square, got shape (2, 3)"),
+    ], ids=["nan-then-shape", "shape-then-nan"])
+    def test_bare_matrices_report_the_first_fault_in_element_order(self, flip, message):
+        matrices = [np.array([[np.nan, 0.0], [0.0, 1.0]]), np.zeros((2, 3))]
+        if flip:
+            matrices.reverse()
+        with pytest.raises(ValidationError) as info:
+            Pom.from_matrices(["a", "b"], matrices)
+        assert str(info.value) == message
 
 
 class TestEnsembleValidation:
