@@ -1,0 +1,141 @@
+"""Byte-identity census of the CLI: one line per run, to diff two trees.
+
+Run from the repository root (not part of the tier-1 suite)::
+
+    PYTHONPATH=src python benchmarks/census.py > census.txt
+
+and compare two trees with ``diff``.  Each run is ``cli.main(["run", path,
+"--format", fmt])`` in this process, as JSON and as CSV, and prints one
+line: the document's name, the format, the exit code, and the SHA-256 of
+the bytes written to standard output and to standard error.
+
+The documents: the twelve bundled scenarios; every ``cli-cold``,
+``optics-sweep`` and ``retrodict-batch`` document of seeds 1-3, cycles
+0-2, from ``perfbench/workloads.py``; ``bb84`` at 1, 10^4 and 10^6 slots,
+with and without records, under both attacks; and intake faults of the
+``[re, im]`` matrices and of the numbers read beside them.
+
+Every document is written to one fixed path, because a parse error's
+message names the path.  Standard output is a text layer over a binary
+buffer, as a process's is, so that a writer that takes the binary layer
+runs as it does in a real process.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import workloads  # noqa: E402
+
+from qretrodict import cli  # noqa: E402
+
+SEEDS = (1, 2, 3)
+CYCLES = (0, 1, 2)
+WORKLOADS = ("cli-cold", "optics-sweep", "retrodict-batch")
+FORMATS = ("json", "csv")
+#: A JSON integer no double can hold.
+HUGE = 10 ** 400
+
+
+def _qubit(*diagonal):
+    return [[[diagonal[i], 0.0] if i == j else [0.0, 0.0] for j in range(2)]
+            for i in range(2)]
+
+
+def _retrodict(events, pom=None):
+    """A ``retrodict`` document on a qubit; ``events`` and ``pom`` are
+    ``(prior, state)`` and element lists, the standard basis by default."""
+    pom = pom or [_qubit(1.0, 0.0), _qubit(0.0, 1.0)]
+    return {"kind": "retrodict", "parameters": {
+        "events": [{"label": f"e{i}", "prior": prior, "state": state}
+                   for i, (prior, state) in enumerate(events)],
+        "pom": [{"label": f"o{i}", "element": element}
+                for i, element in enumerate(pom)]}}
+
+
+def _optics(kind, reference, theta=0.5):
+    params = {"reference": reference, "theta": theta, "truncation": 4}
+    if kind == "synthesis":
+        params.update(counts_b=1, counts_c=0)
+    return {"kind": kind, "parameters": params}
+
+
+def _faults():
+    """Intake fault documents, and two that pass with unusual entries."""
+    up, down = _qubit(1.0, 0.0), _qubit(0.0, 1.0)
+    ragged = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]
+    huge_state = [[[HUGE, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    nan_state = [[[float("nan"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    return {
+        "huge-state": _retrodict([(0.5, huge_state), (0.5, down)]),
+        "huge-element": _retrodict([(0.5, up), (0.5, down)],
+                                   [_qubit(1.0, 0.0), [[[0, 0], [0, 0]], [[0, 0], [0, -HUGE]]]]),
+        "huge-prior": _retrodict([(HUGE, up), (0.5, down)]),
+        "huge-prior-after-ragged": _retrodict([(0.5, ragged), (HUGE, down)]),
+        "huge-prior-before-nan": _retrodict([(HUGE, nan_state), (0.5, down)]),
+        "huge-then-ragged": _retrodict([(0.5, [[[1, 0], [0, 0]], [[HUGE, 0]]]),
+                                        (0.5, down)]),
+        "huge-reference-synthesis": _optics("synthesis", [[1.0, 0.0], [0.0, HUGE]]),
+        "huge-reference-scissors": _optics("scissors", [[HUGE, 0.0]]),
+        "huge-reference-and-theta": _optics("synthesis", [[HUGE, 0.0]], theta=HUGE),
+        "ragged": _retrodict([(0.5, up), (0.5, ragged)]),
+        "nonsquare": _retrodict([(0.5, up[:1]), (0.5, down)]),
+        "nan": _retrodict([(0.5, nan_state), (0.5, down)]),
+        "integer-entries": _retrodict([(0.5, [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]),
+                                       (0.5, [[[0, 0], [0, 0]], [[0, 0], [1, 0]]])]),
+        "integer-reference": _optics("scissors", [[0, 0], [1, 0]]),
+    }
+
+
+def documents():
+    """``(name, text)`` of every document of the census, in a fixed order."""
+    for name in workloads.BUNDLED:
+        yield name, (workloads.SCENARIO_DIR / f"{name}.json").read_text(encoding="utf-8")
+    for workload in WORKLOADS:
+        for seed in SEEDS:
+            for cycle in CYCLES:
+                for i, case in enumerate(workloads.cycle_cases(workload, seed, cycle)):
+                    yield f"{workload}/s{seed}c{cycle}/{i}-{case.name}", case.text
+    for slots in (1, 10 ** 4, 10 ** 6):
+        for records in (False, True):
+            for attack in workloads.ATTACKS:
+                name = f"bb84-{slots}-{attack}{'-records' if records else ''}"
+                yield name, json.dumps({"kind": "bb84", "parameters": {
+                    "slots": slots, "seed": 7, "attack": attack,
+                    "include_records": records}})
+    for name, doc in _faults().items():
+        yield f"fault-{name}", json.dumps(doc)
+
+
+def _run(path: Path, fmt: str) -> tuple:
+    """Exit code and the bytes on standard output and standard error."""
+    out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["run", str(path), "--format", fmt])
+    out.flush()
+    return code, out.buffer.getvalue(), err.getvalue().encode("utf-8")
+
+
+def main() -> int:
+    path = Path(tempfile.gettempdir()) / "qretrodict-census.json"
+    try:
+        for name, text in documents():
+            path.write_text(text, encoding="utf-8")
+            for fmt in FORMATS:
+                code, out, err = _run(path, fmt)
+                print(name, fmt, code, hashlib.sha256(out).hexdigest(),
+                      hashlib.sha256(err).hexdigest(), flush=True)
+    finally:
+        path.unlink(missing_ok=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

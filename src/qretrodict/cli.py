@@ -8,7 +8,9 @@ diagnostics.  Output is deterministic: the same scenario file always
 produces byte-identical JSON.
 
 Exit codes: 0 success, 1 an ``--out`` path or a standard output that
-cannot be written (a reader that has gone before the end included), 2
+cannot be written (a reader that has gone before the end included, for
+``run`` and ``examples`` alike, and whether or not standard output is
+buffered), 2
 unreadable/unparsable scenario (text that is not UTF-8 and nesting too
 deep for the parser included),
 3 validation failure (schema or domain invariants; the schema caps
@@ -21,14 +23,17 @@ of zero probability, or a scenario too large for the available memory).
 Validation is one in-module walk of the shipped schema, which also
 words every rejection.  At each matrix and vector ``$ref`` one flat pass
 of :func:`_number_array`, which also finds the renderer's number arrays,
-checks that the value is a ``(rows, cols, 2)`` array of numbers (a value
-it declines, ragged rows included, is walked entry by entry), and each
-valid one is parsed once into a float64 array of ``[re, im]`` pairs, or
-into the fault it hit, which the run words when it reaches that matrix.
-A ``retrodict`` run stacks and checks the arrays as ``(k, d, d)`` arrays
-without walking the entries again.  The messages are pinned to
-jsonschema 4.26's wording, which the tests check against the installed
-jsonschema; jsonschema itself is never imported here.
+scans the value for a ``(rows, cols, 2)`` array of numbers (a value it
+declines, ragged rows included, is walked entry by entry), and the scan
+is kept; validation parses no matrix.  The run parses each one once,
+with :func:`_pair_array`, where it reads it, into a float64 array of
+``[re, im]`` pairs, and words its faults there, so they keep document
+order.  A ``retrodict`` run stacks and checks the arrays as
+``(k, d, d)`` arrays without walking the entries again.  The messages
+are pinned to jsonschema 4.26's wording, which the tests check against
+the installed jsonschema; jsonschema itself is never imported here.
+
+Every byte printed on standard output is UTF-8, as an ``--out`` file's is.
 
 JSON output is byte for byte ``json.dumps(doc, indent=2, sort_keys=True)``
 and a newline, but each rectangular number array is encoded by one call
@@ -137,16 +142,17 @@ def _number_array(value):
     return (tuple(shape), flat, kinds) if kinds <= _NUMBER_TYPES else None
 
 
-def _pair_array(rows, array=None):
-    """The valid matrix ``rows`` as a ``(rows, cols, 2)`` float64 array of
+def _pair_array(rows, array, where: str) -> tuple:
+    """The matrix ``rows`` as a ``(rows, cols, 2)`` float64 array of
     ``[re, im]`` pairs, and the value that echoes it: the array, or
     ``rows`` if it holds an integer, since ``1`` must not render as ``1.0``.
 
-    ``array`` is ``rows`` as :func:`_number_array` gives it; without it the
-    numbers are gathered from ``rows``, whose lists and numbers may then be
-    subclasses and whose rows may be ragged.  A matrix no such array can
-    hold gives its fault instead: an OverflowError for an integer beyond
-    the double range, found first, or a ValueError for ragged rows.
+    ``array`` is what :func:`_number_array` gave for ``rows`` during
+    validation, or None, and then the numbers are gathered from ``rows``,
+    whose lists and numbers may be subclasses and whose rows may be
+    ragged.  A matrix no such array can hold raises a ValidationError: an
+    integer beyond the double range, found first, names the matrix
+    ``where``; ragged rows are a malformed matrix.
     """
     if array is None:
         flat = list(itertools.chain.from_iterable(itertools.chain.from_iterable(rows)))
@@ -156,14 +162,14 @@ def _pair_array(rows, array=None):
     shape, flat, kinds = array
     try:
         values = np.array(flat, dtype=np.float64)
-    except OverflowError as exc:
-        return exc
+    except OverflowError:
+        raise _out_of_range(where) from None
     if shape is None:
         # numpy's words for ``np.array(rows, dtype=np.float64)``.
-        return ValueError(
-            "setting an array element with a sequence. The requested array has an "
-            "inhomogeneous shape after 1 dimensions. The detected shape was "
-            f"({len(rows)},) + inhomogeneous part.")
+        raise ValidationError(
+            "malformed matrix: setting an array element with a sequence. The "
+            "requested array has an inhomogeneous shape after 1 dimensions. The "
+            f"detected shape was ({len(rows)},) + inhomogeneous part.")
     values = values.reshape(shape)
     return values, rows if any(issubclass(kind, int) for kind in kinds) else values
 
@@ -176,7 +182,7 @@ _FAST_REFS = {"#/$defs/vector": lambda entries: [entries],
               "#/$defs/matrix": lambda rows: rows}
 
 
-def _errors(value, schema, path=(), parsed=None):
+def _errors(value, schema, path=(), arrays=None):
     """Every way ``value`` breaks ``schema``, as ``(path, node, value, message)``.
 
     Walks as jsonschema 4.26's Draft 2020-12 ``iter_errors`` does, for
@@ -189,9 +195,9 @@ def _errors(value, schema, path=(), parsed=None):
     only on Python objects no JSON text parses to, such as a complex
     number, which is no ``number`` here.
 
-    With a dict ``parsed``, a valid walk leaves in it, by path, every
-    matrix and vector of ``value`` as :func:`_pair_array` parses it, or the
-    fault it hit.
+    With a dict ``arrays``, the walk leaves in it, by path, every matrix
+    and vector of ``value`` as :func:`_number_array` scanned it, or None
+    where the entries were walked one by one.  It parses none of them.
     """
     if isinstance(schema, bool):
         if not schema:
@@ -204,11 +210,9 @@ def _errors(value, schema, path=(), parsed=None):
             if array is None or array[0][2:] != (2,):
                 array = None
                 name = rule.removeprefix("#/$defs/")
-                yield from _errors(value, _schema()["$defs"][name], path, parsed)
-            if rows is not None and parsed is not None:
-                # Reached only if the value is valid: a walk that keeps
-                # ``parsed`` is dropped at its first error.
-                parsed[path] = _pair_array(rows, array)
+                yield from _errors(value, _schema()["$defs"][name], path, arrays)
+            if rows is not None and arrays is not None:
+                arrays[path] = array
         elif keyword == "type":
             if not _TYPES[rule](value):
                 yield path, schema, value, f"{value!r} is not of type {rule!r}"
@@ -220,10 +224,10 @@ def _errors(value, schema, path=(), parsed=None):
                 yield path, schema, value, f"{value!r} is not one of {rule!r}"
         elif keyword == "allOf":
             for sub in rule:
-                yield from _errors(value, sub, path, parsed)
+                yield from _errors(value, sub, path, arrays)
         elif keyword == "if":
             if next(_errors(value, rule, path), None) is None:
-                yield from _errors(value, schema.get("then", True), path, parsed)
+                yield from _errors(value, schema.get("then", True), path, arrays)
         elif isinstance(value, dict):
             if keyword == "required":
                 for key in rule:
@@ -232,12 +236,12 @@ def _errors(value, schema, path=(), parsed=None):
             elif keyword == "properties":
                 for key, sub in rule.items():
                     if key in value:
-                        yield from _errors(value[key], sub, path + (key,), parsed)
+                        yield from _errors(value[key], sub, path + (key,), arrays)
             elif keyword == "additionalProperties":
                 extra = [k for k in value if k not in schema.get("properties", ())]
                 if isinstance(rule, dict):
                     for key in extra:
-                        yield from _errors(value[key], rule, path + (key,), parsed)
+                        yield from _errors(value[key], rule, path + (key,), arrays)
                 elif not rule and extra:
                     names = ", ".join(map(repr, sorted(extra)))
                     verb = "was" if len(extra) == 1 else "were"
@@ -250,7 +254,7 @@ def _errors(value, schema, path=(), parsed=None):
                 yield path, schema, value, f"{value!r} {tail}"
             elif keyword == "prefixItems":
                 for i, (item, sub) in enumerate(zip(value, rule)):
-                    yield from _errors(item, sub, path + (i,), parsed)
+                    yield from _errors(item, sub, path + (i,), arrays)
             elif keyword == "items" and len(value) > prefix:
                 if rule is False:
                     extra = len(value) - prefix
@@ -260,7 +264,7 @@ def _errors(value, schema, path=(), parsed=None):
                            f"{noun} but found {extra} extra: {rest!r}")
                 else:
                     for i in range(prefix, len(value)):
-                        yield from _errors(value[i], rule, path + (i,), parsed)
+                        yield from _errors(value[i], rule, path + (i,), arrays)
         elif _is_number(value):
             if keyword == "minimum" and value < rule:
                 yield (path, schema, value,
@@ -294,7 +298,8 @@ class Scenario:
     """A validated scenario document.
 
     ``arrays`` holds, by path, each matrix and vector of the document as
-    :func:`_pair_array` parsed it during validation, or the fault it hit.
+    :func:`_number_array` scanned it during validation, or None; the run
+    hands it to :func:`_pair_array` where it reads that matrix.
     """
 
     kind: str
@@ -369,19 +374,9 @@ def _real(value, where: str) -> float:
         raise _out_of_range(where) from None
 
 
-def _pairs_at(scenario: Scenario, path: tuple, where: str) -> tuple:
-    """The array and echo validation parsed for the matrix at ``path``, or
-    else its fault as a ValidationError naming the matrix ``where``."""
-    found = scenario.arrays[path]
-    if isinstance(found, OverflowError):
-        raise _out_of_range(where)
-    if isinstance(found, ValueError):
-        raise ValidationError(f"malformed matrix: {found}")
-    return found
-
-
 def _reference(scenario: Scenario) -> optics.ReferenceState:
-    values, _ = _pairs_at(scenario, ("parameters", "reference"), "reference")
+    values, _ = _pair_array([scenario.parameters["reference"]],
+                            scenario.arrays["parameters", "reference"], "reference")
     return optics.ReferenceState(values[0].view(np.complex128)[:, 0])
 
 
@@ -399,8 +394,8 @@ def _operator_matrices(scenario: Scenario, group: str, key: str, name: str) -> t
         label = item["label"]
         if "prior" in item:
             priors.append(_real(item["prior"], f"prior of event {label!r}"))
-        values, echo = _pairs_at(scenario, ("parameters", group, i, key),
-                                 name.format(label))
+        values, echo = _pair_array(item[key], scenario.arrays["parameters", group, i, key],
+                                   name.format(label))
         matrix = values.view(np.complex128)[..., 0]
         _check_square_finite(matrix)
         labels.append(label)
@@ -833,12 +828,30 @@ def run(scenario_path, output_format: str = "json", out_path=None) -> int:
     except MemoryError as exc:
         return _report_error("computation", EXIT_COMPUTATION,
                              f"not enough memory for this scenario: {exc}")
+    return _write(rendered, out_path)
+
+
+def _write(text: str, out_path=None) -> int:
+    """Write ``text`` as UTF-8 to ``out_path``, or else to standard output,
+    and return the exit code: 1, with an ``io`` error document, if it
+    cannot be written.
+
+    Standard output takes the bytes through its binary layer, written
+    again from where a short write stopped, as an unbuffered one's raw
+    file may stop.  A standard output without that layer takes the text.
+    """
     try:
-        if out_path is None:
-            sys.stdout.write(rendered)
+        if out_path is not None:
+            Path(out_path).write_text(text, encoding="utf-8")
+        elif hasattr(sys.stdout, "buffer"):
             sys.stdout.flush()
+            view, binary = memoryview(text.encode("utf-8")), sys.stdout.buffer
+            while view:
+                view = view[binary.write(view):]
+            binary.flush()
         else:
-            Path(out_path).write_text(rendered, encoding="utf-8")
+            sys.stdout.write(text)
+            sys.stdout.flush()
     except OSError as exc:  # a closed pipe included
         if out_path is None:
             # What is still buffered goes to the null device at exit.
@@ -876,9 +889,8 @@ def list_examples() -> tuple:
 
 
 def _examples_command() -> int:
-    for info in list_examples():
-        print(f"{info.name} [{info.kind}]: {info.description}")
-    return EXIT_OK
+    return _write("".join(f"{info.name} [{info.kind}]: {info.description}\n"
+                          for info in list_examples()))
 
 
 def main(argv=None) -> int:

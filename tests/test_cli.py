@@ -235,6 +235,28 @@ class TestSchema:
         assert {f"qretrodict.{name}" for name in traced} <= loaded
 
 
+def run_into_pipe(args, read, unbuffered):
+    """Exit code and stderr of ``qretrodict`` ``args`` whose standard output
+    is a pipe that its reader closes after ``read`` bytes, or before the
+    child starts if ``read`` is 0; ``unbuffered`` is PYTHONUNBUFFERED's
+    value, None to unset it."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered is not None:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    reader, writer = os.pipe()
+    if not read:
+        os.close(reader)
+    with subprocess.Popen([sys.executable, "-m", "qretrodict.cli", *args],
+                          stdout=writer, stderr=subprocess.PIPE, env=env) as proc:
+        os.close(writer)
+        if read:
+            assert os.read(reader, read) == b'{\n  "diagn'
+            os.close(reader)
+        err = proc.stderr.read().decode()
+    return proc.returncode, err
+
+
 def run_python(args, check=True):
     """Run a fresh interpreter on ``args`` with this package on its path."""
     src = str(Path(cli.__file__).parents[1])
@@ -570,34 +592,38 @@ class TestExitCodes:
         assert str(out) in error["message"]
         assert not out.exists() and not out.parent.exists()
 
+    @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize("doc, read", [
         ({"kind": "detector", "parameters": {
             "counts": 3, "efficiency": 0.8, "truncation": 600}}, 10),
         (bus_train_doc(), 0),
-    ], ids=["reader-gone-after-10-bytes", "reader-gone-before-the-start"])
-    def test_closed_standard_output_exits_1_without_a_traceback(self, tmp_path, doc, read):
-        # The 23.9 MB detector document fails in its write, the small one in
-        # its flush, with its text still buffered.
-        path = write_scenario(tmp_path, doc)
-        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-        # Unbuffered, Python's text layer drops what a broken pipe did not
-        # take instead of raising, so the run would not see the fault.
-        env.pop("PYTHONUNBUFFERED", None)
-        reader, writer = os.pipe()
-        if not read:
-            os.close(reader)
-        with subprocess.Popen([sys.executable, "-m", "qretrodict.cli", "run", path],
-                              stdout=writer, stderr=subprocess.PIPE, env=env) as proc:
-            os.close(writer)
-            if read:
-                assert os.read(reader, read) == b'{\n  "diagn'
-                os.close(reader)
-            err = proc.stderr.read().decode()
-        assert proc.returncode == 1
+        (None, 0),
+    ], ids=["reader-gone-after-10-bytes", "reader-gone-before-the-start",
+            "examples-reader-gone-before-the-start"])
+    def test_closed_standard_output_exits_1_without_a_traceback(self, tmp_path, doc, read,
+                                                                unbuffered):
+        # The 23.9 MB detector document fails in its write, the small one
+        # and the ``examples`` list in their flush, with their text still
+        # buffered (or in their first write, unbuffered).
+        args = ["examples"] if doc is None else ["run", write_scenario(tmp_path, doc)]
+        code, err = run_into_pipe(args, read, unbuffered)
+        assert code == 1
         assert "Traceback" not in err
         error = json.loads(err)["error"]
         assert (error["category"], error["exit_code"]) == ("io", 1)
         assert error["message"] == "cannot write to standard output: [Errno 32] Broken pipe"
+
+    def test_standard_output_is_utf8_whatever_its_text_encoding(self, tmp_path):
+        doc = bus_train_doc()
+        doc["parameters"]["events"] = ["café", "train"]
+        path, out = write_scenario(tmp_path, doc), tmp_path / "out.csv"
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]),
+                   PYTHONIOENCODING="ascii")
+        args = [sys.executable, "-m", "qretrodict.cli", "run", path, "--format", "csv"]
+        printed = subprocess.run(args, env=env, capture_output=True)
+        assert (printed.returncode, printed.stderr) == (EXIT_OK, b"")
+        assert subprocess.run([*args, "--out", str(out)], env=env).returncode == EXIT_OK
+        assert printed.stdout == out.read_bytes()
 
     def test_zero_probability_outcome_exits_4(self, tmp_path, capsys):
         doc = bus_train_doc()
@@ -688,35 +714,45 @@ class TestExitCodes:
         validate_document({"kind": "bb84", "parameters": {
             "slots": 10 ** 7, "include_records": False}})
 
-    @pytest.mark.parametrize("kind, params", [
+    @pytest.mark.parametrize("kind, params, where", [
         ("retrodict", {"events": [{"label": "a", "prior": 1.0,
                                    "state": [[[HUGE, 0]]]}],
-                       "pom": [{"label": "b", "element": [[[1, 0]]]}]}),
+                       "pom": [{"label": "b", "element": [[[1, 0]]]}]},
+         "state of event 'a'"),
         ("retrodict", {"events": [{"label": "a", "prior": HUGE,
                                    "state": [[[1, 0]]]}],
-                       "pom": [{"label": "b", "element": [[[1, 0]]]}]}),
+                       "pom": [{"label": "b", "element": [[[1, 0]]]}]},
+         "prior of event 'a'"),
         # Reported before the ragged row of the same matrix.
         ("retrodict", {"events": [{"label": "a", "prior": 1.0,
                                    "state": [[[1, 0], [0, 0]], [[HUGE, 0]]]}],
-                       "pom": [{"label": "b", "element": [[[1, 0]]]}]}),
+                       "pom": [{"label": "b", "element": [[[1, 0]]]}]},
+         "state of event 'a'"),
+        ("retrodict", {"events": [{"label": "a", "prior": 1.0,
+                                   "state": [[[1, 0]]]}],
+                       "pom": [{"label": "b", "element": [[[0, -HUGE]]]}]},
+         "POM element 'b'"),
         ("bayes", {"events": ["a"], "priors": [HUGE], "outcomes": ["x"],
-                   "conditional": [[1.0]]}),
-        ("detector", {"counts": 0, "efficiency": HUGE, "truncation": 3}),
-        ("scissors", {"reference": [[1, 0]], "theta": -HUGE, "truncation": 3}),
+                   "conditional": [[1.0]]}, "priors"),
+        ("detector", {"counts": 0, "efficiency": HUGE, "truncation": 3}, "efficiency"),
+        ("scissors", {"reference": [[1, 0]], "theta": -HUGE, "truncation": 3}, "theta"),
         ("synthesis", {"reference": [[0, HUGE]], "counts_b": 0, "counts_c": 0,
-                       "theta": 0.5, "truncation": 3}),
+                       "theta": 0.5, "truncation": 3}, "reference"),
+        # The reference is read before theta.
+        ("synthesis", {"reference": [[HUGE, 0]], "counts_b": 0, "counts_c": 0,
+                       "theta": HUGE, "truncation": 3}, "reference"),
     ], ids=["retrodict-entry", "retrodict-prior", "retrodict-entry-ragged",
-            "bayes-priors", "detector-efficiency", "scissors-theta",
-            "synthesis-reference"])
+            "retrodict-element", "bayes-priors", "detector-efficiency",
+            "scissors-theta", "synthesis-reference", "synthesis-reference-then-theta"])
     def test_number_beyond_double_range_exits_3(self, tmp_path, capsys,
-                                                kind, params):
+                                                kind, params, where):
         path = write_scenario(tmp_path, {"kind": kind, "parameters": params})
         assert main(["run", path]) == EXIT_VALIDATION
         captured = capsys.readouterr()
         assert captured.out == ""
         error = json.loads(captured.err)["error"]
         assert error["category"] == "validation"
-        assert "double-precision range" in error["message"]
+        assert error["message"] == f"{where} holds a number outside the double-precision range"
 
     @pytest.mark.parametrize("counts, truncation", [(171, 171), (170, 600),
                                                    (400, 450)])

@@ -542,25 +542,41 @@ def _qubit_document():
         "pom": [{"label": "x", "element": up()}, {"label": "y", "element": down()}]}}
 
 
-def _nan(rows):
-    rows[0][0] = [math.nan, 0.0]
+def _rows(item):
+    return item["state"] if "state" in item else item["element"]
 
 
-def _huge(rows):
-    rows[1][1] = [HUGE, 0]
+def _nan(item):
+    _rows(item)[0][0] = [math.nan, 0.0]
 
 
-def _ragged(rows):
+def _huge(item):
+    _rows(item)[1][1] = [HUGE, 0]
+
+
+def _huge_prior(item):
+    item["prior"] = HUGE
+
+
+def _ragged(item):
+    rows = _rows(item)
     rows[1] = rows[1][:1]
 
 
-def _nonsquare(rows):
-    del rows[1]
+def _nonsquare(item):
+    del _rows(item)[1]
 
 
-def _resized(rows):
-    rows[:] = [[[1 / 3, 0.0] if i == j else [0.0, 0.0] for j in range(3)]
-               for i in range(3)]
+def _resized(item):
+    _rows(item)[:] = [[[1 / 3, 0.0] if i == j else [0.0, 0.0] for j in range(3)]
+                      for i in range(3)]
+
+
+def _both(*faults):
+    def apply(item):
+        for fault in faults:
+            fault(item)
+    return apply
 
 
 #: Two faults in one document, and the message of the one that comes first:
@@ -577,6 +593,8 @@ FIRST_FAULTS = [
     ({("pom", 0): _nan, ("pom", 1): _resized}, "operator entries must be finite"),
     ({("pom", 0): _resized, ("events", 1): _nan}, "operator entries must be finite"),
     ({("pom", 1): _nonsquare, ("pom", 0): _huge}, "POM element 'x' holds a number"),
+    ({("events", 0): _ragged, ("events", 1): _huge_prior}, "malformed matrix"),
+    ({("events", 0): _both(_huge_prior, _nan)}, "prior of event 'a' holds a number"),
 ]
 
 
@@ -584,7 +602,7 @@ FIRST_FAULTS = [
 def test_cli_reports_the_first_of_two_faults_like_the_oracle(tmp_path, faults, message):
     doc = _qubit_document()
     for (group, i), fault in faults.items():
-        fault(doc["parameters"][group][i]["state" if group == "events" else "element"])
+        fault(doc["parameters"][group][i])
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     err = io.StringIO()
