@@ -10,10 +10,10 @@ walk of the schema, with a plain loop over each matrix's entries.
 
 Rejected documents: ``retrodict`` at d = 16, k = 32 with one bad entry in
 the last POM element, where the walk runs past every matrix before it
-finds the error and then goes entry by entry through that element, and a
-``bayes`` document with an unknown top-level key.  A rejection walks the
-document a second time to pick and word the message; jsonschema is never
-imported.
+finds the error and then goes entry by entry through that element, with
+the bad entry last or first in it, and a ``bayes`` document with an
+unknown top-level key.  A rejection's one walk goes on past its first
+error to pick and word the message; jsonschema is never imported.
 """
 
 import pytest
@@ -48,6 +48,13 @@ def test_reject_retrodict_bad_last_entry(benchmark):
     doc["parameters"]["pom"][-1]["element"][-1][-1] = [0.0, True]
     assert benchmark(_rejection, doc).startswith(
         "scenario does not match the schema at $.parameters.pom[31].element[15][15][1]:")
+
+
+def test_reject_retrodict_bad_first_entry_of_last_element(benchmark):
+    doc = _retrodict_doc(16, 32)
+    doc["parameters"]["pom"][-1]["element"][0][0] = [0.0, True]
+    assert benchmark(_rejection, doc).startswith(
+        "scenario does not match the schema at $.parameters.pom[31].element[0][0][1]:")
 
 
 def test_reject_unknown_top_level_key(benchmark):

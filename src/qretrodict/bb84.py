@@ -183,11 +183,12 @@ class SimulationSummary:
                          where=totals > 0)
 
 
-# Index layout for the vectorized simulation: states in LABELS order,
-# bases as 0=circular (L, R), 1=linear (V, H).
-_BASIS_NAMES = ("circular", "linear")
-_BASIS_MEMBERS = np.array([[0, 1], [2, 3]])
-_BASIS_OF_STATE = np.array([0, 0, 1, 1])
+# Index layout for the vectorized simulation: states by their index in
+# LABELS, bases by their index in BASES.
+_BASIS_NAMES = tuple(BASES)
+_BASIS_MEMBERS = np.array([[LABELS.index(label) for label in members]
+                           for members in BASES.values()])
+_BASIS_OF_STATE = np.array([_BASIS_NAMES.index(basis_of(label)) for label in LABELS])
 
 #: Whether a state and an outcome, by index, belong to the same basis.
 _SAME_BASIS = _BASIS_OF_STATE[:, None] == _BASIS_OF_STATE[None, :]

@@ -5,52 +5,25 @@ retrodict, detector, synthesis, scissors or bb84) and its parameters;
 the result document echoes the scenario and carries named probability
 tables, labelled real arrays, complex operators, scalars and
 diagnostics.  Output is deterministic: the same scenario file always
-produces byte-identical JSON.
+produces byte-identical JSON, byte for byte ``json.dumps(doc, indent=2,
+sort_keys=True)`` and a newline.  Every byte written, to standard output
+or to an ``--out`` file, is UTF-8.
 
-Exit codes: 0 success, 1 an ``--out`` path or a standard output that
-cannot be written (a reader that has gone before the end included, for
-``run`` and ``examples`` alike, and whether or not standard output is
-buffered), 2
-unreadable/unparsable scenario (text that is not UTF-8 and nesting too
-deep for the parser included),
-3 validation failure (schema or domain invariants; the schema caps
-``truncation`` at 2000 photons and BB84 ``slots`` at 10^7, or 10^6 with
-records, so oversized documents exit 3 before any allocation; an integer
-beyond the double-precision range where a real number is expected also
-exits 3), 4 computation failure (for example conditioning on an outcome
-of zero probability, or a scenario too large for the available memory).
+Exit codes:
 
-Validation is one in-module walk of the shipped schema, which also
-words every rejection.  At each matrix and vector ``$ref`` one flat pass
-of :func:`_number_array`, which also finds the renderer's number arrays,
-scans the value for a ``(rows, cols, 2)`` array of numbers (a value it
-declines, ragged rows included, is walked entry by entry), and the scan
-is kept; validation parses no matrix.  The run parses each one once,
-with :func:`_pair_array`, where it reads it, into a float64 array of
-``[re, im]`` pairs, and words its faults there, so they keep document
-order.  A ``retrodict`` run stacks and checks the arrays as
-``(k, d, d)`` arrays without walking the entries again.  The messages
-are pinned to jsonschema 4.26's wording, which the tests check against
-the installed jsonschema; jsonschema itself is never imported here.
-
-Every byte printed on standard output is UTF-8, as an ``--out`` file's is.
-
-JSON output is byte for byte ``json.dumps(doc, indent=2, sort_keys=True)``
-and a newline, but each rectangular number array is encoded by one call
-of the C encoder and poured, one row at a time, into a template of its
-indented layout.  Operator matrices, and the echoed ``retrodict``
-matrices of floats, stay numpy arrays up to that point, and each
-distinct magnitude in one is encoded only once.  A matrix holding a
-JSON integer is echoed from its list, since ``1`` must not render as
-``1.0``.  An array that is nearly all ``+0.0``, as an optics state is
-beyond its few photons, takes a sparse route: only its other entries are
-encoded, each spliced into the cached text of an all-``0.0`` row, and a
-row without one is that cached text itself, so the work follows the
-non-zero entries and not the truncation.  Dense arrays, and any under 64
-entries, keep the templates.  Every other list, and every tuple, takes
-one loop: a string is encoded where it stands, and any other item is
-rendered once and its text reused wherever the same object recurs in
-that list, so BB84 records, which share 16 dicts, render from 16 texts.
+- 0 success;
+- 1 an ``--out`` path or a standard output that cannot be written (a
+  reader that has gone before the end included), for ``run`` and
+  ``examples`` alike;
+- 2 an unreadable or unparsable scenario (text that is not UTF-8 and
+  nesting too deep for the parser included);
+- 3 a validation failure: schema or domain invariants, an integer beyond
+  the double-precision range where a real number is expected, or a result
+  with no UTF-8 text (a CSV label holding a lone surrogate).  The schema
+  caps ``truncation`` at 2000 photons and BB84 ``slots`` at 10^7, or 10^6
+  with records, so oversized documents exit 3 before any allocation;
+- 4 a computation failure, for example conditioning on an outcome of zero
+  probability, or a scenario too large for the available memory.
 """
 
 from __future__ import annotations
@@ -380,22 +353,22 @@ def _reference(scenario: Scenario) -> optics.ReferenceState:
     return optics.ReferenceState(values[0].view(np.complex128)[:, 0])
 
 
-def _operator_matrices(scenario: Scenario, group: str, key: str, name: str) -> tuple:
+def _operator_matrices(scenario: Scenario, group: str, key: str, stack) -> tuple:
     """Labels, priors (of items that have one) and complex matrices of
     ``parameters[group][i][key]``, and each matrix's echo.
 
     Each item is read in document order, as an ``Operator`` would be
     built from it: its prior's range, then its matrix's range, shape and
-    finiteness, the matrix named ``name.format(label)``; the first fault
-    raises.
+    finiteness, each named as the ``OperatorStack`` class ``stack`` names
+    it; the first fault raises.
     """
     labels, priors, matrices, echoes = [], [], [], []
     for i, item in enumerate(scenario.parameters[group]):
         label = item["label"]
         if "prior" in item:
-            priors.append(_real(item["prior"], f"prior of event {label!r}"))
+            priors.append(_real(item["prior"], stack._prior_name(label)))
         values, echo = _pair_array(item[key], scenario.arrays["parameters", group, i, key],
-                                   name.format(label))
+                                   stack._name(label))
         matrix = values.view(np.complex128)[..., 0]
         _check_square_finite(matrix)
         labels.append(label)
@@ -453,10 +426,10 @@ def _run_bayes(scenario: Scenario, result: ResultDocument):
 
 def _run_retrodict(scenario: Scenario, result: ResultDocument):
     labels, priors, matrices, states = _operator_matrices(
-        scenario, "events", "state", "state of event {!r}")
+        scenario, "events", "state", retrodict.PreparationEnsemble)
     ens = retrodict.PreparationEnsemble.from_matrices(labels, matrices, priors=priors)
     labels, _, matrices, elements = _operator_matrices(
-        scenario, "pom", "element", "POM element {!r}")
+        scenario, "pom", "element", retrodict.Pom)
     pom = retrodict.Pom.from_matrices(labels, matrices)
     predictive = pom.table(ens)
     result.tables["predictive"] = _array(ens.labels, pom.labels, predictive)
@@ -590,15 +563,16 @@ _RUNNERS = {
 def validate_document(doc) -> Scenario:
     """Check a parsed scenario document against the shipped schema.
 
-    One walk decides: :func:`_errors` stops at the first error, and a
-    valid matrix or vector costs one plain loop over its entries.  A
-    rejected document is walked once more for every error, and the one
-    jsonschema's ``best_match`` would pick words the message, in
-    jsonschema 4.26's text.
+    One walk of :func:`_errors` decides.  A valid document ends it with no
+    error.  A rejected one's walk goes on past its first error, one error
+    at a time, and the one jsonschema's ``best_match`` would pick words the
+    message, in jsonschema 4.26's text.
     """
     arrays = {}
-    if next(_errors(doc, _schema(), (), arrays), None) is not None:
-        path, _, _, message = max(_errors(doc, _schema()), key=_relevance)
+    errors = _errors(doc, _schema(), (), arrays)
+    first = next(errors, None)
+    if first is not None:
+        path, _, _, message = max(itertools.chain((first,), errors), key=_relevance)
         raise ValidationError(
             f"scenario does not match the schema at {_json_path(path)}: {message}")
     return Scenario(kind=doc["kind"], parameters=doc.get("parameters", {}),
@@ -833,19 +807,25 @@ def run(scenario_path, output_format: str = "json", out_path=None) -> int:
 
 def _write(text: str, out_path=None) -> int:
     """Write ``text`` as UTF-8 to ``out_path``, or else to standard output,
-    and return the exit code: 1, with an ``io`` error document, if it
-    cannot be written.
+    and return the exit code: 3, with a ``validation`` error document, if
+    the text has no UTF-8 encoding, found before anything is opened; 1,
+    with an ``io`` error document, if it cannot be written.
 
     Standard output takes the bytes through its binary layer, written
     again from where a short write stopped, as an unbuffered one's raw
     file may stop.  A standard output without that layer takes the text.
     """
     try:
+        data = text.encode("utf-8")
+    except UnicodeEncodeError as exc:  # a lone surrogate in a CSV label
+        return _report_error("validation", EXIT_VALIDATION,
+                             f"the result has no UTF-8 encoding: {exc}")
+    try:
         if out_path is not None:
-            Path(out_path).write_text(text, encoding="utf-8")
+            Path(out_path).write_bytes(data)
         elif hasattr(sys.stdout, "buffer"):
             sys.stdout.flush()
-            view, binary = memoryview(text.encode("utf-8")), sys.stdout.buffer
+            view, binary = memoryview(data), sys.stdout.buffer
             while view:
                 view = view[binary.write(view):]
             binary.flush()

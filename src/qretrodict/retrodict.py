@@ -150,14 +150,12 @@ class OperatorStack:
         expected = dims[0]
         # One column per element check, in the order an element takes them;
         # each mask marks the elements failing that check.
-        checks = [
-            *self._faults_before(labels),
+        checks = self._columns(labels, stack, [
             (np.arange(len(labels)) == n, lambda i: DimensionMismatch(
                 f"{self._name(labels[i])} lives on dims {dims[i]}, expected {expected}")),
             (~psd_mask(stack), lambda i: ValidationError(
                 f"{self._name(labels[i])} is not positive semidefinite")),
-            *self._faults_after(labels, stack),
-        ]
+        ])
         # The first fault is the least (element, check) pair of each check's
         # first failing element.  No element after the first on other dims
         # is reached.
@@ -190,15 +188,15 @@ class OperatorStack:
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
-    def _name(self, label: Hashable) -> str:
-        return f"{self.kind} {self.noun} {label!r}"
+    @classmethod
+    def _name(cls, label: Hashable) -> str:
+        return f"{cls.kind} {cls.noun} {label!r}"
 
-    # Subclass checks: ``(mask, fault)`` pairs for the elements' checks
-    # before their dims and after their positivity, where ``fault(i)`` is
-    # the error of element i; and a check of the whole set once every
-    # element has passed.
-    def _faults_before(self, labels: list) -> list: return []
-    def _faults_after(self, labels: list, stack: np.ndarray) -> list: return []
+    # Subclass checks: the element checks' ``(mask, fault)`` columns, where
+    # ``fault(i)`` is the error of element i, given the base's dims and
+    # positivity columns as ``base``; and a check of the whole set once
+    # every element has passed.
+    def _columns(self, labels: list, stack: np.ndarray, base: list) -> list: return base
     def _check_set(self): pass
 
     def __len__(self):
@@ -322,22 +320,26 @@ class PreparationEnsemble(OperatorStack):
         return tuple((label, prior, Operator(mat, self.dims)) for label, prior, mat
                      in zip(self.labels, self.priors.tolist(), self.stack))
 
-    def _name(self, label: Hashable) -> str:
+    @classmethod
+    def _name(cls, label: Hashable) -> str:
         return f"state of event {label!r}"
 
-    def _faults_before(self, labels: list) -> list:
-        priors = self.priors
+    @classmethod
+    def _prior_name(cls, label: Hashable) -> str:
+        """What the prior of the event ``label`` is called in error messages."""
+        return f"prior of event {label!r}"
+
+    def _columns(self, labels: list, stack: np.ndarray, base: list) -> list:
+        priors, traces = self.priors, _traces(stack)
         return [
             (~np.isfinite(priors), lambda i: ValidationError(
-                f"prior of event {labels[i]!r} is not finite: {float(priors[i])}")),
+                f"{self._prior_name(labels[i])} is not finite: {float(priors[i])}")),
             (priors < 0, lambda i: ValidationError(
-                f"prior of event {labels[i]!r} is negative: {float(priors[i])}")),
+                f"{self._prior_name(labels[i])} is negative: {float(priors[i])}")),
+            *base,
+            (np.abs(traces - 1.0) > TOL, lambda i: ValidationError(
+                f"{self._name(labels[i])} has trace {float(traces[i])!r}, expected 1")),
         ]
-
-    def _faults_after(self, labels: list, stack: np.ndarray) -> list:
-        traces = _traces(stack)
-        return [(np.abs(traces - 1.0) > TOL, lambda i: ValidationError(
-            f"state of event {labels[i]!r} has trace {float(traces[i])!r}, expected 1"))]
 
     def _check_set(self):
         total = sum(self.priors.tolist())

@@ -163,6 +163,21 @@ class TestScenarioValidation:
         with pytest.raises(cli.ValidationError, match="priors"):
             validate_document(doc)
 
+    @pytest.mark.parametrize("doc", [bus_train_doc(), bus_train_doc(schema_version=2, surprise=1)],
+                             ids=["valid", "rejected"])
+    def test_one_walk_decides_and_words_the_verdict(self, monkeypatch, doc):
+        walk, roots = cli._errors, []
+
+        def counting_walk(value, schema, *args):
+            if schema is cli._schema():
+                roots.append(value)
+            return walk(value, schema, *args)
+
+        monkeypatch.setattr(cli, "_errors", counting_walk)
+        with contextlib.suppress(cli.ValidationError):
+            validate_document(doc)
+        assert roots == [doc]
+
 
 def bundled_schema():
     ref = resources.files("qretrodict").joinpath("schema", cli.SCHEMA_RESOURCE)
@@ -624,6 +639,25 @@ class TestExitCodes:
         assert (printed.returncode, printed.stderr) == (EXIT_OK, b"")
         assert subprocess.run([*args, "--out", str(out)], env=env).returncode == EXIT_OK
         assert printed.stdout == out.read_bytes()
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    def test_csv_label_without_utf8_text_exits_3_before_writing(self, tmp_path, capsys,
+                                                               to_file):
+        # A lone surrogate is valid JSON; the JSON output escapes it, and
+        # the CSV text holds it as it stands.
+        doc = bus_train_doc()
+        doc["parameters"]["events"] = ["\ud800", "train"]
+        path, out = write_scenario(tmp_path, doc), tmp_path / "out.csv"
+        assert main(["run", path]) == EXIT_OK
+        capsys.readouterr()
+        args = ["run", path, "--format", "csv"] + (["--out", str(out)] if to_file else [])
+        assert main(args) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)["error"]
+        assert (error["category"], error["exit_code"]) == ("validation", EXIT_VALIDATION)
+        assert "surrogates not allowed" in error["message"]
+        assert not out.exists()
 
     def test_zero_probability_outcome_exits_4(self, tmp_path, capsys):
         doc = bus_train_doc()
