@@ -16,9 +16,9 @@ with and without records, under both attacks; and intake faults of the
 ``[re, im]`` matrices and of the numbers read beside them.
 
 Every document is written to one fixed path, because a parse error's
-message names the path.  Standard output is a text layer over a binary
-buffer, as a process's is, so that a writer that takes the binary layer
-runs as it does in a real process.
+message names the path.  Standard output and standard error are each a
+text layer over a binary buffer, as a process's are, so that a writer
+that takes the binary layer runs as it does in a real process.
 """
 
 import contextlib
@@ -116,11 +116,12 @@ def documents():
 
 def _run(path: Path, fmt: str) -> tuple:
     """Exit code and the bytes on standard output and standard error."""
-    out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
+    out, err = (io.TextIOWrapper(io.BytesIO(), encoding="utf-8") for _ in range(2))
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(["run", str(path), "--format", fmt])
     out.flush()
-    return code, out.buffer.getvalue(), err.getvalue().encode("utf-8")
+    err.flush()
+    return code, out.buffer.getvalue(), err.buffer.getvalue()
 
 
 def main() -> int:

@@ -9,27 +9,32 @@ produces byte-identical JSON, byte for byte ``json.dumps(doc, indent=2,
 sort_keys=True)`` and a newline.  Every byte written, to standard output
 or to an ``--out`` file, is UTF-8.
 
-Exit codes:
+Exit codes, one per error category; the category's JSON error document
+goes to standard error where it can be written, and the code is the same
+either way:
 
 - 0 success;
-- 1 an ``--out`` path or a standard output that cannot be written (a
-  reader that has gone before the end included), for ``run`` and
-  ``examples`` alike;
-- 2 an unreadable or unparsable scenario (text that is not UTF-8 and
-  nesting too deep for the parser included);
-- 3 a validation failure: schema or domain invariants, an integer beyond
-  the double-precision range where a real number is expected, or a result
+- 1 ``io``: an ``--out`` path or a standard output that cannot be written
+  (a reader that has gone before the end, or one closed at start,
+  included), for ``run`` and ``examples`` alike;
+- 2 ``parse``: an unreadable or unparsable scenario (text that is not
+  UTF-8 and nesting too deep for the parser included);
+- 3 ``validation``: schema or domain invariants, an integer beyond the
+  double-precision range where a real number is expected, or a result
   with no UTF-8 text (a CSV label holding a lone surrogate).  The schema
   caps ``truncation`` at 2000 photons and BB84 ``slots`` at 10^7, or 10^6
   with records, so oversized documents exit 3 before any allocation;
-- 4 a computation failure, for example conditioning on an outcome of zero
-  probability, or a scenario too large for the available memory.
+- 4 ``computation``: for example conditioning on an outcome of zero
+  probability, or a scenario too large for the available memory, while
+  it is read or run.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import errno
 import functools
 import io
 import itertools
@@ -58,9 +63,9 @@ SCHEMA_VERSION = 1
 SCHEMA_RESOURCE = "scenario-v1.schema.json"
 
 EXIT_OK = 0
-EXIT_PARSE = 2
-EXIT_VALIDATION = 3
-EXIT_COMPUTATION = 4
+#: The exit code of each error category: the one place the two meet.
+_EXIT_CODES = {"io": 1, "parse": 2, "validation": 3, "computation": 4}
+_, EXIT_PARSE, EXIT_VALIDATION, EXIT_COMPUTATION = _EXIT_CODES.values()
 
 #: Python types of a JSON number, as a parsed document holds them.
 _NUMBER_TYPES = frozenset((int, float))
@@ -772,10 +777,38 @@ def render_csv(result: ResultDocument) -> str:
     return buf.getvalue()
 
 
-def _report_error(category: str, code: int, message: str) -> int:
-    report = {"error": {"category": category, "exit_code": code,
-                        "message": message}}
-    sys.stderr.write(_dumps(report))
+def _put(stream, data: bytes, text: str):
+    """Write ``data``, the UTF-8 bytes of ``text``, to the standard stream
+    ``stream`` through its binary layer, again from where a short write
+    stopped, as an unbuffered one's raw file may stop; a stream without
+    that layer takes the text.  Raises OSError if the stream cannot be
+    written: one Python could not open (None), or a closed pipe.  After a
+    failed write, what is still buffered goes to the null device at exit.
+    """
+    if stream is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    try:
+        if hasattr(stream, "buffer"):
+            stream.flush()
+            view, binary = memoryview(data), stream.buffer
+            while view:
+                view = view[binary.write(view):]
+            binary.flush()
+        else:
+            stream.write(text)
+            stream.flush()
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        raise
+
+
+def _report_error(category: str, message: str) -> int:
+    """Write the error document of ``category`` to standard error, where it
+    can be written, and return the category's exit code either way."""
+    code = _EXIT_CODES[category]
+    text = _dumps({"error": {"category": category, "exit_code": code, "message": message}})
+    with contextlib.suppress(OSError):
+        _put(sys.stderr, text.encode("utf-8"), text)  # ASCII, as _dumps escapes
     return code
 
 
@@ -785,23 +818,16 @@ def run(scenario_path, output_format: str = "json", out_path=None) -> int:
     Returns the process exit code instead of raising.
     """
     try:
-        scenario = load_scenario(scenario_path)
+        result = execute(load_scenario(scenario_path))
+        rendered = (render_json if output_format == "json" else render_csv)(result)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        return _report_error("parse", EXIT_PARSE,
-                             f"cannot read scenario {scenario_path!r}: {exc}")
+        return _report_error("parse", f"cannot read scenario {scenario_path!r}: {exc}")
     except ValidationError as exc:
-        return _report_error("validation", EXIT_VALIDATION, str(exc))
-    try:
-        result = execute(scenario)
-        rendered = render_json(result) if output_format == "json" \
-            else render_csv(result)
-    except ValidationError as exc:
-        return _report_error("validation", EXIT_VALIDATION, str(exc))
+        return _report_error("validation", str(exc))
     except ComputationError as exc:
-        return _report_error("computation", EXIT_COMPUTATION, str(exc))
+        return _report_error("computation", str(exc))
     except MemoryError as exc:
-        return _report_error("computation", EXIT_COMPUTATION,
-                             f"not enough memory for this scenario: {exc}")
+        return _report_error("computation", f"not enough memory for this scenario: {exc}")
     return _write(rendered, out_path)
 
 
@@ -810,34 +836,19 @@ def _write(text: str, out_path=None) -> int:
     and return the exit code: 3, with a ``validation`` error document, if
     the text has no UTF-8 encoding, found before anything is opened; 1,
     with an ``io`` error document, if it cannot be written.
-
-    Standard output takes the bytes through its binary layer, written
-    again from where a short write stopped, as an unbuffered one's raw
-    file may stop.  A standard output without that layer takes the text.
     """
     try:
         data = text.encode("utf-8")
     except UnicodeEncodeError as exc:  # a lone surrogate in a CSV label
-        return _report_error("validation", EXIT_VALIDATION,
-                             f"the result has no UTF-8 encoding: {exc}")
+        return _report_error("validation", f"the result has no UTF-8 encoding: {exc}")
     try:
         if out_path is not None:
             Path(out_path).write_bytes(data)
-        elif hasattr(sys.stdout, "buffer"):
-            sys.stdout.flush()
-            view, binary = memoryview(data), sys.stdout.buffer
-            while view:
-                view = view[binary.write(view):]
-            binary.flush()
         else:
-            sys.stdout.write(text)
-            sys.stdout.flush()
+            _put(sys.stdout, data, text)
     except OSError as exc:  # a closed pipe included
-        if out_path is None:
-            # What is still buffered goes to the null device at exit.
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         where = "to standard output" if out_path is None else repr(out_path)
-        return _report_error("io", 1, f"cannot write {where}: {exc}")
+        return _report_error("io", f"cannot write {where}: {exc}")
     return EXIT_OK
 
 
@@ -868,11 +879,6 @@ def list_examples() -> tuple:
     return tuple(entries)
 
 
-def _examples_command() -> int:
-    return _write("".join(f"{info.name} [{info.kind}]: {info.description}\n"
-                          for info in list_examples()))
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="qretrodict",
@@ -889,7 +895,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "run":
         return run(args.scenario, output_format=args.format, out_path=args.out)
-    return _examples_command()
+    return _write("".join(f"{info.name} [{info.kind}]: {info.description}\n"
+                          for info in list_examples()))
 
 
 def entrypoint():

@@ -98,12 +98,6 @@ class ReferenceState:
         return out
 
 
-def _block_counts(space: FockSpace, total: int) -> np.ndarray:
-    """Mode-b photon numbers of the two-mode states with ``total`` photons."""
-    return np.arange(max(0, total - space.truncation),
-                     min(total, space.truncation) + 1)
-
-
 def _photon_block(bs: BeamSplitter, space: FockSpace, total: int):
     """Mode-b counts ``nb`` and the beam-splitter block for ``total`` photons.
 
@@ -113,7 +107,7 @@ def _photon_block(bs: BeamSplitter, space: FockSpace, total: int):
     the same Hermitian route for every block and the blocks match a
     dense two-mode construction entry for entry.
     """
-    nb = _block_counts(space, total)
+    nb = np.arange(max(0, total - space.truncation), min(total, space.truncation) + 1)
     hop = np.sqrt(nb[:-1] + 1.0) * np.sqrt(float(total) - nb[:-1])
     generator = np.zeros((nb.size, nb.size), dtype=complex)
     generator[np.arange(1, nb.size), np.arange(nb.size - 1)] = hop
@@ -194,8 +188,8 @@ def _lowering_power_band(n: int, dim: int) -> np.ndarray:
 
 
 def _replayed_detector_diagonal(n: int, eta: float, dim: int):
-    """The diagonal of (eta^(n+1)/n!) b'^n D b^n with the bits of the dense
-    product, or None where n! or that product overflows.
+    """Entries k >= n of the diagonal of (eta^(n+1)/n!) b'^n D b^n with the
+    bits of the dense product, or None where n! or that product overflows.
 
     b'^n D b^n is diagonal: entry k is (conj(v) d) v, for v the band of b^n
     and d the damping entry k - n, each a single product in the dense route.
@@ -208,15 +202,11 @@ def _replayed_detector_diagonal(n: int, eta: float, dim: int):
     damping = ((1.0 - eta) ** np.arange(dim))[:dim - n]
     with np.errstate(over="ignore", invalid="ignore"):
         entries = scale * ((v * damping) * v)
-    if not np.isfinite(entries).all():
-        return None
-    out = np.zeros(dim)
-    out[n:] = entries
-    return out
+    return entries if np.isfinite(entries).all() else None
 
 
 def _log_detector_diagonal(n: int, eta: float, dim: int) -> np.ndarray:
-    """eta^(n+1) C(k, n) (1-eta)^(k-n) for each k, evaluated in log space.
+    """eta^(n+1) C(k, n) (1-eta)^(k-n) for each k >= n, evaluated in log space.
 
     Every entry is at most 1, so nothing here overflows; at eta = 1 the
     (k-n) log(1-eta) term is 0 for k = n and -inf beyond.
@@ -226,9 +216,7 @@ def _log_detector_diagonal(n: int, eta: float, dim: int) -> np.ndarray:
     log_tail = math.log1p(-eta) if eta < 1.0 else -math.inf
     exponent = (n + 1) * math.log(eta) - math.lgamma(n + 1) + log_binomial
     exponent[1:] += np.arange(1, dim - n) * log_tail
-    out = np.zeros(dim)
-    out[n:] = np.exp(exponent)
-    return out
+    return np.exp(exponent)
 
 
 def inefficient_detector_retro(n: int, eta: float, space: FockSpace) -> Operator:
@@ -254,11 +242,11 @@ def inefficient_detector_retro(n: int, eta: float, space: FockSpace) -> Operator
             f"detector efficiency must lie in (0, 1], got {eta}; at zero "
             f"efficiency the outcome carries no retrodictive state"
         )
-    diagonal = _replayed_detector_diagonal(n, eta, space.dim)
-    if diagonal is None:
-        diagonal = _log_detector_diagonal(n, eta, space.dim)
+    entries = _replayed_detector_diagonal(n, eta, space.dim)
+    if entries is None:
+        entries = _log_detector_diagonal(n, eta, space.dim)
     mat = np.zeros((space.dim, space.dim), dtype=complex)
-    np.fill_diagonal(mat, diagonal)
+    np.fill_diagonal(mat[n:, n:], entries)
     return Operator._adopt(mat)
 
 

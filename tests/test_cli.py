@@ -1,5 +1,6 @@
 """Tests for the scenario-driven command line front end."""
 
+import ast
 import contextlib
 import copy
 import functools
@@ -250,11 +251,12 @@ class TestSchema:
         assert {f"qretrodict.{name}" for name in traced} <= loaded
 
 
-def run_into_pipe(args, read, unbuffered):
-    """Exit code and stderr of ``qretrodict`` ``args`` whose standard output
-    is a pipe that its reader closes after ``read`` bytes, or before the
-    child starts if ``read`` is 0; ``unbuffered`` is PYTHONUNBUFFERED's
-    value, None to unset it."""
+def run_into_pipe(args, read, unbuffered, fd=1):
+    """Exit code and the other stream's text of ``qretrodict`` ``args`` whose
+    standard output (``fd`` 1) or standard error (``fd`` 2) is a pipe that
+    its reader closes after ``read`` bytes, or before the child starts if
+    ``read`` is 0, or is closed at start if ``read`` is None, as ``>&-``
+    closes it; ``unbuffered`` is PYTHONUNBUFFERED's value, None to unset it."""
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered is not None:
@@ -262,14 +264,17 @@ def run_into_pipe(args, read, unbuffered):
     reader, writer = os.pipe()
     if not read:
         os.close(reader)
+    streams = {fd: writer, 3 - fd: subprocess.PIPE}
+    close = None if read is not None else functools.partial(os.close, fd)
     with subprocess.Popen([sys.executable, "-m", "qretrodict.cli", *args],
-                          stdout=writer, stderr=subprocess.PIPE, env=env) as proc:
+                          stdout=streams[1], stderr=streams[2], env=env,
+                          preexec_fn=close) as proc:
         os.close(writer)
         if read:
             assert os.read(reader, read) == b'{\n  "diagn'
             os.close(reader)
-        err = proc.stderr.read().decode()
-    return proc.returncode, err
+        other = (proc.stderr or proc.stdout).read().decode()
+    return proc.returncode, other
 
 
 def run_python(args, check=True):
@@ -628,6 +633,31 @@ class TestExitCodes:
         assert (error["category"], error["exit_code"]) == ("io", 1)
         assert error["message"] == "cannot write to standard output: [Errno 32] Broken pipe"
 
+    @pytest.mark.parametrize("command", ["run", "examples"])
+    def test_standard_output_closed_at_start_exits_1_without_a_traceback(self, command):
+        bus_train = next(info.path for info in list_examples() if info.name == "bus-train")
+        args = ["run", bus_train] if command == "run" else ["examples"]
+        code, err = run_into_pipe(args, None, None)
+        assert code == 1
+        assert "Traceback" not in err
+        error = json.loads(err)["error"]
+        assert (error["category"], error["exit_code"]) == ("io", 1)
+        assert error["message"] == "cannot write to standard output: [Errno 9] Bad file descriptor"
+
+    @pytest.mark.parametrize("read", [0, None], ids=["reader-gone-before-the-start",
+                                                     "closed-at-start"])
+    @pytest.mark.parametrize("text, code", [
+        ("{not json", EXIT_PARSE),
+        (json.dumps({"kind": "bayes"}), EXIT_VALIDATION),
+        (json.dumps(bus_train_doc(parameters=dict(
+            bus_train_doc()["parameters"], conditional=[[1.0, 0.0], [1.0, 0.0]],
+            observed="on_time"))), EXIT_COMPUTATION),
+    ], ids=["unparsable", "schema-invalid", "zero-probability"])
+    def test_unwritable_standard_error_keeps_the_exit_code(self, tmp_path, text, code, read):
+        path = tmp_path / "scenario.json"
+        path.write_text(text, encoding="utf-8")
+        assert run_into_pipe(["run", str(path)], read, None, fd=2) == (code, "")
+
     def test_standard_output_is_utf8_whatever_its_text_encoding(self, tmp_path):
         doc = bus_train_doc()
         doc["parameters"]["events"] = ["café", "train"]
@@ -680,6 +710,22 @@ class TestExitCodes:
         report = json.loads(captured.err)
         assert report["error"]["category"] == "computation"
         assert report["error"]["exit_code"] == EXIT_COMPUTATION
+
+    def test_out_of_memory_while_loading_exits_4(self, capsys, monkeypatch):
+        # list_examples parses JSON too, so the path is taken first.
+        path = next(info.path for info in list_examples() if info.name == "bus-train")
+
+        def exhaust_memory(*args, **kwargs):
+            raise MemoryError
+
+        with monkeypatch.context() as patch:
+            patch.setattr(json, "loads", exhaust_memory)
+            code = main(["run", path])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_COMPUTATION, "")
+        error = json.loads(captured.err)["error"]
+        assert (error["category"], error["exit_code"]) == ("computation", EXIT_COMPUTATION)
+        assert error["message"] == "not enough memory for this scenario: "
 
     def test_ragged_bayes_conditional_exits_3(self, tmp_path, capsys):
         doc = bus_train_doc()
@@ -854,6 +900,20 @@ class TestExitCodes:
         with contextlib.redirect_stderr(io.StringIO()):
             codes.update(cli.run(path) for path in paths)
         assert codes <= {EXIT_PARSE, EXIT_VALIDATION}
+
+
+def test_only_the_writer_takes_a_standard_stream():
+    # Every standard stream the package names is handed to ``cli._put``,
+    # and nothing is printed.
+    for path in Path(cli.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+        names = [getattr(call.func, "id", None) for call in calls]
+        handed = {id(call.args[0]) for call, name in zip(calls, names) if name == "_put"}
+        streams = [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                   and node.attr in ("stdin", "stdout", "stderr")]
+        assert all(id(node) in handed for node in streams), path.name
+        assert "print" not in names, path.name
 
 
 def _reject_constant(name):
