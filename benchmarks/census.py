@@ -12,8 +12,9 @@ the bytes written to standard output and to standard error.
 The documents: the twelve bundled scenarios; every ``cli-cold``,
 ``optics-sweep`` and ``retrodict-batch`` document of seeds 1-3, cycles
 0-2, from ``perfbench/workloads.py``; ``bb84`` at 1, 10^4 and 10^6 slots,
-with and without records, under both attacks; and intake faults of the
-``[re, im]`` matrices and of the numbers read beside them.
+with and without records, under both attacks; intake faults of the
+``[re, im]`` matrices and of the numbers read beside them; and ``bayes``
+documents whose joint entries fall below the normal double range.
 
 Every document is written to one fixed path, because a parse error's
 message names the path.  Standard output and standard error are each a
@@ -94,6 +95,18 @@ def _faults():
     }
 
 
+def _subnormal():
+    """``bayes`` documents whose outcome ``x`` has conditionals of 1e-320 or
+    5e-324, so that every joint entry of its column is subnormal."""
+    docs = {}
+    for priors, entry in (([0.3, 0.7], 1e-320), ([0.5, 0.5], 5e-324)):
+        params = {"events": ["a", "b"], "priors": priors, "outcomes": ["x", "y"],
+                  "conditional": [[entry, 1.0], [entry, 1.0]]}
+        docs[f"{entry!r}"] = {"kind": "bayes", "parameters": params}
+        docs[f"{entry!r}-observed"] = {"kind": "bayes", "parameters": dict(params, observed="x")}
+    return docs
+
+
 def documents():
     """``(name, text)`` of every document of the census, in a fixed order."""
     for name in workloads.BUNDLED:
@@ -112,6 +125,8 @@ def documents():
                     "include_records": records}})
     for name, doc in _faults().items():
         yield f"fault-{name}", json.dumps(doc)
+    for name, doc in _subnormal().items():
+        yield f"subnormal-{name}", json.dumps(doc)
 
 
 def _run(path: Path, fmt: str) -> tuple:

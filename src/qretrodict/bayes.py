@@ -158,8 +158,13 @@ def retrodict_conditional(space: EventSpace, cond: ConditionalTable,
         case the posterior is undefined.
     """
     _check_alignment(space, cond)
-    j = cond.col_index(outcome)
-    column = space.priors * cond.probs[:, j]
+    # Each p * c is the product of the mantissas times 2**(ep + ec), all
+    # lifted by one power of two, cancelled by the division, that brings the
+    # largest to at least 1/4: only products negligible beside it stay subnormal.
+    mp, ep = np.frexp(space.priors)
+    mc, ec = np.frexp(cond.probs[:, cond.col_index(outcome)])
+    m, e = mp * mc, ep + ec
+    column = np.ldexp(m, e + max(0, -int(e.max(where=m > 0, initial=e.min()))))
     total = float(column.sum())
     if total <= 0.0:
         raise ZeroProbabilityError(

@@ -56,6 +56,7 @@ from .errors import (
     ComputationError,
     NumericIntegrityError,
     ValidationError,
+    ZeroProbabilityError,
 )
 from .hilbert import Operator, _check_square_finite
 
@@ -164,23 +165,20 @@ def _errors(value, schema, path=(), arrays=None):
     """Every way ``value`` breaks ``schema``, as ``(path, node, value, message)``.
 
     Walks as jsonschema 4.26's Draft 2020-12 ``iter_errors`` does, for
-    exactly the keywords the shipped schema uses: each node's keywords in
-    the order it lists them, with jsonschema's message text.  ``path``
-    leads from the document to ``value``, and ``node`` is the schema node
-    holding the failed keyword.  Every ``$ref`` is ``#/$defs/<name>`` of
-    the shipped schema.  Each keyword ignores values of other types, as
-    the draft says, so NaN passes ``minimum``.  Stricter than jsonschema
-    only on Python objects no JSON text parses to, such as a complex
-    number, which is no ``number`` here.
+    exactly the keywords and forms the shipped schema uses: each node's
+    keywords in the order it lists them, with jsonschema's message text.
+    ``path`` leads from the document to ``value``, and ``node`` is the
+    schema node holding the failed keyword.  Each subschema is an object
+    (``items`` may be ``false``), ``additionalProperties`` is ``false``,
+    each ``if`` has a ``then`` and each ``$ref`` is ``#/$defs/<name>``.
+    Each keyword ignores values of other types, as the draft says, so NaN
+    passes ``minimum``.  Stricter than jsonschema only on Python objects
+    no JSON text parses to: a complex number is no ``number`` here.
 
     With a dict ``arrays``, the walk leaves in it, by path, every matrix
     and vector of ``value`` as :func:`_number_array` scanned it, or None
     where the entries were walked one by one.  It parses none of them.
     """
-    if isinstance(schema, bool):
-        if not schema:
-            yield path, schema, value, f"False schema does not allow {value!r}"
-        return
     for keyword, rule in schema.items():
         if keyword == "$ref":
             rows = _FAST_REFS[rule](value) if rule in _FAST_REFS else None
@@ -205,7 +203,7 @@ def _errors(value, schema, path=(), arrays=None):
                 yield from _errors(value, sub, path, arrays)
         elif keyword == "if":
             if next(_errors(value, rule, path), None) is None:
-                yield from _errors(value, schema.get("then", True), path, arrays)
+                yield from _errors(value, schema["then"], path, arrays)
         elif isinstance(value, dict):
             if keyword == "required":
                 for key in rule:
@@ -217,10 +215,7 @@ def _errors(value, schema, path=(), arrays=None):
                         yield from _errors(value[key], sub, path + (key,), arrays)
             elif keyword == "additionalProperties":
                 extra = [k for k in value if k not in schema.get("properties", ())]
-                if isinstance(rule, dict):
-                    for key in extra:
-                        yield from _errors(value[key], rule, path + (key,), arrays)
-                elif not rule and extra:
+                if extra:
                     names = ", ".join(map(repr, sorted(extra)))
                     verb = "was" if len(extra) == 1 else "were"
                     yield (path, schema, value, "Additional properties are not "
@@ -257,7 +252,7 @@ def _relevance(error) -> tuple:
     nearer the root first, then the later sibling, then one whose node's
     ``type`` the value does not match."""
     path, node, value, _ = error
-    matches = isinstance(node, dict) and "type" in node and _TYPES[node["type"]](value)
+    matches = "type" in node and _TYPES[node["type"]](value)
     return -len(path), path, not matches
 
 
@@ -416,15 +411,15 @@ def _run_bayes(scenario: Scenario, result: ResultDocument):
         posterior = bayes.retrodict_conditional(space, cond, observed)
         result.tables["posterior"] = _array([observed], labels, [posterior])
     else:
-        active, skipped, rows = [], [], []
-        for j, outcome in enumerate(outcomes):
-            if marginal[j] <= 0.0:
+        # An outcome is impossible exactly where its posterior is undefined.
+        rows, skipped = {}, []
+        for outcome in outcomes:
+            try:
+                rows[outcome] = bayes.retrodict_conditional(space, cond, outcome)
+            except ZeroProbabilityError:
                 skipped.append(outcome)
-                continue
-            active.append(outcome)
-            rows.append(bayes.retrodict_conditional(space, cond, outcome))
-        if active:
-            result.tables["posterior"] = _array(active, labels, rows)
+        if rows:
+            result.tables["posterior"] = _array(rows, labels, list(rows.values()))
         if skipped:
             result.diagnostics["zero_probability_outcomes"] = skipped
 
@@ -449,7 +444,7 @@ def _run_retrodict(scenario: Scenario, result: ResultDocument):
     result.diagnostics["mixture_deviation"] = mixture_dev
 
     if prep is not None:
-        weights = np.trace(pom.stack, axis1=1, axis2=2).real
+        weights = retrodict._traces(pom.stack)
         outcome_dist = weights / d
     else:
         lam = retrodict.BiasedElements.from_ensemble(ens)
@@ -495,7 +490,7 @@ def _purity(op: Operator, support: int) -> float:
     """Tr(rho^2) of a state whose entries vanish outside its leading
     ``support`` x ``support`` block, from that block alone."""
     block = op.mat[:support, :support]
-    return float(np.trace(block @ block).real)
+    return float(retrodict._traces((block @ block)[None])[0])
 
 
 def _run_synthesis(scenario: Scenario, result: ResultDocument):

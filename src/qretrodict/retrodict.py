@@ -423,7 +423,7 @@ def retro_state(element: Operator) -> Operator:
 
     This is the POM element normalized to unit trace: conditioned on the
     outcome having fired, it encodes everything the measurement reveals
-    about the earlier preparation.
+    about the earlier preparation.  It is :func:`_retro_states` of one element.
 
     Raises
     ------
@@ -431,15 +431,22 @@ def retro_state(element: Operator) -> Operator:
         If the element's trace is at or below ``errors.TRACE_TOL``: an
         outcome that cannot fire has no retrodictive state.
     """
-    tr = float(_traces(element.mat[None])[0])
-    if tr <= TRACE_TOL:
-        raise _no_retro_state(tr)
-    return element * (1.0 / tr)
+    return Operator._adopt(_retro_states(element.mat[None])[0], element.dims)
 
 
-def _no_retro_state(tr: float) -> ZeroProbabilityError:
-    return ZeroProbabilityError(f"element trace {tr!r} is not positive; the outcome "
-                                f"has zero probability and no retrodictive state")
+def _retro_states(elements: np.ndarray, use=lambda states: states):
+    """What ``use`` makes of the retrodictive states of ``elements``, a
+    ``(n, d, d)`` stack: each element scaled by one over its trace.  The
+    states stop before the first element whose trace is at or below
+    ``errors.TRACE_TOL``, whose fault is raised once ``use`` has run."""
+    traces = _traces(elements)
+    zero = traces <= TRACE_TOL
+    n = int(np.argmax(zero)) if zero.any() else len(elements)
+    used = use(elements[:n] * (1.0 / traces[:n]).astype(complex)[:, None, None])
+    if n < len(elements):
+        raise ZeroProbabilityError(f"element trace {float(traces[n])!r} is not positive; the "
+                                   f"outcome has zero probability and no retrodictive state")
+    return used
 
 
 def outcome_prior(element: Operator) -> float:
@@ -515,16 +522,9 @@ def _posterior(rows, source: OperatorStack, element: Operator | np.ndarray,
 
 
 def _unbiased_rows(prep: PreparationPom, elements: np.ndarray) -> np.ndarray:
-    # Each retrodictive state is its element scaled by one over its trace,
-    # the bits of retro_state; the first zero-trace element stops the table.
-    traces = _traces(elements)
-    zero = traces <= TRACE_TOL
-    n = int(np.argmax(zero)) if zero.any() else len(elements)
-    states = elements[:n] * (1.0 / traces[:n]).astype(complex)[:, None, None]
-    rows = _born_rows(states, prep.stack, prep._row_tol)
-    if n < len(elements):
-        raise _no_retro_state(float(traces[n]))
-    return rows
+    # The rows before the first zero-trace element are range-checked before
+    # that element's fault is raised.
+    return _retro_states(elements, lambda rho: _born_rows(rho, prep.stack, prep._row_tol))
 
 
 def _biased_rows(lam: BiasedElements, elements: np.ndarray) -> np.ndarray:

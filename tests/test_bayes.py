@@ -152,6 +152,30 @@ class TestDegenerateCases:
         with pytest.raises(ZeroProbabilityError):
             bayes.retrodict_conditional(space, table, "y")
 
+    def test_normal_range_columns_keep_the_bits_of_the_plain_quotient(self):
+        # Where every product is zero or a normal double, the lift by a power
+        # of two changes no bit of prior * conditional / sum.
+        rng = np.random.default_rng(29)
+        checked = 0
+        for _ in range(3000):
+            n = int(rng.integers(1, 7))
+            weights = rng.random(n) * 2.0 ** -rng.integers(0, 60, n)
+            priors = weights / weights.sum()
+            # Entries of 1 beside ones near the least normal double, whose
+            # products a lift by less than one would round.
+            column = np.where(rng.random(n) < 0.2, 1.0,
+                              rng.random(n) * 2.0 ** -rng.integers(0, 1023, n))
+            products = priors * column
+            if abs(priors.sum() - 1.0) > 1e-9 or not np.all(products >= np.finfo(float).tiny):
+                continue
+            space = EventSpace([f"e{i}" for i in range(n)], priors)
+            table = ConditionalTable(space.labels, ("x", "y"),
+                                     np.stack([column, 1.0 - column], axis=1))
+            got = bayes.retrodict_conditional(space, table, "x")
+            assert got.tobytes() == (products / float(products.sum())).tobytes()
+            checked += 1
+        assert checked > 2000
+
 
 class TestFourStateKeyDistribution:
     """Classical layer of the four-polarization key-distribution tables."""

@@ -358,20 +358,17 @@ WALK_CASES = [
     *_cases({"minItems": 2}, [1], [1, 2], "a", {"a": 1}),
     *_cases({"prefixItems": [{"type": "number"}], "items": False},
             [], [1], [True], [1, 2], "ab"),
-    *_cases({"prefixItems": [True], "items": {"type": "string"}},
-            [1], [1, "a"], [1, 2], ["a", "b"]),
+    *_cases({"prefixItems": [{"minimum": 0}], "items": {"type": "string"}},
+            [1], [-1, "a"], [1, 2], ["a", "b"]),
     *_cases({"required": ["a"]}, {}, {"a": None}, ["a"], "a"),
     *_cases({"properties": {"a": {"type": "string"}},
              "additionalProperties": False},
             {}, {"a": "x"}, {"a": 1}, {"b": "x"}, [1]),
-    *_cases({"additionalProperties": {"type": "integer"}}, {"a": 1.0},
-            {"a": True}),
     *_cases({"if": {"required": ["a"]}, "then": {"required": ["b"]}},
             {}, {"a": 1}, {"a": 1, "b": 2}, {"b": 2}),
     *_cases({"allOf": [{"minimum": 0}, {"maximum": 1}]}, 0.5, 2, -1, "x"),
     *_cases({"$ref": "#/$defs/complex"}, [0, 1], [0, True], [0], [0, 1, 2]),
     *_cases({"$ref": "#/$defs/matrix"}, [[[1, 0]]], [], [[]], [["x"]]),
-    *_cases(True, None, {}), *_cases(False, None, {}),
 ]
 
 
@@ -465,6 +462,30 @@ class TestFastValidation:
             assert node.get("additionalProperties", False) is False
             for name in node.get("properties", {}):
                 assert re.fullmatch("[a-zA-Z][a-zA-Z0-9_]*", name)
+
+    def test_schema_uses_only_the_forms_the_walker_reads(self):
+        # cli._errors reads a boolean schema only where it is
+        # ``additionalProperties`` or ``items`` false, and takes every
+        # ``if``'s ``then`` without a default.
+        booleans, ifs = set(), []
+
+        def visit(node, key=None):
+            if isinstance(node, bool):
+                booleans.add((key, node))
+            elif isinstance(node, dict):
+                if "if" in node:
+                    ifs.append(node)
+                for child_key, child in node.items():
+                    visit(child, child_key)
+            elif isinstance(node, list):
+                for child in node:
+                    visit(child, key)
+
+        visit(bundled_schema())
+        # A ``const`` of true is a value to compare with, not a schema.
+        assert booleans == {("additionalProperties", False), ("items", False),
+                            ("const", True)}
+        assert ifs and all("then" in node for node in ifs)
 
     def test_no_run_imports_jsonschema(self, tmp_path):
         def imported(args):
@@ -982,6 +1003,33 @@ class TestOutputs:
         document = run_to_document(path)
         assert document["outputs"]["tables"]["posterior"]["rows"] == ["late"]
         assert document["diagnostics"]["zero_probability_outcomes"] == ["on_time"]
+
+    @staticmethod
+    def _subnormal_column_doc(priors, entry):
+        """Both events give the outcome ``x`` the conditional ``entry``, a
+        number below the normal double range, so the posterior is the prior."""
+        return {"kind": "bayes", "parameters": {
+            "events": ["a", "b"], "priors": priors, "outcomes": ["x", "y"],
+            "conditional": [[entry, 1.0], [entry, 1.0]], "observed": "x"}}
+
+    @pytest.mark.parametrize("priors, entry", [([0.3, 0.7], 1e-320), ([0.5, 0.5], 5e-324)])
+    def test_bayes_posterior_of_a_subnormal_column_is_exact(self, tmp_path, capsys,
+                                                            priors, entry):
+        path = write_scenario(tmp_path, self._subnormal_column_doc(priors, entry))
+        assert main(["run", path]) == EXIT_OK
+        document = json.loads(capsys.readouterr().out)
+        assert document["outputs"]["tables"]["posterior"]["values"] == [priors]
+
+    def test_bayes_lists_no_subnormal_column_as_impossible(self, tmp_path):
+        doc = self._subnormal_column_doc([0.5, 0.5], 5e-324)
+        del doc["parameters"]["observed"]
+        document = run_to_document(write_scenario(tmp_path, doc))
+        posterior = document["outputs"]["tables"]["posterior"]
+        assert posterior["rows"] == ["x", "y"]
+        assert posterior["values"] == [[0.5, 0.5], [0.5, 0.5]]
+        assert "zero_probability_outcomes" not in document["diagnostics"]
+        # The marginal is the plain product: 0.0 against an exact 5e-324.
+        assert document["outputs"]["tables"]["outcome_marginal"]["values"] == [[0.0, 1.0]]
 
     def test_retrodict_scenario_reports_source_and_tables(self):
         info = next(i for i in list_examples() if i.name == "bb84-retrodict")

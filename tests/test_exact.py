@@ -4,12 +4,16 @@ import json
 import sys
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exact import bayes_reference, bb84_predictive, bb84_retrodictive, ulps
-from qretrodict import bb84
+from exact import (bayes_reference, bb84_predictive, bb84_retrodictive, retrodict_reference,
+                   ulps)
+from support import random_biased_ensemble, random_pom, random_unbiased_ensemble
+from qretrodict import Operator, bb84
 from qretrodict.cli import execute, list_examples, load_scenario, render_json, validate_document
+from qretrodict.errors import TRACE_TOL
 
 #: Ulps from the exact value allowed to each emitted ``bayes`` number, at
 #: up to six events and six outcomes.  A joint entry is one rounded
@@ -17,11 +21,32 @@ from qretrodict.cli import execute, list_examples, load_scenario, render_json, v
 #: weights, 5000 of this module's strategy) the largest errors were 0.5,
 #: 1.80 and 3.18 ulps.
 BAYES_BUDGET = {"joint": Fraction(1, 2), "outcome_marginal": 2, "posterior": 4}
+#: Ulps allowed to a posterior entry whose outcome's column holds numbers
+#: below the normal double range, drawn by :func:`_subnormal_columns`.
+#: Over 88797 draws (58797 of random columns of subnormal conditionals,
+#: with subnormal priors among others, and 30000 of that strategy) the
+#: largest error was 3.53 ulps.
+SUBNORMAL_POSTERIOR_BUDGET = 4
+#: The distance allowed to each emitted ``retrodict`` entry from its exact
+#: value, at d <= 4 with up to four events and four outcomes, in units of
+#: ``ULP_AT_ONE_HALF``: one ulp of an entry in [1/2, 1), and an absolute
+#: bound near 0, where overlaps cancel.  A biased source's posterior row
+#: is its overlaps over the outcome's weight w, which divides their
+#: errors by w, so a biased row's distance is taken times w.  Over 26000
+#: draws of :func:`_retrodict` the largest were 2.80, 2.14 and 3.51 (1.83
+#: for biased rows, times w).
+RETRODICT_BUDGET = {"predictive": 3, "outcome_distribution": 3, "retrodictive": 4}
+ULP_AT_ONE_HALF = Fraction(2) ** -53
+
+
+def _result(doc) -> dict:
+    """``doc``'s result document, as its JSON text reads."""
+    return json.loads(render_json(execute(validate_document(doc))))
 
 
 def _outputs(doc) -> dict:
-    """The ``outputs`` of ``doc``'s result document, as its JSON text reads."""
-    return json.loads(render_json(execute(validate_document(doc))))["outputs"]
+    """The ``outputs`` of ``doc``'s result document."""
+    return _result(doc)["outputs"]
 
 
 def _normal(column) -> bool:
@@ -75,6 +100,101 @@ def test_bayes_outputs_are_within_their_ulp_budgets(params):
     for label in outputs.get("diagnostics", {}).get("zero_probability_outcomes", []):
         j = params["outcomes"].index(label)
         assert marginal[j] == 0 or not _normal(columns[j])
+
+
+@st.composite
+def _subnormal_columns(draw):
+    """A ``bayes`` scenario whose outcome columns, all but the last, hold
+    only zeros and numbers up to the least normal double; the last column
+    makes each row sum to 1."""
+    n_events, n_outcomes = draw(st.integers(1, 6)), draw(st.integers(2, 4))
+    tiny = st.floats(0.0, sys.float_info.min)
+    rows = [[draw(tiny) for _ in range(n_outcomes - 1)] for _ in range(n_events)]
+    return {"events": [f"e{i}" for i in range(n_events)],
+            "priors": draw(_distribution(n_events)),
+            "outcomes": [f"o{j}" for j in range(n_outcomes)],
+            "conditional": [row + [1.0 - sum(row)] for row in rows]}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_subnormal_columns())
+def test_posteriors_of_subnormal_columns_are_within_their_ulp_budget(params):
+    result = _result({"kind": "bayes", "parameters": params})
+    _, marginal, posterior = bayes_reference(params["priors"], params["conditional"])
+    table = result["outputs"]["tables"].get("posterior", {"rows": [], "values": []})
+    for label, row in zip(table["rows"], table["values"]):
+        exact = posterior[params["outcomes"].index(label)]
+        for value, reference in zip(row, exact, strict=True):
+            assert ulps(value, reference) <= SUBNORMAL_POSTERIOR_BUDGET, (value, reference)
+    # Exactly the outcomes of probability zero are left out as impossible.
+    skipped = result["diagnostics"].get("zero_probability_outcomes", [])
+    assert skipped == [label for label, total in zip(params["outcomes"], marginal)
+                       if total == 0]
+
+
+def _pairs(mat) -> list:
+    """A complex matrix as a document writes it: rows of ``[re, im]`` pairs."""
+    return np.stack([mat.real, mat.imag], axis=-1).tolist()
+
+
+@st.composite
+def _retrodict(draw):
+    """A ``retrodict`` scenario at d <= 4 with up to 4 events and 4 POM
+    elements, an unbiased or a biased source, drawn one of two ways.
+
+    Either the projectors onto a random orthonormal basis are both the POM
+    and the states, with equal or random priors, so that the overlaps off
+    the diagonal cancel; or the POM is S^-1/2 A_b S^-1/2 of random positive
+    A_b, and the source is carved out of another such POM or has random
+    states and priors.  A zero element may be put among the others.
+    """
+    d, n_events, n_outcomes = (draw(st.integers(1, 4)) for _ in range(3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    unbiased = draw(st.booleans())
+    if draw(st.booleans()):
+        basis = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+        elements = [np.outer(v, v.conj()) for v in basis.T]
+        priors = [1 / d] * d if unbiased else rng.dirichlet(np.ones(d)).tolist()
+        events = [(f"a{i}", p, Operator(e)) for i, (p, e) in enumerate(zip(priors, elements))]
+    else:
+        elements = [op.mat for _, op in random_pom(rng, d, n_outcomes).elements]
+        source = random_unbiased_ensemble if unbiased else random_biased_ensemble
+        events = source(rng, d, n_events).events
+    if len(elements) < 4 and draw(st.booleans()):
+        elements.insert(draw(st.integers(0, len(elements))), np.zeros((d, d), dtype=complex))
+    return {"events": [{"label": label, "prior": prior, "state": _pairs(op.mat)}
+                       for label, prior, op in events],
+            "pom": [{"label": f"b{j}", "element": _pairs(mat)}
+                    for j, mat in enumerate(elements)]}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_retrodict())
+def test_retrodict_outputs_are_within_their_budgets(params):
+    result = _result({"kind": "retrodict", "parameters": params})
+    tables = result["outputs"]["tables"]
+    born, *sources = retrodict_reference(
+        [e["prior"] for e in params["events"]], [e["state"] for e in params["events"]],
+        [p["element"] for p in params["pom"]])
+    biased = result["diagnostics"]["source"] == "biased"
+    distribution, rows = sources[biased]
+    outcomes = [p["label"] for p in params["pom"]]
+    retrodictive = tables.get("retrodictive", {"rows": [], "values": []})
+    active = [outcomes.index(label) for label in retrodictive["rows"]]
+    emitted = [
+        ("predictive", tables["predictive"]["values"], born, [1] * len(born)),
+        ("outcome_distribution", tables["outcome_distribution"]["values"], [distribution], [1]),
+        ("retrodictive", retrodictive["values"], [rows[b] for b in active],
+         [distribution[b] if biased else 1 for b in active]),
+    ]
+    for name, emitted_rows, exact_rows, weights in emitted:
+        for row, exact_row, weight in zip(emitted_rows, exact_rows, weights, strict=True):
+            for value, reference in zip(row, exact_row, strict=True):
+                distance = abs(Fraction(value) - reference) * weight
+                assert distance <= RETRODICT_BUDGET[name] * ULP_AT_ONE_HALF, (name, value, reference)
+    # An outcome left out as impossible has a weight of at most TRACE_TOL.
+    for label in result["diagnostics"].get("zero_probability_outcomes", []):
+        assert distribution[outcomes.index(label)] <= TRACE_TOL
 
 
 def test_exact_bb84_tables_are_quarters_and_halves():

@@ -386,6 +386,16 @@ class TestRetroConditionalUnbiased:
         assert str(info.value) == ("element trace 0.0 is not positive; the outcome "
                                    "has zero probability and no retrodictive state")
 
+    def test_rows_before_a_zero_trace_element_are_range_checked_first(self):
+        # The rows ahead of the first zero-trace element are checked before
+        # its fault is raised, and none after it is reached.
+        prep = preparation_pom(polarization_ensemble())
+        bad, zero = np.diag([2.0, -1.0]).astype(complex), np.zeros((2, 2), dtype=complex)
+        with pytest.raises(NumericIntegrityError, match="outside"):
+            retro_conditional_unbiased(prep, np.array([bad, zero]))
+        with pytest.raises(ZeroProbabilityError):
+            retro_conditional_unbiased(prep, np.array([zero, bad]))
+
 
 class TestRetroConditionalBiased:
     def skewed_source(self):
