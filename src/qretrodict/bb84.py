@@ -89,9 +89,11 @@ class PolarizationState:
         return float(abs(inner) ** 2)
 
 
-#: ``overlap_probability`` of the canonical states ``LABELS[i]`` and ``LABELS[j]``.
+#: ``overlap_probability`` of the canonical states ``LABELS[i]`` and ``LABELS[j]``,
+#: and whether they are orthogonal: the pairs whose slot flags an eavesdropper.
 _OVERLAPS = np.array([[PolarizationState.canonical(a).overlap_probability(
     PolarizationState.canonical(b)) for b in LABELS] for a in LABELS])
+_ORTHOGONAL = _OVERLAPS < TOL
 
 
 @dataclass(frozen=True)
@@ -143,31 +145,42 @@ def eavesdrop_flag(slot: SlotRecord) -> bool:
     reveals an eavesdropper or a channel error.
     """
     alice, bob = LABELS.index(slot.alice_choice), LABELS.index(slot.bob_outcome)
-    return bool(_OVERLAPS[alice, bob] < TOL)
+    return bool(_ORTHOGONAL[alice, bob])
 
 
 @dataclass(frozen=True)
 class SimulationSummary:
-    """Tallies from a slot simulation.
+    """Tallies from a slot simulation, each read off one count table.
 
     ``outcome_counts[i, j]`` counts slots where Alice chose ``LABELS[i]``
     and Bob registered ``LABELS[j]``.  Same-basis slots are those where
     Bob happened to measure in Alice's basis; over an honest channel the
-    outcome then always matches the preparation, so ``same_basis_errors``
-    (and ``flagged``, which counts the same slots) stay zero.
+    outcome then always matches the preparation.  Within a basis the two
+    states are orthogonal, so the same-basis errors are exactly the
+    ``flagged`` slots, and both stay zero.
     """
 
-    slots: int
     attack: str
     outcome_counts: np.ndarray
-    flagged: int
-    same_basis_slots: int
-    same_basis_errors: int
 
     def __post_init__(self):
         counts = np.array(self.outcome_counts, dtype=int)
         counts.flags.writeable = False
         object.__setattr__(self, "outcome_counts", counts)
+
+    @property
+    def slots(self) -> int:
+        return int(self.outcome_counts.sum())
+
+    @property
+    def flagged(self) -> int:
+        return int(self.outcome_counts[_ORTHOGONAL].sum())
+
+    same_basis_errors = flagged
+
+    @property
+    def same_basis_slots(self) -> int:
+        return int(self.outcome_counts[_SAME_BASIS].sum())
 
     @property
     def same_basis_error_rate(self) -> float:
@@ -240,15 +253,5 @@ def simulate_slots(count: int, rng_seed: int,
     outcome_idx = _measure(rng, transmitted_idx, bob_basis_idx)
 
     code = alice_idx * 4 + outcome_idx
-    outcome_counts = np.bincount(code, minlength=16).reshape(4, 4)
-    same_basis = int(outcome_counts[_SAME_BASIS].sum())
-    errors = same_basis - int(np.trace(outcome_counts))
-    summary = SimulationSummary(
-        slots=count,
-        attack=attack,
-        outcome_counts=outcome_counts,
-        flagged=errors,
-        same_basis_slots=same_basis,
-        same_basis_errors=errors,
-    )
+    summary = SimulationSummary(attack, np.bincount(code, minlength=16).reshape(4, 4))
     return _RECORDS[code].tolist(), summary

@@ -277,8 +277,8 @@ class Scenario:
 
     kind: str
     parameters: dict
-    document: dict = field(default_factory=dict)
-    arrays: dict = field(default_factory=dict)
+    document: dict
+    arrays: dict
 
 
 @dataclass(eq=False)
@@ -407,21 +407,19 @@ def _run_bayes(scenario: Scenario, result: ResultDocument):
     result.arrays["joint"] = _array(labels, outcomes, joint)
     result.tables["outcome_marginal"] = _array(["marginal"], outcomes, [marginal])
     observed = params.get("observed")
-    if observed is not None:
-        posterior = bayes.retrodict_conditional(space, cond, observed)
-        result.tables["posterior"] = _array([observed], labels, [posterior])
-    else:
-        # An outcome is impossible exactly where its posterior is undefined.
-        rows, skipped = {}, []
-        for outcome in outcomes:
-            try:
-                rows[outcome] = bayes.retrodict_conditional(space, cond, outcome)
-            except ZeroProbabilityError:
-                skipped.append(outcome)
-        if rows:
-            result.tables["posterior"] = _array(rows, labels, list(rows.values()))
-        if skipped:
-            result.diagnostics["zero_probability_outcomes"] = skipped
+    # An outcome is impossible exactly where its posterior is undefined.
+    rows, skipped = {}, []
+    for outcome in outcomes if observed is None else (observed,):
+        try:
+            rows[outcome] = bayes.retrodict_conditional(space, cond, outcome)
+        except ZeroProbabilityError:
+            if observed is not None:
+                raise
+            skipped.append(outcome)
+    if rows:
+        result.tables["posterior"] = _array(rows, labels, list(rows.values()))
+    if skipped:
+        result.diagnostics["zero_probability_outcomes"] = skipped
 
 
 def _run_retrodict(scenario: Scenario, result: ResultDocument):
@@ -435,32 +433,29 @@ def _run_retrodict(scenario: Scenario, result: ResultDocument):
     result.tables["predictive"] = _array(ens.labels, pom.labels, predictive)
 
     d = ens.dims.total_dim
-    mixture_dev = float(np.max(np.abs(ens.mixture().mat - np.eye(d) / d)))
+    result.diagnostics["mixture_deviation"] = float(
+        np.max(np.abs(ens.mixture().mat - np.eye(d) / d)))
     try:
-        prep = retrodict.preparation_pom(ens)
+        source = retrodict.preparation_pom(ens)
     except BiasedSourceError:
-        prep = None
-    result.diagnostics["source"] = "biased" if prep is None else "unbiased"
-    result.diagnostics["mixture_deviation"] = mixture_dev
-
-    if prep is not None:
+        result.diagnostics["source"] = "biased"
+        source = retrodict.BiasedElements.from_ensemble(ens)
+        # Each outcome's weight: the builtin sum, in event order, of the prior-weighted rows.
+        outcome_dist = weights = sum(ens.priors[:, None] * predictive)
+        conditional = retrodict.retro_conditional_biased
+    else:
+        result.diagnostics["source"] = "unbiased"
         weights = retrodict._traces(pom.stack)
         outcome_dist = weights / d
-    else:
-        lam = retrodict.BiasedElements.from_ensemble(ens)
-        # Each outcome's weight from the predictive column, summed in event
-        # order as the builtin sum of the prior-weighted rows.
-        outcome_dist = weights = sum(ens.priors[:, None] * predictive)
+        conditional = retrodict.retro_conditional_unbiased
 
     result.tables["outcome_distribution"] = _array(
         ["prior"], pom.labels, [outcome_dist])
     active = ~(weights <= TRACE_TOL)
     if active.any():
-        rows = (retrodict.retro_conditional_unbiased(prep, pom.stack[active])
-                if prep is not None
-                else retrodict.retro_conditional_biased(lam, pom.stack[active]))
         result.tables["retrodictive"] = _array(
-            itertools.compress(pom.labels, active), ens.labels, rows)
+            itertools.compress(pom.labels, active), ens.labels,
+            conditional(source, pom.stack[active]))
     if not active.all():
         result.diagnostics["zero_probability_outcomes"] = list(
             itertools.compress(pom.labels, ~active))
@@ -793,7 +788,8 @@ def _put(stream, data: bytes, text: str):
             stream.write(text)
             stream.flush()
     except OSError:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), stream.fileno())
         raise
 
 

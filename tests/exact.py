@@ -11,6 +11,7 @@ asked, and an emitted double can be measured against it in ulps.  Only
   whose complex entries are ``(re, im)`` pairs of ``Fraction``s.
 - BB84: the predictive and retrodictive tables of the four canonical
   polarization states, whose entries are 0, 1/4 and 1/2.
+- ``detector``: the photon-number weights of an inefficient counter.
 """
 
 import math
@@ -77,6 +78,15 @@ def retrodict_reference(priors, states, elements):
     biased = [[x / sum(row) for x in row] if sum(row) else None for row in joint]
     weights = [sum(p * x for p, x in zip(priors, column)) for column in zip(*born)]
     return born, ([t / d for t in traces], unbiased), (weights, biased)
+
+
+def detector_weights(n, eta, truncation):
+    """Exact photon-number weights of a ``detector`` scenario that counted
+    ``n`` photons at the double efficiency ``eta``: entry k, for k up to
+    ``truncation``, is eta^(n+1) C(k, n) (1-eta)^(k-n), and 0 below n."""
+    eta = Fraction(eta)
+    return [eta ** (n + 1) * math.comb(k, n) * (1 - eta) ** (k - n) if k >= n else Fraction(0)
+            for k in range(truncation + 1)]
 
 
 #: Each canonical BB84 state in the (V, H) basis, up to a positive factor,

@@ -439,7 +439,8 @@ def to_json_obj(result):
 def simulate_slots_per_slot(count, rng_seed, attack="none"):
     """``bb84.simulate_slots`` as it was built before the slot codes: the
     same draws, one ``SlotRecord`` per slot from its three indices, and the
-    tallies from ``np.add.at`` and per-slot masks."""
+    tallies, by ``SimulationSummary`` attribute name, from ``np.add.at``
+    and per-slot masks."""
     rng = np.random.default_rng(rng_seed)
     alice_idx = rng.integers(0, 4, size=count)
     bob_basis_idx = rng.integers(0, 2, size=count)
@@ -454,7 +455,7 @@ def simulate_slots_per_slot(count, rng_seed, attack="none"):
     errors = same_basis & (alice_idx != outcome_idx)
     records = [bb84.SlotRecord(bb84.LABELS[a], bb84._BASIS_NAMES[b], bb84.LABELS[o])
                for a, b, o in zip(alice_idx, bob_basis_idx, outcome_idx)]
-    return records, bb84.SimulationSummary(
-        slots=count, attack=attack, outcome_counts=outcome_counts,
-        flagged=int(errors.sum()), same_basis_slots=int(same_basis.sum()),
-        same_basis_errors=int(errors.sum()))
+    return records, {
+        "slots": count, "attack": attack, "outcome_counts": outcome_counts,
+        "flagged": int(errors.sum()), "same_basis_slots": int(same_basis.sum()),
+        "same_basis_errors": int(errors.sum())}

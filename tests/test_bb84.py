@@ -198,6 +198,14 @@ class TestEavesdropFlag:
         assert not eavesdrop_flag(SlotRecord("L", "linear", "V"))
         assert not eavesdrop_flag(SlotRecord("H", "circular", "R"))
 
+    def test_orthogonal_pairs_are_exactly_the_same_basis_mismatches(self):
+        # The identity that makes ``flagged`` and ``same_basis_errors`` one count.
+        for i, a in enumerate(LABELS):
+            for j, b in enumerate(LABELS):
+                mismatch = bb84.basis_of(a) == bb84.basis_of(b) and a != b
+                assert bool(bb84._ORTHOGONAL[i, j]) is mismatch, (a, b)
+                assert eavesdrop_flag(SlotRecord(a, bb84.basis_of(b), b)) is mismatch
+
 
 class TestSimulateSlots:
     def test_rejects_non_positive_count(self):
@@ -230,6 +238,16 @@ class TestSimulateSlots:
         assert summary.same_basis_slots == same_basis
         assert summary.same_basis_errors == errors
 
+    def test_tallies_are_read_off_the_count_table(self):
+        # Rows and columns L, R, V, H: the orthogonal pairs L-R, R-L, V-H
+        # and H-V hold 1, 4, 11 and 14, and the diagonal 0, 5, 10 and 15.
+        summary = SimulationSummary("none", np.arange(16).reshape(4, 4))
+        tallies = (summary.slots, summary.flagged, summary.same_basis_slots,
+                   summary.same_basis_errors)
+        assert tallies == (120, 30, 60, 30)
+        assert {type(tally) for tally in tallies} == {int}
+        assert summary.same_basis_error_rate == 0.5
+
     def test_honest_channel_frequencies_and_flags(self):
         records, summary = simulate_slots(20000, rng_seed=11)
         freqs = summary.conditional_frequencies()
@@ -254,13 +272,15 @@ class TestSimulateSlots:
     def test_records_and_tally_match_the_per_slot_construction(self, count, attack):
         for seed in (0, 1, 7, 2 ** 31 - 1):
             records, summary = simulate_slots(count, rng_seed=seed, attack=attack)
-            expected, oracle = simulate_slots_per_slot(count, seed, attack)
+            expected, tallies = simulate_slots_per_slot(count, seed, attack)
             assert records == expected
-            np.testing.assert_array_equal(summary.outcome_counts, oracle.outcome_counts)
-            assert (summary.slots, summary.attack, summary.flagged,
-                    summary.same_basis_slots, summary.same_basis_errors) == (
-                oracle.slots, oracle.attack, oracle.flagged,
-                oracle.same_basis_slots, oracle.same_basis_errors)
+            np.testing.assert_array_equal(summary.outcome_counts,
+                                          tallies.pop("outcome_counts"))
+            # Python ints and strs, as the result document writes them.
+            got = {name: getattr(summary, name) for name in tallies}
+            assert got == tallies
+            assert {name: type(value) for name, value in got.items()} == {
+                name: type(value) for name, value in tallies.items()}
 
     @pytest.mark.parametrize("attack", ["none", "intercept_resend"])
     def test_a_million_slots_stay_within_their_memory_bound(self, attack):

@@ -937,6 +937,37 @@ def test_only_the_writer_takes_a_standard_stream():
         assert "print" not in names, path.name
 
 
+def test_failed_writes_leave_no_descriptor_open():
+    # A failed write sends the stream to the null device, and the descriptor
+    # opened for that is closed again: the lowest free number stays put.
+    def lowest_free():
+        fd = os.open(os.devnull, os.O_RDONLY)
+        os.close(fd)
+        return fd
+
+    before = lowest_free()
+    for _ in range(20):
+        read, write = os.pipe()
+        os.close(read)
+        with open(write, "w", encoding="utf-8") as stream:
+            with pytest.raises(BrokenPipeError):
+                cli._put(stream, b"{}\n", "{}\n")
+    assert lowest_free() == before
+
+
+def test_a_scenario_is_built_with_its_document_and_scans():
+    # A Scenario is what validation returns: kind, parameters, the document
+    # it echoes and the scans of its matrices, none of them left out.
+    parameters = {"reference": [[1.0, 0.0]], "theta": 0.5, "truncation": 2}
+    with pytest.raises(TypeError):
+        cli.Scenario(kind="scissors", parameters=parameters)
+    doc = {"kind": "scissors", "parameters": parameters}
+    scenario = validate_document(doc)
+    assert (scenario.kind, scenario.parameters, scenario.document) == ("scissors", parameters,
+                                                                        doc)
+    assert list(scenario.arrays) == [("parameters", "reference")]
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
