@@ -13,16 +13,22 @@ The documents: the twelve bundled scenarios; every ``cli-cold``,
 ``optics-sweep`` and ``retrodict-batch`` document of seeds 1-3, cycles
 0-2, from ``perfbench/workloads.py``; ``bb84`` at 1, 10^4 and 10^6 slots,
 with and without records, under both attacks; intake faults of the
-``[re, im]`` matrices and of the numbers read beside them; and ``bayes``
-documents whose joint entries fall below the normal double range.
+``[re, im]`` matrices and of the numbers read beside them; ``bayes``
+documents whose joint entries fall below the normal double range; and
+byte-level intake documents: CR, CRLF and mixed line ends, a byte-order
+mark, bytes that are not UTF-8, and parse errors after CR and CRLF lines.
 
-Every document is written to one fixed path, because a parse error's
-message names the path.  Standard output and standard error are each a
-text layer over a binary buffer, as a process's are, so that a writer
-that takes the binary layer runs as it does in a real process.
+Every document is written as bytes to one fixed path, because a parse
+error's message names the path.  A run holds an exclusive lock on a file
+beside that path from start to end, so a second run started meanwhile
+waits for it instead of reading its documents.  Standard output and
+standard error are each a text layer over a binary buffer, as a
+process's are, so that a writer that takes the binary layer runs as it
+does in a real process.
 """
 
 import contextlib
+import fcntl
 import hashlib
 import io
 import json
@@ -107,26 +113,54 @@ def _subnormal():
     return docs
 
 
+def _intake():
+    """Byte-level documents: a bundled scenario with other line ends, a
+    byte-order mark and bytes that are not UTF-8, and parse errors whose
+    line and column count translated line ends."""
+    text = (workloads.SCENARIO_DIR / "bus-train.json").read_bytes()
+    lines = text.split(b"\n")
+    mixed = b"".join(line + (b"\r\n", b"\r", b"\n")[i % 3]
+                     for i, line in enumerate(lines[:-1])) + lines[-1]
+    # Past the first 8 KiB, the default buffer size: a reader that decoded
+    # in chunks would name another position.
+    padded = text.rstrip()[:-1] + b" " * 9000 + b', "x": "\xff"}'
+    return {
+        "crlf": text.replace(b"\n", b"\r\n"),
+        "cr": text.replace(b"\n", b"\r"),
+        "mixed": mixed,
+        "cr-at-end": text.rstrip() + b"\r",
+        "bom": b"\xef\xbb\xbf" + text,
+        "invalid-utf8-past-8k": padded,
+        "truncated-multibyte": text.rstrip() + b"\xe2\x82",
+        "parse-error-after-crlf": b'{\r\n  "kind": "bayes",\r\r\n  "parameters": ,\r\n}',
+        "parse-error-after-cr": b'{\r  "kind": "bayes",\r\r  "parameters": ,\r}',
+        "cr-in-string": b'{"kind": "bayes",\r\n "parameters": {"events": ["a\rb"]}}',
+    }
+
+
 def documents():
-    """``(name, text)`` of every document of the census, in a fixed order."""
+    """``(name, data)`` of every document of the census, its bytes, in a
+    fixed order."""
     for name in workloads.BUNDLED:
-        yield name, (workloads.SCENARIO_DIR / f"{name}.json").read_text(encoding="utf-8")
+        yield name, (workloads.SCENARIO_DIR / f"{name}.json").read_bytes()
     for workload in WORKLOADS:
         for seed in SEEDS:
             for cycle in CYCLES:
                 for i, case in enumerate(workloads.cycle_cases(workload, seed, cycle)):
-                    yield f"{workload}/s{seed}c{cycle}/{i}-{case.name}", case.text
+                    yield f"{workload}/s{seed}c{cycle}/{i}-{case.name}", case.text.encode()
     for slots in (1, 10 ** 4, 10 ** 6):
         for records in (False, True):
             for attack in workloads.ATTACKS:
                 name = f"bb84-{slots}-{attack}{'-records' if records else ''}"
                 yield name, json.dumps({"kind": "bb84", "parameters": {
                     "slots": slots, "seed": 7, "attack": attack,
-                    "include_records": records}})
+                    "include_records": records}}).encode()
     for name, doc in _faults().items():
-        yield f"fault-{name}", json.dumps(doc)
+        yield f"fault-{name}", json.dumps(doc).encode()
     for name, doc in _subnormal().items():
-        yield f"subnormal-{name}", json.dumps(doc)
+        yield f"subnormal-{name}", json.dumps(doc).encode()
+    for name, data in _intake().items():
+        yield f"intake-{name}", data
 
 
 def _run(path: Path, fmt: str) -> tuple:
@@ -141,15 +175,17 @@ def _run(path: Path, fmt: str) -> tuple:
 
 def main() -> int:
     path = Path(tempfile.gettempdir()) / "qretrodict-census.json"
-    try:
-        for name, text in documents():
-            path.write_text(text, encoding="utf-8")
-            for fmt in FORMATS:
-                code, out, err = _run(path, fmt)
-                print(name, fmt, code, hashlib.sha256(out).hexdigest(),
-                      hashlib.sha256(err).hexdigest(), flush=True)
-    finally:
-        path.unlink(missing_ok=True)
+    with open(path.with_suffix(".lock"), "a") as lock:
+        fcntl.flock(lock, fcntl.LOCK_EX)
+        try:
+            for name, data in documents():
+                path.write_bytes(data)
+                for fmt in FORMATS:
+                    code, out, err = _run(path, fmt)
+                    print(name, fmt, code, hashlib.sha256(out).hexdigest(),
+                          hashlib.sha256(err).hexdigest(), flush=True)
+        finally:
+            path.unlink(missing_ok=True)
     return 0
 
 

@@ -158,6 +158,8 @@ class SimulationSummary:
     outcome then always matches the preparation.  Within a basis the two
     states are orthogonal, so the same-basis errors are exactly the
     ``flagged`` slots, and both stay zero.
+
+    Two summaries are equal when their attacks and count tables are.
     """
 
     attack: str
@@ -167,6 +169,15 @@ class SimulationSummary:
         counts = np.array(self.outcome_counts, dtype=int)
         counts.flags.writeable = False
         object.__setattr__(self, "outcome_counts", counts)
+
+    def __eq__(self, other):
+        if not isinstance(other, SimulationSummary):
+            return NotImplemented
+        return (self.attack == other.attack
+                and np.array_equal(self.outcome_counts, other.outcome_counts))
+
+    def __hash__(self):
+        return hash((self.attack, self.outcome_counts.tobytes()))
 
     @property
     def slots(self) -> int:

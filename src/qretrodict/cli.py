@@ -425,10 +425,11 @@ def _run_bayes(scenario: Scenario, result: ResultDocument):
 def _run_retrodict(scenario: Scenario, result: ResultDocument):
     labels, priors, matrices, states = _operator_matrices(
         scenario, "events", "state", retrodict.PreparationEnsemble)
-    ens = retrodict.PreparationEnsemble.from_matrices(labels, matrices, priors=priors)
+    # Each matrix was checked as it was read.
+    ens = retrodict.PreparationEnsemble._from_matrices(labels, matrices, {"priors": priors})
     labels, _, matrices, elements = _operator_matrices(
         scenario, "pom", "element", retrodict.Pom)
-    pom = retrodict.Pom.from_matrices(labels, matrices)
+    pom = retrodict.Pom._from_matrices(labels, matrices, {})
     predictive = pom.table(ens)
     result.tables["predictive"] = _array(ens.labels, pom.labels, predictive)
 
@@ -582,7 +583,13 @@ def load_scenario(path) -> Scenario:
     or objects nested too deeply to read, and ValidationError for schema
     violations.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    # Read as bytes, unbuffered, and decoded at once, with the newline
+    # translation of a text-mode read: the text, and any fault's wording,
+    # are those of ``Path(path).read_text(encoding="utf-8")``.
+    with open(Path(path), "rb", buffering=0) as file:
+        text = file.read().decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     return validate_document(json.loads(text))
 
 
@@ -698,7 +705,7 @@ def _emit(value, nl: str, out: list):
     if isinstance(value, dict) and value:
         out.append("{")
         for key, item in sorted(value.items()):
-            out += (inner, _ENCODER.encode(key), ": ")
+            out += (inner, _encode_str(key), ": ")
             _emit(item, inner, out)
             out.append(",")
         out[-1] = nl + "}"

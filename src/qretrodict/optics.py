@@ -6,11 +6,15 @@ is assembled exactly block-by-block and results whose physics lives
 entirely in the low-photon sectors carry no truncation error at all;
 projection synthesis and the scissors device touch only the block their
 photon counts select and compute their state on its n+m+1 number states.
-The inefficient counter's state is diagonal and is built from its
-diagonal.  So only the zero-padded (N+1) x (N+1) output grows with the
-truncation: no kernel the scenarios run multiplies (N+1) x (N+1)
-matrices.  The detector operators are truncated with a geometric tail
-that shrinks as N grows.
+A block's generator depends only on its photon total, and the coupling
+angle enters only through the phases of its eigenvalues, so the
+eigendecomposition of each narrow block is computed once and kept, and
+the scissors' one-photon resource is built once; both give the bits of
+a fresh computation.  The inefficient counter's state is diagonal and
+is built from its diagonal.  So only the zero-padded (N+1) x (N+1)
+output grows with the truncation: no kernel the scenarios run
+multiplies (N+1) x (N+1) matrices.  The detector operators are
+truncated with a geometric tail that shrinks as N grows.
 
 Included here: the two-mode beam-splitter unitary, the reduction of a
 joint photon-count measurement behind a beam splitter to an effective
@@ -22,13 +26,15 @@ reference field out of an entangled single-photon resource.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TOL, TRACE_TOL, DimensionMismatch, ValidationError, ZeroProbabilityError
+from .errors import TOL, DimensionMismatch, ValidationError, ZeroProbabilityError
 from .hilbert import ModeDims, Operator
+from .retrodict import _retro_states
 
 
 @dataclass(frozen=True)
@@ -98,22 +104,52 @@ class ReferenceState:
         return out
 
 
-def _photon_block(bs: BeamSplitter, space: FockSpace, total: int):
-    """Mode-b counts ``nb`` and the beam-splitter block for ``total`` photons.
+#: Photon-number blocks at most this wide keep their eigendecomposition,
+#: and at most this many are kept.  Their arrays (v and v^H at 16 bytes an
+#: entry, nb and w at 8) hold at most 32 x (2 x 16 x 64^2 + 2 x 8 x 64)
+#: = 4,227,072 bytes.
+_CACHED_WIDTH = 64
+_CACHED_BLOCKS = 32
 
-    Row and column ``i`` of the block address |nb[i], total - nb[i]>.  The
-    generator b'c + c'b is tridiagonal within the block, with entries
+
+def _block_basis(lo: int, hi: int, total: int):
+    """Mode-b counts ``nb = lo..hi`` of the block with ``total`` photons, and
+    the eigenvalues ``w``, eigenvectors ``v`` and ``v^H`` of its generator,
+    all read-only.
+
+    The generator b'c + c'b is tridiagonal within the block, with entries
     sqrt(nb+1) sqrt(total-nb); it is kept complex so that ``eigh`` takes
     the same Hermitian route for every block and the blocks match a
-    dense two-mode construction entry for entry.
+    dense two-mode construction entry for entry.  None of this depends on
+    the coupling angle.
     """
-    nb = np.arange(max(0, total - space.truncation), min(total, space.truncation) + 1)
+    nb = np.arange(lo, hi + 1)
     hop = np.sqrt(nb[:-1] + 1.0) * np.sqrt(float(total) - nb[:-1])
     generator = np.zeros((nb.size, nb.size), dtype=complex)
     generator[np.arange(1, nb.size), np.arange(nb.size - 1)] = hop
     generator[np.arange(nb.size - 1), np.arange(1, nb.size)] = hop
     w, v = np.linalg.eigh(generator)
-    return nb, (v * np.exp(1j * bs.theta * w)) @ v.conj().T
+    basis = nb, w, v, v.conj().T
+    for array in basis:
+        array.flags.writeable = False
+    return basis
+
+
+_cached_block_basis = functools.lru_cache(maxsize=_CACHED_BLOCKS)(_block_basis)
+
+
+def _photon_block(bs: BeamSplitter, space: FockSpace, total: int):
+    """Mode-b counts ``nb`` and the beam-splitter block for ``total`` photons.
+
+    Row and column ``i`` of the block address |nb[i], total - nb[i]>.  The
+    block is exp(i theta w) on the generator's eigenbasis, and the basis
+    of a block at most ``_CACHED_WIDTH`` wide is computed once per
+    ``(lo, hi, total)``: the block's bits are those of a fresh ``eigh``.
+    """
+    lo, hi = max(0, total - space.truncation), min(total, space.truncation)
+    basis = _cached_block_basis if hi - lo < _CACHED_WIDTH else _block_basis
+    nb, w, v, vh = basis(lo, hi, total)
+    return nb, (v * np.exp(1j * bs.theta * w)) @ vh
 
 
 def beam_splitter_unitary(bs: BeamSplitter, space: FockSpace) -> Operator:
@@ -285,13 +321,13 @@ def _synthesis_block(ref: ReferenceState, n: int, m: int, bs: BeamSplitter,
     # their number.
     diagonal = np.zeros(space.dim, dtype=complex)
     diagonal[:total + 1] = np.diagonal(element)
-    tr = float(diagonal.sum().real)
-    if tr <= TRACE_TOL:
+    try:
+        return _retro_states(element[None], traces=diagonal.sum().real[None])[0]
+    except ZeroProbabilityError:
         raise ZeroProbabilityError(
             f"outcome (n={n}, m={m}) has zero probability for this reference "
             f"field; no retrodictive state exists"
-        )
-    return element * complex(1.0 / tr)
+        ) from None
 
 
 def projection_synthesis_retro(ref: ReferenceState, n: int, m: int,
@@ -313,6 +349,16 @@ def projection_synthesis_retro(ref: ReferenceState, n: int, m: int,
     return _on_support(_synthesis_block(ref, n, m, bs, space), space)
 
 
+@functools.cache
+def _scissors_resource() -> np.ndarray:
+    """U|1,0> of a 50:50 beam splitter: column 1 of the one-photon block,
+    which is the same block [0, 1] at every truncation.  Read-only."""
+    _, block = _photon_block(BeamSplitter(math.pi / 4.0), FockSpace(1), 1)
+    psi = block[:, 1].copy()
+    psi.flags.writeable = False
+    return psi
+
+
 def scissors_output(ref: ReferenceState, bs: BeamSplitter, space: FockSpace) -> Operator:
     """Mode-d state prepared by the quantum-scissors device.
 
@@ -329,8 +375,7 @@ def scissors_output(ref: ReferenceState, bs: BeamSplitter, space: FockSpace) -> 
     # The four products are taken one by one, as a matrix product over the
     # dense two-mode amplitudes takes them; numpy's vectorized complex
     # multiply may fuse them and change the last bits of the output.
-    _, block = _photon_block(BeamSplitter(math.pi / 4.0), space, 1)
-    psi = block[:, 1]
+    psi = _scissors_resource()
     out = np.zeros((2, 2), dtype=complex)
     for a in range(2):
         for b in range(2):

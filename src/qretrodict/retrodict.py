@@ -125,13 +125,20 @@ class OperatorStack:
         order, then copied into the stack; ``fields`` (an ensemble's
         ``priors``) are copied and set before the stack's checks run.
         """
+        return cls._from_matrices(labels, matrices, fields, _check_square_finite)
+
+    @classmethod
+    def _from_matrices(cls, labels, matrices, fields: dict,
+                       check=lambda mat: None) -> "OperatorStack":
+        """:meth:`from_matrices`, with ``check`` as the check of each matrix:
+        none for matrices their reader has already checked."""
         labels, matrices = list(labels), list(matrices)
         fields = {name: np.array(value, dtype=float) for name, value in fields.items()}
         if any(len(values) != len(labels) for values in (matrices, *fields.values())):
             raise ValidationError(f"{cls.kind} needs one matrix and one of each of "
                                   f"{sorted(fields)} per label")
         for mat in matrices:
-            _check_square_finite(mat)
+            check(mat)
         self = cls.__new__(cls)._set(**fields)
         self._check(labels, matrices, [np.shape(mat)[:1] for mat in matrices])
         return self
@@ -434,12 +441,13 @@ def retro_state(element: Operator) -> Operator:
     return Operator._adopt(_retro_states(element.mat[None])[0], element.dims)
 
 
-def _retro_states(elements: np.ndarray, use=lambda states: states):
+def _retro_states(elements: np.ndarray, use=lambda states: states, traces=None):
     """What ``use`` makes of the retrodictive states of ``elements``, a
-    ``(n, d, d)`` stack: each element scaled by one over its trace.  The
-    states stop before the first element whose trace is at or below
+    ``(n, d, d)`` stack: each element scaled by one over its trace, its
+    :func:`_traces` entry unless ``traces`` are given.  The states stop
+    before the first element whose trace is at or below
     ``errors.TRACE_TOL``, whose fault is raised once ``use`` has run."""
-    traces = _traces(elements)
+    traces = _traces(elements) if traces is None else traces
     zero = traces <= TRACE_TOL
     n = int(np.argmax(zero)) if zero.any() else len(elements)
     used = use(elements[:n] * (1.0 / traces[:n]).astype(complex)[:, None, None])

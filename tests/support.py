@@ -121,6 +121,25 @@ def total_photon_blocks(space):
     return blocks
 
 
+def photon_block(bs, space, total: int):
+    """Mode-b counts ``nb`` and the beam-splitter block for ``total`` photons,
+    with a fresh ``eigh`` of the block's generator on every call.
+
+    Row and column ``i`` of the block address |nb[i], total - nb[i]>.  The
+    generator b'c + c'b is tridiagonal within the block, with entries
+    sqrt(nb+1) sqrt(total-nb), and complex.  Bit-for-bit oracle of
+    ``optics._photon_block``, which keeps the eigendecomposition of narrow
+    blocks.
+    """
+    nb = np.arange(max(0, total - space.truncation), min(total, space.truncation) + 1)
+    hop = np.sqrt(nb[:-1] + 1.0) * np.sqrt(float(total) - nb[:-1])
+    generator = np.zeros((nb.size, nb.size), dtype=complex)
+    generator[np.arange(1, nb.size), np.arange(nb.size - 1)] = hop
+    generator[np.arange(nb.size - 1), np.arange(1, nb.size)] = hop
+    w, v = np.linalg.eigh(generator)
+    return nb, (v * np.exp(1j * bs.theta * w)) @ v.conj().T
+
+
 def normal_ordered_damping(eta: float, space) -> Operator:
     """Normal-ordered exponential of the damped number operator.
 

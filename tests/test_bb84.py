@@ -248,6 +248,15 @@ class TestSimulateSlots:
         assert {type(tally) for tally in tallies} == {int}
         assert summary.same_basis_error_rate == 0.5
 
+    def test_summaries_compare_and_hash_by_attack_and_count_table(self):
+        _, summary = simulate_slots(10, rng_seed=1)
+        _, same = simulate_slots(10, rng_seed=1)
+        _, other_seed = simulate_slots(10, rng_seed=2)
+        other_attack = SimulationSummary("intercept_resend", summary.outcome_counts)
+        assert summary == same and hash(summary) == hash(same)
+        assert summary != other_attack and summary != other_seed
+        assert len({summary, same, other_attack}) == 2
+
     def test_honest_channel_frequencies_and_flags(self):
         records, summary = simulate_slots(20000, rng_seed=11)
         freqs = summary.conditional_frequencies()

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from qretrodict import cli
+from qretrodict import cli, optics
 from qretrodict.cli import (
     EXIT_COMPUTATION,
     EXIT_OK,
@@ -218,6 +218,51 @@ def malformed_documents():
         # from the root, whose ``type`` the document matches.
         {"kind": "bayes", "surprise": 1},
     ]
+
+
+def _scenario_bytes():
+    """Byte-level intake documents, by name."""
+    text = json.dumps(bus_train_doc(), indent=2).encode()
+    lines = text.split(b"\n")
+    mixed = b"".join(line + (b"\r\n", b"\r", b"\n")[i % 3]
+                     for i, line in enumerate(lines[:-1])) + lines[-1]
+    return {
+        "crlf": text.replace(b"\n", b"\r\n"),
+        "lone-cr": text.replace(b"\n", b"\r"),
+        "mixed": mixed,
+        "cr-then-crlf": text.replace(b"\n", b"\r\r\n"),
+        "cr-at-end": text + b"\r",
+        "bom": b"\xef\xbb\xbf" + text,
+        "invalid-utf8-past-8k": text[:-1] + b" " * 9000 + b', "x": "\xff"}',
+        "truncated-multibyte": text + b"\xe2\x82",
+        "parse-error-after-crlf": b'{\r\n  "kind": "bayes",\r\n\r\n  "parameters": ,\r\n}',
+        "parse-error-after-cr": b'{\r  "kind": "bayes",\r\r  "parameters": ,\r}',
+        "cr-in-string": b'{"kind": "bayes",\r\n "parameters": {"events": ["a\rb"]}}',
+        "schema-error-after-cr": text.replace(b"\n", b"\r").replace(b'"late"', b'"early"'),
+    }
+
+
+def _outcome(load):
+    try:
+        return "document", load().document
+    except Exception as error:  # any fault: its type and text are compared
+        return type(error), str(error)
+
+
+class TestScenarioBytes:
+    @pytest.mark.parametrize("name", sorted(_scenario_bytes()))
+    def test_load_reads_the_file_as_read_text_does(self, tmp_path, name):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(_scenario_bytes()[name])
+        got = _outcome(lambda: load_scenario(path))
+        want = _outcome(lambda: validate_document(json.loads(
+            Path(path).read_text(encoding="utf-8"))))
+        assert got == want
+
+    def test_the_empty_path_fails_as_read_text_does(self):
+        got = _outcome(lambda: load_scenario(""))
+        want = _outcome(lambda: Path("").read_text(encoding="utf-8"))
+        assert got == want == (IsADirectoryError, "[Errno 21] Is a directory: '.'")
 
 
 class TestSchema:
@@ -1422,6 +1467,16 @@ def test_documents_at_the_truncation_cap_render_their_recorded_bytes(kind):
         _OPTICS_DOCS[kind], truncation=2000)}))
     digest = hashlib.sha256(render_json(result).encode()).hexdigest()
     assert digest == _CAP_DIGESTS[kind]
+
+
+def test_a_synthesis_document_at_the_truncation_cap_keeps_no_block():
+    # Counts (100, 0) at N = 2000 select a 101-wide photon-number block,
+    # wider than any block whose eigendecomposition is kept.
+    cache = optics._cached_block_basis
+    cache.cache_clear()
+    execute(validate_document({"kind": "synthesis", "parameters": dict(
+        _OPTICS_DOCS["synthesis"], counts_b=100, theta=0.1, truncation=2000)}))
+    assert cache.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("truncation", [1, 8, 40, 256])

@@ -1,13 +1,17 @@
 """Tests for truncated Fock-space optics."""
 
 import math
+import re
 import tracemalloc
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qretrodict import optics, retrodict
 from qretrodict.errors import (
@@ -37,6 +41,7 @@ from support import (
     normal_ordered_damping,
     number_projector,
     partial_trace,
+    photon_block,
     pure_state_fidelity,
     random_density,
     random_psd,
@@ -111,7 +116,7 @@ def full_matrix_synthesis_retro(ref, n, m, bs, space):
     block's element embedded in zeros, then made Hermitian and normalized
     as a full matrix.  Bit-for-bit oracle for the support-block route."""
     total = n + m
-    _, block = optics._photon_block(bs, space, total)
+    _, block = photon_block(bs, space, total)
     u = block[n]
     rev = ref.ket(space)[total::-1]
     rho = np.outer(rev, rev.conj()).T
@@ -123,7 +128,7 @@ def full_matrix_synthesis_retro(ref, n, m, bs, space):
 def full_matrix_scissors_output(ref, bs, space):
     """The scissors output with (N+1) x (N+1) matrices throughout."""
     retro = full_matrix_synthesis_retro(ref, 1, 0, bs, space)
-    _, block = optics._photon_block(BeamSplitter(math.pi / 4.0), space, 1)
+    _, block = photon_block(BeamSplitter(math.pi / 4.0), space, 1)
     psi = block[:, 1]
     out = np.zeros((space.dim, space.dim), dtype=complex)
     for a in range(2):
@@ -267,6 +272,73 @@ class TestBeamSplitterUnitary:
     def test_full_truncated_matrix_is_unitary(self):
         u = beam_splitter_unitary(BeamSplitter(0.4), FockSpace(5))
         assert is_unitary(u, tol=1e-10)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+@st.composite
+def block_keys(draw):
+    """A photon total up to 70 and a truncation that holds it, clipping the
+    block (truncation below the total) or not."""
+    total = draw(st.integers(0, 70))
+    truncation = draw(st.integers(max(1, (total + 1) // 2), 80))
+    return total, FockSpace(truncation)
+
+
+class TestPhotonBlockCache:
+    @settings(max_examples=150, deadline=None)
+    @given(key=block_keys(), theta=st.floats(-10.0, 10.0, allow_nan=False))
+    def test_blocks_equal_a_fresh_eigendecomposition_bit_for_bit(self, key, theta):
+        total, space = key
+        bs = BeamSplitter(theta)
+        want_nb, want = photon_block(bs, space, total)
+        cache = optics._cached_block_basis
+        cache.cache_clear()
+        for route in ("miss", "hit"):
+            nb, block = optics._photon_block(bs, space, total)
+            assert nb.tobytes() == want_nb.tobytes(), route
+            assert block.tobytes() == want.tobytes(), route
+        info = cache.cache_info()
+        kept = want_nb.size <= optics._CACHED_WIDTH
+        assert (info.misses, info.hits) == ((1, 1) if kept else (0, 0))
+
+    def test_cached_arrays_and_the_scissors_resource_are_read_only(self):
+        optics._photon_block(BeamSplitter(0.3), FockSpace(5), 4)
+        arrays = [*optics._cached_block_basis(0, 4, 4), optics._scissors_resource()]
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+    def test_scissors_resource_is_the_balanced_one_photon_column(self):
+        _, block = photon_block(BeamSplitter(math.pi / 4.0), FockSpace(7), 1)
+        assert optics._scissors_resource().tobytes() == block[:, 1].tobytes()
+
+    def test_a_block_wider_than_the_bound_is_not_kept(self):
+        cache = optics._cached_block_basis
+        optics._photon_block(BeamSplitter(0.3), FockSpace(63), 63)  # 64 wide: kept
+        before = cache.cache_info()
+        nb, _ = optics._photon_block(BeamSplitter(0.3), FockSpace(64), 64)
+        assert nb.size == 65
+        after = cache.cache_info()
+        assert (after.currsize, after.misses, after.hits) == (
+            before.currsize, before.misses, before.hits)
+
+    def test_retained_bytes_reach_the_bound_stated_in_the_readme(self):
+        # The widest kept blocks, 64 number states each: at truncation N,
+        # the block of 2N - 63 photons holds nb = N - 63 .. N.
+        cache = optics._cached_block_basis
+        cache.cache_clear()
+        truncations = range(63, 63 + optics._CACHED_BLOCKS)
+        for n_trunc in truncations:
+            nb, _ = optics._photon_block(BeamSplitter(0.3), FockSpace(n_trunc), 2 * n_trunc - 63)
+            assert nb.size == optics._CACHED_WIDTH
+        assert cache.cache_info().currsize == optics._CACHED_BLOCKS
+        retained = sum(array.nbytes for n_trunc in truncations
+                       for array in cache(n_trunc - 63, n_trunc, 2 * n_trunc - 63))
+        stated = re.search(r"at most ([\d,]+) bytes", README.read_text(encoding="utf-8"))
+        assert retained == int(stated.group(1).replace(",", "")) == 4_227_072
 
 
 class TestComposeMeasurementPom:

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qretrodict import cli, hilbert
+from qretrodict import cli, hilbert, retrodict
 from qretrodict.errors import (
     BiasedSourceError,
     ComputationError,
@@ -640,3 +640,22 @@ def test_a_zero_trace_element_is_listed_without_a_retrodictive_row(tmp_path, pri
         json.dumps(tables, sort_keys=True)
     assert json.dumps(result["diagnostics"], sort_keys=True) == \
         json.dumps(diagnostics, sort_keys=True)
+
+
+def test_the_cli_checks_each_matrix_once(monkeypatch):
+    # Both readers of a matrix name the one check; the CLI runs it as it
+    # reads each item, and the stack it builds runs none again.
+    checked = []
+
+    def check(mat):
+        checked.append(mat)
+        hilbert._check_square_finite(mat)
+
+    monkeypatch.setattr(cli, "_check_square_finite", check)
+    monkeypatch.setattr(retrodict, "_check_square_finite", check)
+    doc = _qubit_document()
+    cli.execute(cli.validate_document(doc))
+    params = doc["parameters"]
+    assert len(checked) == len(params["events"]) + len(params["pom"])
+    Pom.from_matrices(["x"], [np.eye(2)])
+    assert len(checked) == len(params["events"]) + len(params["pom"]) + 1
