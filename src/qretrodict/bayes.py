@@ -141,10 +141,31 @@ def joint(space: EventSpace, cond: ConditionalTable) -> np.ndarray:
     return space.priors[:, None] * cond.probs
 
 
+def _lifted(space: EventSpace, cond: ConditionalTable, cols) -> Tuple[np.ndarray, np.ndarray]:
+    """Each product p_a * c_ab of the outcome columns ``cols`` as the product
+    of the mantissas times 2**(ep + ec), a C-contiguous row per outcome
+    (so a row adds up in the order of its own ``sum()``), each row lifted by
+    the one power of two that brings its largest to at least 1/4, and the
+    exponents that undo the lifts.  Only products negligible beside their
+    row's largest stay subnormal.
+    """
+    mp, ep = np.frexp(space.priors)
+    mc, ec = np.frexp(cond.probs.T[cols], order="C")
+    m, e = mp * mc, ep + ec
+    lift = np.maximum(0, -e.max(axis=1, where=m > 0, initial=e.min()))
+    return np.ldexp(m, e + lift[:, None]), -lift
+
+
 def predict_marginal(space: EventSpace, cond: ConditionalTable) -> np.ndarray:
-    """Forward inference: the outcome distribution before anything is observed."""
+    """Forward inference: the outcome distribution before anything is observed.
+
+    Entry b is the sum :func:`retrodict_conditional` divides by for outcome
+    b, scaled back by one rounding: products below the normal range are
+    added lifted, not first rounded to the subnormal grid.
+    """
     _check_alignment(space, cond)
-    return space.priors @ cond.probs
+    products, undo = _lifted(space, cond, slice(None))
+    return np.ldexp(products.sum(axis=1), undo)
 
 
 def retrodict_conditional(space: EventSpace, cond: ConditionalTable,
@@ -158,13 +179,8 @@ def retrodict_conditional(space: EventSpace, cond: ConditionalTable,
         case the posterior is undefined.
     """
     _check_alignment(space, cond)
-    # Each p * c is the product of the mantissas times 2**(ep + ec), all
-    # lifted by one power of two, cancelled by the division, that brings the
-    # largest to at least 1/4: only products negligible beside it stay subnormal.
-    mp, ep = np.frexp(space.priors)
-    mc, ec = np.frexp(cond.probs[:, cond.col_index(outcome)])
-    m, e = mp * mc, ep + ec
-    column = np.ldexp(m, e + max(0, -int(e.max(where=m > 0, initial=e.min()))))
+    # The division cancels the lift.
+    (column,), _ = _lifted(space, cond, [cond.col_index(outcome)])
     total = float(column.sum())
     if total <= 0.0:
         raise ZeroProbabilityError(

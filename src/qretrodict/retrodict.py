@@ -109,6 +109,8 @@ class OperatorStack:
     noun = "element"
     #: How far outside ``[0, 1]`` an overlap with an element may fall.
     _row_tol = TOL
+    #: The per-element fields :meth:`from_matrices` takes, all of them required.
+    _fields = ()
 
     def __init__(self, elements: Iterable[Tuple[Hashable, Operator]]):
         pairs = tuple((label, op) for label, op in elements)
@@ -122,8 +124,10 @@ class OperatorStack:
         of its side length, under ``labels``.
 
         Each matrix is checked as an ``Operator`` checks its own, in element
-        order, then copied into the stack; ``fields`` (an ensemble's
-        ``priors``) are copied and set before the stack's checks run.
+        order, then copied into the stack; ``fields`` are copied and set
+        before the stack's checks run.  An ensemble takes exactly
+        ``priors``, and the other stacks take none: any other set of
+        fields raises ``TypeError`` before any check runs.
         """
         return cls._from_matrices(labels, matrices, fields, _check_square_finite)
 
@@ -132,6 +136,9 @@ class OperatorStack:
                        check=lambda mat: None) -> "OperatorStack":
         """:meth:`from_matrices`, with ``check`` as the check of each matrix:
         none for matrices their reader has already checked."""
+        if set(fields) != set(cls._fields):
+            raise TypeError(f"{cls.__name__}.from_matrices takes the fields "
+                            f"{list(cls._fields)}, got {sorted(fields)}")
         labels, matrices = list(labels), list(matrices)
         fields = {name: np.array(value, dtype=float) for name, value in fields.items()}
         if any(len(values) != len(labels) for values in (matrices, *fields.values())):
@@ -314,6 +321,7 @@ class PreparationEnsemble(OperatorStack):
 
     kind = "ensemble"
     noun = "event"
+    _fields = ("priors",)
 
     def __init__(self, events: Iterable[Tuple[Hashable, float, Operator]]):
         events = tuple((label, float(prior), op) for label, prior, op in events)

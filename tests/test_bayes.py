@@ -1,7 +1,12 @@
 """Tests for the classical finite-event Bayes engine."""
 
+import math
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qretrodict import bayes
 from qretrodict.bayes import ConditionalTable, EventSpace
@@ -177,6 +182,41 @@ class TestDegenerateCases:
         assert checked > 2000
 
 
+@st.composite
+def bayes_instances(draw):
+    """Priors and a conditional table of up to 12 events and 12 outcomes
+    (numpy adds eight or more terms in another order than fewer): float
+    weights, zeros and subnormals included, each row divided by its sum,
+    with now and then all but the last column below the least normal
+    double."""
+    n, m = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+
+    def distribution(size):
+        weights = draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size).filter(any))
+        return [w / sum(weights) for w in weights]
+
+    priors = distribution(n)
+    if m > 1 and draw(st.booleans()):
+        tiny = st.floats(0.0, sys.float_info.min)
+        rows = [[draw(tiny) for _ in range(m - 1)] for _ in range(n)]
+        rows = [row + [1.0 - sum(row)] for row in rows]
+    else:
+        rows = [distribution(m) for _ in range(n)]
+    labels = tuple(f"a{i}" for i in range(n))
+    return (EventSpace(labels, priors),
+            ConditionalTable(labels, tuple(f"b{j}" for j in range(m)), rows))
+
+
+def lifted_column(priors, column):
+    """Each p * c as the product of the mantissas times 2**(ep + ec), all
+    lifted by the one power of two that brings the largest to at least 1/4,
+    and that lift; element by element, with ``math``."""
+    parts = [(mp * mc, ep + ec) for (mp, ep), (mc, ec)
+             in zip(map(math.frexp, priors), map(math.frexp, column))]
+    lift = max(0, -max((e for m, e in parts if m > 0), default=0))
+    return np.array([math.ldexp(m, e + lift) for m, e in parts]), lift
+
+
 class TestFourStateKeyDistribution:
     """Classical layer of the four-polarization key-distribution tables."""
 
@@ -217,6 +257,19 @@ class TestProperties:
                 posterior = bayes.retrodict_conditional(space, table, outcome)
                 np.testing.assert_allclose(posterior, j[:, col] / total,
                                            atol=1e-12)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(bayes_instances())
+    def test_marginal_is_the_posterior_normaliser_scaled_back(self, instance):
+        space, table = instance
+        marginal = bayes.predict_marginal(space, table)
+        for j, outcome in enumerate(table.col_labels):
+            lifted, lift = lifted_column(space.priors.tolist(), table.probs[:, j].tolist())
+            total = float(lifted.sum())
+            assert marginal[j].tobytes() == np.ldexp(total, -lift).tobytes()
+            if total > 0.0:
+                posterior = bayes.retrodict_conditional(space, table, outcome)
+                assert posterior.tobytes() == (lifted / total).tobytes()
 
     def test_marginal_always_sums_to_one(self):
         rng = np.random.default_rng(103)

@@ -256,6 +256,9 @@ class TestSimulateSlots:
         assert summary == same and hash(summary) == hash(same)
         assert summary != other_attack and summary != other_seed
         assert len({summary, same, other_attack}) == 2
+        # Against anything else, equality is left to the other object.
+        assert summary.__eq__(summary.outcome_counts) is NotImplemented
+        assert summary != "none"
 
     def test_honest_channel_frequencies_and_flags(self):
         records, summary = simulate_slots(20000, rng_seed=11)

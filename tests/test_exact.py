@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exact import (bayes_reference, bb84_predictive, bb84_retrodictive, detector_weights,
@@ -119,11 +119,24 @@ def _subnormal_columns(draw):
             "conditional": [row + [1.0 - sum(row)] for row in rows]}
 
 
+#: A column whose products are all subnormal: its marginal, summed from
+#: the products rounded to the subnormal grid, was 2.32 ulps off.
+_SUBNORMAL_COLUMN = [2.463255325918874e-309, 1.689700382678602e-308, 1.500140253924375e-308,
+                     7.03204546735813e-309, 1.4835117004556916e-308]
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_subnormal_columns())
+@example({"events": [f"e{i}" for i in range(5)],
+          "priors": [0.2887708692324473, 0.28274354897473747, 0.009670999100252405,
+                     0.25846722131660305, 0.16034736137595987],
+          "outcomes": ["o0", "o1"], "conditional": [[c, 1.0 - c] for c in _SUBNORMAL_COLUMN]})
 def test_posteriors_of_subnormal_columns_are_within_their_ulp_budget(params):
     result = _result({"kind": "bayes", "parameters": params})
     _, marginal, posterior = bayes_reference(params["priors"], params["conditional"])
+    (emitted,) = result["outputs"]["tables"]["outcome_marginal"]["values"]
+    for value, reference in zip(emitted, marginal, strict=True):
+        assert ulps(value, reference) <= BAYES_BUDGET["outcome_marginal"], (value, reference)
     table = result["outputs"]["tables"].get("posterior", {"rows": [], "values": []})
     for label, row in zip(table["rows"], table["values"]):
         exact = posterior[params["outcomes"].index(label)]

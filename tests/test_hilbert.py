@@ -36,6 +36,10 @@ class TestConstruction:
         assert op.dims.dims == (3,)
         assert op.total_dim == 3
 
+    def test_repr_names_the_dims_and_the_matrix(self):
+        op = Operator(np.diag([1.0, 2.0]), ModeDims((2,)))
+        assert repr(op) == f"Operator(dims=(2,), mat=\n{op.mat})"
+
     def test_rejects_non_square(self):
         with pytest.raises(ValidationError):
             Operator(np.ones((2, 3)))

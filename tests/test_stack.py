@@ -12,6 +12,7 @@ import contextlib
 import io
 import json
 import math
+import re
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -217,6 +218,22 @@ def test_bare_matrices_are_copied_and_shaped():
         Pom.from_matrices(["a", "b"], [np.eye(2)])
     with pytest.raises(ValidationError, match=r"\['priors'\] per label"):
         PreparationEnsemble.from_matrices(["a", "b"], mats, priors=[1.0])
+
+
+@pytest.mark.parametrize("cls, scale, fields", [
+    (PreparationEnsemble, 1.0, {}),
+    (Pom, 1.0, {"priors": [0.5, 0.5]}),
+    (BiasedElements, 0.5, {"weights": [0.5, 0.5]}),
+    (PreparationEnsemble, 1.0, {"priors": [0.5, 0.5], "weights": [0.5, 0.5]}),
+])
+def test_bare_matrices_take_exactly_their_stack_s_fields(cls, scale, fields):
+    # An ensemble takes its priors and nothing else; the other stacks take
+    # no field.  The fields are refused before any matrix is checked.
+    mats = [np.diag([scale, 0.0]), np.diag([0.0, scale])]
+    for matrices in (mats, [np.zeros((2, 3))] * 2):
+        with pytest.raises(TypeError, match=rf"^{cls.__name__}\.from_matrices takes the "
+                                            rf"fields \[.*\], got {re.escape(str(sorted(fields)))}$"):
+            cls.from_matrices(["a", "b"], matrices, **fields)
 
 
 def test_a_stack_of_outcomes_gives_rows_and_takes_no_event():
