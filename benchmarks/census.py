@@ -13,7 +13,8 @@ The documents: the twelve bundled scenarios; every ``cli-cold``,
 ``optics-sweep`` and ``retrodict-batch`` document of seeds 1-3, cycles
 0-2, from ``perfbench/workloads.py``; ``bb84`` at 1, 10^4 and 10^6 slots,
 with and without records, under both attacks; intake faults of the
-``[re, im]`` matrices and of the numbers read beside them; ``bayes``
+``[re, im]`` matrices and of the numbers read beside them, and documents
+whose numbers overflow near the top of the double range; ``bayes``
 documents whose joint entries fall below the normal double range; and
 byte-level intake documents: CR, CRLF and mixed line ends, a byte-order
 mark, bytes that are not UTF-8, and parse errors after CR and CRLF lines.
@@ -75,8 +76,10 @@ def _optics(kind, reference, theta=0.5):
 
 
 def _faults():
-    """Intake fault documents, and two that pass with unusual entries."""
+    """Intake fault documents, two that pass with unusual entries, and five
+    whose numbers overflow while they are checked or run."""
     up, down = _qubit(1.0, 0.0), _qubit(0.0, 1.0)
+    big = 1.7e308  # the sum of two is beyond the double range
     ragged = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]
     huge_state = [[[HUGE, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
     nan_state = [[[float("nan"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
@@ -98,6 +101,17 @@ def _faults():
         "integer-entries": _retrodict([(0.5, [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]),
                                        (0.5, [[[0, 0], [0, 0]], [[0, 0], [1, 0]]])]),
         "integer-reference": _optics("scissors", [[0, 0], [1, 0]]),
+        "near-max-asymmetric-state": _retrodict(
+            [(0.5, [[[big, 0], [big, 0]], [[-big, 0], [0, 0]]]), (0.5, down)]),
+        "near-max-state-trace": _retrodict([(0.5, _qubit(big, big)), (0.5, down)]),
+        "near-max-element": _retrodict([(0.5, up), (0.5, down)],
+                                       [[[[big, 0], [big, big]], [[big, -big], [-big, 0]]], down]),
+        "near-max-priors": {"kind": "bayes", "parameters": {
+            "events": ["a", "b"], "priors": [big, big], "outcomes": ["o"],
+            "conditional": [[1], [1]]}},
+        "near-max-theta": {"kind": "synthesis", "parameters": {
+            "reference": [[0.6, 0], [0.8, 0]], "counts_b": 2, "counts_c": 1, "theta": big,
+            "truncation": 4}},
     }
 
 

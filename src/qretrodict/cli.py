@@ -813,11 +813,13 @@ def _report_error(category: str, message: str) -> int:
 def run(scenario_path, output_format: str = "json", out_path=None) -> int:
     """Execute a scenario file and write the result document.
 
-    Returns the process exit code instead of raising.
+    Returns the process exit code instead of raising.  numpy's overflow
+    warnings are off, as each overflow ends in a check.
     """
     try:
-        result = execute(load_scenario(scenario_path))
-        rendered = (render_json if output_format == "json" else render_csv)(result)
+        with np.errstate(all="ignore"):
+            result = execute(load_scenario(scenario_path))
+            rendered = (render_json if output_format == "json" else render_csv)(result)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         return _report_error("parse", f"cannot read scenario {scenario_path!r}: {exc}")
     except ValidationError as exc:

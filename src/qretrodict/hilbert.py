@@ -128,8 +128,9 @@ class Operator:
 def psd_mask(mats: np.ndarray) -> np.ndarray:
     """Positivity of each matrix ``mats[..., :, :]`` within ``errors.TOL``:
     hermitian, and smallest eigenvalue at least -TOL, with one batched
-    hermiticity test and one batched ``eigvalsh`` call for all of them."""
+    hermiticity test and one batched ``eigvalsh`` call for all of them.
+    ``eigvalsh`` reads the lower triangle as given; the hermiticity test
+    holds the upper one to it within TOL."""
     adj = np.swapaxes(mats, -1, -2).conj()
     hermitian = np.max(np.abs(mats - adj), axis=(-2, -1)) <= TOL
-    smallest = np.linalg.eigvalsh((mats + adj) / 2.0)[..., 0]
-    return hermitian & (smallest >= -TOL)
+    return hermitian & (np.linalg.eigvalsh(mats)[..., 0] >= -TOL)

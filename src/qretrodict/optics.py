@@ -32,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TOL, DimensionMismatch, ValidationError, ZeroProbabilityError
+from .errors import (TOL, ComputationError, DimensionMismatch, ValidationError,
+                     ZeroProbabilityError)
 from .hilbert import ModeDims, Operator
 from .retrodict import _retro_states
 
@@ -149,6 +150,10 @@ def _photon_block(bs: BeamSplitter, space: FockSpace, total: int):
     lo, hi = max(0, total - space.truncation), min(total, space.truncation)
     basis = _cached_block_basis if hi - lo < _CACHED_WIDTH else _block_basis
     nb, w, v, vh = basis(lo, hi, total)
+    # The spectrum is symmetric about 0, so w[-1] has the largest magnitude.
+    if not math.isfinite(bs.theta * float(w[-1])):
+        raise ComputationError(f"theta = {bs.theta!r} overflows the phases of the "
+                               f"{total}-photon block")
     return nb, (v * np.exp(1j * bs.theta * w)) @ vh
 
 

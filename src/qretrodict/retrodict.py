@@ -544,9 +544,8 @@ def _unbiased_rows(prep: PreparationPom, elements: np.ndarray) -> np.ndarray:
 
 
 def _biased_rows(lam: BiasedElements, elements: np.ndarray) -> np.ndarray:
-    # tr(lam_a E) as tr(E^T lam_a^T): the sum then runs over the entries in
-    # the order of the single-pair einsum('ij,ji->', lam_a, E).
-    raw = _overlaps(elements.transpose(0, 2, 1), lam.stack.transpose(0, 2, 1))
+    # A row per element, in C order, so that each row sums as a contiguous row.
+    raw = np.ascontiguousarray(_overlaps(lam.stack, elements).T)
     bad = (np.abs(raw.imag) > TOL) | (raw.real < -TOL)
     overlaps = np.where(raw.real < 0.0, 0.0, raw.real)
     denominators = overlaps.sum(axis=1)

@@ -87,6 +87,42 @@ def bus_train_doc(**overrides):
     return doc
 
 
+def _diagonal(entries):
+    return [[[x, 0.0] if i == j else [0.0, 0.0] for j in range(len(entries))]
+            for i, x in enumerate(entries)]
+
+
+#: A double whose sum with itself overflows.
+_BIG = 1.7e308
+
+
+def _near_max_source(state_a=_diagonal([1.0, 0.0]), element_x=_diagonal([1.0, 0.0])):
+    return {"kind": "retrodict", "parameters": {
+        "events": [{"label": "a", "prior": 0.5, "state": state_a},
+                   {"label": "b", "prior": 0.5, "state": _diagonal([0.0, 1.0])}],
+        "pom": [{"label": "x", "element": element_x},
+                {"label": "y", "element": _diagonal([0.0, 1.0])}]}}
+
+
+#: Documents whose numbers overflow while they are checked or run: an
+#: asymmetric state, a state of infinite trace, a POM element of infinite
+#: eigenvalues, priors of infinite sum, and a coupling angle whose phases
+#: leave the double range from the 2-photon block on.
+_NEAR_MAX = {
+    "asymmetric-state": _near_max_source(
+        state_a=[[[_BIG, 0], [_BIG, 0]], [[-_BIG, 0], [0, 0]]]),
+    "state-trace": _near_max_source(state_a=_diagonal([_BIG, _BIG])),
+    "element": _near_max_source(
+        element_x=[[[_BIG, 0], [_BIG, _BIG]], [[_BIG, -_BIG], [-_BIG, 0]]]),
+    "priors": {"kind": "bayes", "parameters": {
+        "events": ["a", "b"], "priors": [_BIG, _BIG], "outcomes": ["o"],
+        "conditional": [[1], [1]]}},
+    "theta": {"kind": "synthesis", "parameters": {
+        "reference": [[0.6, 0], [0.8, 0]], "counts_b": 2, "counts_c": 1, "theta": _BIG,
+        "truncation": 4}},
+}
+
+
 def run_to_document(path):
     return to_json_obj(execute(load_scenario(path)))
 
@@ -922,6 +958,41 @@ class TestExitCodes:
         assert trace == pytest.approx(math.fsum(weights), rel=1e-12)
         assert document["diagnostics"]["truncation_tail_deficit"] == max(0.0, 1.0 - trace)
 
+    @pytest.mark.parametrize("doc, category, message", [
+        (_NEAR_MAX["asymmetric-state"], "validation",
+         "state of event 'a' is not positive semidefinite"),
+        (_NEAR_MAX["state-trace"], "validation", "state of event 'a' has trace inf, expected 1"),
+        (_NEAR_MAX["element"], "validation", "POM element 'x' is not positive semidefinite"),
+        (_NEAR_MAX["priors"], "validation", "priors must sum to 1, got inf"),
+        (_NEAR_MAX["theta"], "computation",
+         "theta = 1.7e+308 overflows the phases of the 3-photon block"),
+    ], ids=list(_NEAR_MAX))
+    def test_overflow_near_the_double_limit_leaves_only_the_error_document(
+            self, tmp_path, doc, category, message):
+        # A fresh process: Python prints a warning's location once per
+        # process, so an earlier run in this one could hide it.
+        run = run_python(["-m", "qretrodict.cli", "run", write_scenario(tmp_path, doc)],
+                         check=False)
+        code = cli._EXIT_CODES[category]
+        assert (run.returncode, run.stdout) == (code, "")
+        assert run.stderr == cli._dumps({"error": {
+            "category": category, "exit_code": code, "message": message}})
+
+    @pytest.mark.parametrize("counts, code", [((2, 1), EXIT_COMPUTATION), ((1, 0), EXIT_OK)])
+    def test_a_coupling_angle_whose_phases_overflow_exits_4(self, tmp_path, capsys,
+                                                            counts, code):
+        # Counts (1, 0) take only the 1-photon block, whose phases are +-theta.
+        doc = copy.deepcopy(_NEAR_MAX["theta"])
+        doc["parameters"].update(counts_b=counts[0], counts_c=counts[1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", write_scenario(tmp_path, doc)]) == code
+        err = capsys.readouterr().err
+        if code == EXIT_OK:
+            assert err == ""
+        else:
+            assert "3-photon block" in json.loads(err)["error"]["message"]
+
     def test_csv_without_tables_exits_3(self, capsys):
         info = next(i for i in list_examples() if i.kind == "detector")
         assert main(["run", info.path, "--format", "csv"]) == EXIT_VALIDATION
@@ -1755,11 +1826,6 @@ def _distribution(size):
         any).map(lambda w: [x / sum(w) for x in w])
 
 
-def _diagonal(entries):
-    return [[[x, 0.0] if i == j else [0.0, 0.0] for j in range(len(entries))]
-            for i, x in enumerate(entries)]
-
-
 @st.composite
 def _reference(draw):
     parts = st.integers(-2, 2)
@@ -1841,6 +1907,89 @@ def test_fuzzed_documents_map_to_documented_exit_codes(fuzz_dir, doc,
         code = cli.run(path, output_format=output_format)
     assert code in (EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, EXIT_COMPUTATION)
     if code != EXIT_OK:
+        assert out.getvalue() == ""
+        assert json.loads(err.getvalue())["error"]["exit_code"] == code
+
+
+# Schema-valid documents whose numbers reach the edges of the double
+# range, for the execution fuzz below: finite extremes beside ordinary
+# values, so that some documents pass validation and overflow while they run.
+_limits = st.sampled_from([1.7e308, -1.7e308, 8.99e307, -8.99e307, 5e-324, 0.0, -0.0])
+_near_limit = st.one_of(_limits, st.sampled_from([0.5, 1.0]), st.floats(-2, 2))
+_complex_near_limit = st.lists(_near_limit, min_size=2, max_size=2)
+
+
+def _near_limit_matrix(d):
+    """A d x d matrix of such entries, hermitian half the time."""
+    def hermitian(m):
+        return [[[m[i][i][0], 0.0] if i == j else m[i][j] if i > j
+                 else [m[j][i][0], -m[j][i][1]] for j in range(d)] for i in range(d)]
+    square = st.lists(st.lists(_complex_near_limit, min_size=d, max_size=d),
+                      min_size=d, max_size=d)
+    return square | square.map(hermitian)
+
+
+@st.composite
+def _bayes_near_limit(draw):
+    params = draw(_bayes())
+    for row in [params["priors"], *params["conditional"]]:
+        if draw(st.booleans()):
+            row[:] = draw(st.lists(_near_limit, min_size=len(row), max_size=len(row)))
+    return params
+
+
+@st.composite
+def _retrodict_near_limit(draw):
+    # At most one prior, state or element is replaced, so that the rest
+    # stays valid and the replaced numbers meet the checks.
+    params = draw(_retrodict())
+    d = len(params["events"][0]["state"])
+    slots = [(e, key) for e in params["events"] for key in ("prior", "state")]
+    slots += [(p, "element") for p in params["pom"]]
+    slot = draw(st.sampled_from([None] + slots))
+    if slot is not None:
+        item, key = slot
+        item[key] = draw(_near_limit if key == "prior" else _near_limit_matrix(d))
+    return params
+
+
+_reference_near_limit = _reference() | st.lists(_complex_near_limit, min_size=1, max_size=4)
+_theta_near_limit = _limits | st.floats(allow_nan=False, allow_infinity=False)
+_near_limit_truncation = st.integers(1, 6) | st.just(64)
+_near_limit_parameters = {
+    "bayes": _bayes_near_limit(),
+    "retrodict": _retrodict_near_limit(),
+    "detector": st.fixed_dictionaries(
+        {"counts": st.integers(0, 3), "efficiency": _near_limit,
+         "truncation": _near_limit_truncation}),
+    "synthesis": st.fixed_dictionaries(
+        {"reference": _reference_near_limit, "counts_b": st.integers(0, 3),
+         "counts_c": st.integers(0, 3), "theta": _theta_near_limit,
+         "truncation": _near_limit_truncation}),
+    "scissors": st.fixed_dictionaries(
+        {"reference": _reference_near_limit, "theta": _theta_near_limit,
+         "truncation": _near_limit_truncation}),
+}
+_near_limit_documents = st.sampled_from(sorted(_near_limit_parameters)).flatmap(
+    lambda kind: st.fixed_dictionaries(
+        {"kind": st.just(kind), "parameters": _near_limit_parameters[kind]}))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(doc=_near_limit_documents)
+def test_documents_near_the_double_limit_exit_0_3_or_4_without_warnings(fuzz_dir, doc):
+    path = write_scenario(fuzz_dir, doc)
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = cli.run(path)
+    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_COMPUTATION), err.getvalue()
+    if code == EXIT_OK:
+        assert err.getvalue() == ""
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+    else:
         assert out.getvalue() == ""
         assert json.loads(err.getvalue())["error"]["exit_code"] == code
 

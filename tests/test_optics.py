@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from qretrodict import optics, retrodict
 from qretrodict.errors import (
+    ComputationError,
     DimensionMismatch,
     ValidationError,
     ZeroProbabilityError,
@@ -272,6 +273,17 @@ class TestBeamSplitterUnitary:
     def test_full_truncated_matrix_is_unitary(self):
         u = beam_splitter_unitary(BeamSplitter(0.4), FockSpace(5))
         assert is_unitary(u, tol=1e-10)
+
+    def test_a_coupling_angle_whose_phases_overflow_is_a_computation_fault(self):
+        # The 1-photon block's eigenvalues are +-1, the 2-photon block's
+        # +-sqrt(2) and 0: theta times sqrt(2) is beyond the double range.
+        bs = BeamSplitter(1.7e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isfinite(optics._photon_block(bs, FockSpace(1), 1)[1]).all()
+            with pytest.raises(ComputationError, match="1.7e\\+308 overflows the "
+                               "phases of the 2-photon block"):
+                beam_splitter_unitary(bs, FockSpace(2))
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

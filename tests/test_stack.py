@@ -354,6 +354,14 @@ def test_psd_mask_is_is_psd_for_each_matrix():
     assert mask.tolist() == [True, True, True, False, False, True, True, False, True]
 
 
+def test_psd_mask_reads_each_lower_triangle_as_given():
+    # Both are hermitian within TOL.  The lower triangle of the first is
+    # diagonal, with eigenvalues -9e-10; that of the second gives -1.9e-9.
+    # Their common symmetrised matrix has -1.4e-9.
+    upper = np.array([[-9e-10, 1e-9], [0.0, -9e-10]], dtype=complex)
+    assert hilbert.psd_mask(np.array([upper, upper.T])).tolist() == [True, False]
+
+
 SIZES = [(1, 1), (2, 3), (3, 2), (5, 7), (8, 16), (16, 32), (40, 40), (40, 13), (7, 40)]
 
 
