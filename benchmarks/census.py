@@ -17,7 +17,8 @@ with and without records, under both attacks; intake faults of the
 whose numbers overflow near the top of the double range; ``bayes``
 documents whose joint entries fall below the normal double range; and
 byte-level intake documents: CR, CRLF and mixed line ends, a byte-order
-mark, bytes that are not UTF-8, and parse errors after CR and CRLF lines.
+mark, bytes that are not UTF-8, parse errors after CR and CRLF lines, and
+a seed of more digits than Python converts to an int by default.
 
 Every document is written as bytes to one fixed path, because a parse
 error's message names the path.  A run holds an exclusive lock on a file
@@ -129,8 +130,9 @@ def _subnormal():
 
 def _intake():
     """Byte-level documents: a bundled scenario with other line ends, a
-    byte-order mark and bytes that are not UTF-8, and parse errors whose
-    line and column count translated line ends."""
+    byte-order mark and bytes that are not UTF-8, parse errors whose line
+    and column count translated line ends, and an integer of more digits
+    than Python converts by default, which ``json.dumps`` cannot write."""
     text = (workloads.SCENARIO_DIR / "bus-train.json").read_bytes()
     lines = text.split(b"\n")
     mixed = b"".join(line + (b"\r\n", b"\r", b"\n")[i % 3]
@@ -149,6 +151,8 @@ def _intake():
         "parse-error-after-crlf": b'{\r\n  "kind": "bayes",\r\r\n  "parameters": ,\r\n}',
         "parse-error-after-cr": b'{\r  "kind": "bayes",\r\r  "parameters": ,\r}',
         "cr-in-string": b'{"kind": "bayes",\r\n "parameters": {"events": ["a\rb"]}}',
+        "seed-past-digit-limit": b'{"kind": "bb84", "parameters": {"slots": 100, "seed": '
+                                 + b"9" * 4301 + b"}}",
     }
 
 

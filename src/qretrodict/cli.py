@@ -18,7 +18,8 @@ either way:
   (a reader that has gone before the end, or one closed at start,
   included), for ``run`` and ``examples`` alike;
 - 2 ``parse``: an unreadable or unparsable scenario (text that is not
-  UTF-8 and nesting too deep for the parser included);
+  UTF-8, nesting too deep for the parser and an integer of more digits
+  than ``sys.get_int_max_str_digits()`` included);
 - 3 ``validation``: schema or domain invariants, an integer beyond the
   double-precision range where a real number is expected, or a result
   with no UTF-8 text (a CSV label holding a lone surrogate).  The schema
@@ -353,28 +354,28 @@ def _reference(scenario: Scenario) -> optics.ReferenceState:
     return optics.ReferenceState(values[0].view(np.complex128)[:, 0])
 
 
-def _operator_matrices(scenario: Scenario, group: str, key: str, stack) -> tuple:
-    """Labels, priors (of items that have one) and complex matrices of
-    ``parameters[group][i][key]``, and each matrix's echo.
+def _read_stack(scenario: Scenario, group: str, key: str, stack) -> tuple:
+    """The ``OperatorStack`` of class ``stack`` holding the matrices
+    ``parameters[group][i][key]``, and the items of ``group`` with each
+    matrix replaced by its echo.
 
     Each item is read in document order, as an ``Operator`` would be
     built from it: its prior's range, then its matrix's range, shape and
-    finiteness, each named as the ``OperatorStack`` class ``stack`` names
-    it; the first fault raises.
+    finiteness, each named as ``stack`` names it; the first fault raises.
+    The stack checks none of the matrices again.
     """
-    labels, priors, matrices, echoes = [], [], [], []
+    items, priors, matrices = [], [], []
     for i, item in enumerate(scenario.parameters[group]):
-        label = item["label"]
         if "prior" in item:
-            priors.append(_real(item["prior"], stack._prior_name(label)))
+            priors.append(_real(item["prior"], stack._prior_name(item["label"])))
         values, echo = _pair_array(item[key], scenario.arrays["parameters", group, i, key],
-                                   stack._name(label))
-        matrix = values.view(np.complex128)[..., 0]
-        _check_square_finite(matrix)
-        labels.append(label)
-        matrices.append(matrix)
-        echoes.append(echo)
-    return labels, priors, matrices, echoes
+                                   stack._name(item["label"]))
+        matrices.append(values.view(np.complex128)[..., 0])
+        _check_square_finite(matrices[-1])
+        items.append(dict(item, **{key: echo}))
+    labels = [item["label"] for item in items]
+    fields = {name: priors for name in stack._fields}  # an ensemble's priors
+    return stack._from_matrices(labels, matrices, fields), items
 
 
 def _serialize_operator(op: Operator) -> dict:
@@ -423,13 +424,11 @@ def _run_bayes(scenario: Scenario, result: ResultDocument):
 
 
 def _run_retrodict(scenario: Scenario, result: ResultDocument):
-    labels, priors, matrices, states = _operator_matrices(
-        scenario, "events", "state", retrodict.PreparationEnsemble)
-    # Each matrix was checked as it was read.
-    ens = retrodict.PreparationEnsemble._from_matrices(labels, matrices, {"priors": priors})
-    labels, _, matrices, elements = _operator_matrices(
-        scenario, "pom", "element", retrodict.Pom)
-    pom = retrodict.Pom._from_matrices(labels, matrices, {})
+    ens, events = _read_stack(scenario, "events", "state", retrodict.PreparationEnsemble)
+    pom, elements = _read_stack(scenario, "pom", "element", retrodict.Pom)
+    # Each matrix of floats is echoed from its array.
+    result.scenario = dict(scenario.document, parameters=dict(
+        scenario.parameters, events=events, pom=elements))
     predictive = pom.table(ens)
     result.tables["predictive"] = _array(ens.labels, pom.labels, predictive)
 
@@ -460,12 +459,6 @@ def _run_retrodict(scenario: Scenario, result: ResultDocument):
     if not active.all():
         result.diagnostics["zero_probability_outcomes"] = list(
             itertools.compress(pom.labels, ~active))
-    # Each matrix of floats is echoed from its array.
-    params = scenario.parameters
-    result.scenario = dict(scenario.document, parameters=dict(
-        params,
-        events=[dict(e, state=x) for e, x in zip(params["events"], states)],
-        pom=[dict(p, element=x) for p, x in zip(params["pom"], elements)]))
 
 
 def _run_detector(scenario: Scenario, result: ResultDocument):
@@ -579,9 +572,10 @@ def load_scenario(path) -> Scenario:
     """Read and validate a scenario file.
 
     Raises OSError, UnicodeDecodeError (a file that is not UTF-8) or
-    json.JSONDecodeError for unreadable input, RecursionError for arrays
-    or objects nested too deeply to read, and ValidationError for schema
-    violations.
+    json.JSONDecodeError for unreadable input, a plain ValueError for an
+    integer of more digits than ``sys.get_int_max_str_digits()``,
+    RecursionError for arrays or objects nested too deeply to read, and
+    ValidationError for schema violations.
     """
     # Read as bytes, unbuffered, and decoded at once, with the newline
     # translation of a text-mode read: the text, and any fault's wording,
@@ -820,14 +814,19 @@ def run(scenario_path, output_format: str = "json", out_path=None) -> int:
         with np.errstate(all="ignore"):
             result = execute(load_scenario(scenario_path))
             rendered = (render_json if output_format == "json" else render_csv)(result)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        return _report_error("parse", f"cannot read scenario {scenario_path!r}: {exc}")
     except ValidationError as exc:
         return _report_error("validation", str(exc))
+    except (OSError, ValueError, RecursionError) as exc:
+        # The ValueErrors of reading a scenario: UnicodeDecodeError,
+        # json.JSONDecodeError, and json's plain ValueError for an integer
+        # of more digits than ``sys.get_int_max_str_digits()``.
+        return _report_error("parse", f"cannot read scenario {scenario_path!r}: {exc}")
     except ComputationError as exc:
         return _report_error("computation", str(exc))
     except MemoryError as exc:
-        return _report_error("computation", f"not enough memory for this scenario: {exc}")
+        # An allocation's MemoryError carries no text.
+        detail = f": {exc}" if str(exc) else ""
+        return _report_error("computation", f"not enough memory for this scenario{detail}")
     return _write(rendered, out_path)
 
 

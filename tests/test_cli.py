@@ -812,6 +812,8 @@ class TestExitCodes:
         report = json.loads(captured.err)
         assert report["error"]["category"] == "computation"
         assert report["error"]["exit_code"] == EXIT_COMPUTATION
+        assert report["error"]["message"] == ("not enough memory for this scenario: "
+                                              "Unable to allocate 149. GiB for an array")
 
     def test_out_of_memory_while_loading_exits_4(self, capsys, monkeypatch):
         # list_examples parses JSON too, so the path is taken first.
@@ -827,7 +829,9 @@ class TestExitCodes:
         assert (code, captured.out) == (EXIT_COMPUTATION, "")
         error = json.loads(captured.err)["error"]
         assert (error["category"], error["exit_code"]) == ("computation", EXIT_COMPUTATION)
-        assert error["message"] == "not enough memory for this scenario: "
+        # An allocation's MemoryError carries no text, and no colon is left
+        # dangling for it.
+        assert error["message"] == "not enough memory for this scenario"
 
     def test_ragged_bayes_conditional_exits_3(self, tmp_path, capsys):
         doc = bus_train_doc()
@@ -1037,6 +1041,45 @@ class TestExitCodes:
         with contextlib.redirect_stderr(io.StringIO()):
             codes.update(cli.run(path) for path in paths)
         assert codes <= {EXIT_PARSE, EXIT_VALIDATION}
+
+    @pytest.mark.parametrize("place, digits, code", [
+        ("seed", 4300, EXIT_OK), ("seed", 4301, EXIT_PARSE),
+        ("prior", 4300, EXIT_VALIDATION), ("prior", 4301, EXIT_PARSE)])
+    def test_an_integer_longer_than_the_digit_limit_exits_2(self, tmp_path, capsys,
+                                                            monkeypatch, place, digits, code):
+        # Python converts at most 4300 digits to an int by default, and json
+        # refuses a longer literal with a plain ValueError.  json.dumps
+        # refuses to write one too, so the document is written as text.
+        number = "9" * digits
+        text = ('{"kind": "bb84", "parameters": {"slots": 100, "seed": %s}}' % number
+                if place == "seed" else json.dumps(bus_train_doc()).replace("0.5", number, 1))
+        path = tmp_path / "digits.json"
+        path.write_text(text, encoding="utf-8")
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            if code == EXIT_PARSE:
+                with pytest.raises(ValueError) as python:
+                    json.loads(text)
+            assert main(["run", str(path)]) == code
+        finally:
+            sys.set_int_max_str_digits(limit)
+        captured = capsys.readouterr()
+        monkeypatch.setenv("PYTHONINTMAXSTRDIGITS", "4300")
+        run = run_python(["-m", "qretrodict.cli", "run", str(path)], check=False)
+        assert (run.returncode, run.stdout, run.stderr) == (code, captured.out, captured.err)
+        if code == EXIT_OK:
+            assert captured.err == ""
+            assert json.loads(captured.out)["diagnostics"]["seed"] == int(number)
+            return
+        assert captured.out == ""
+        if code == EXIT_PARSE:
+            message = f"cannot read scenario {str(path)!r}: {python.value}"
+        else:
+            message = "priors holds a number outside the double-precision range"
+        category = "parse" if code == EXIT_PARSE else "validation"
+        assert captured.err == cli._dumps({"error": {
+            "category": category, "exit_code": code, "message": message}})
 
 
 def test_only_the_writer_takes_a_standard_stream():
@@ -1914,7 +1957,8 @@ def test_fuzzed_documents_map_to_documented_exit_codes(fuzz_dir, doc,
 # Schema-valid documents whose numbers reach the edges of the double
 # range, for the execution fuzz below: finite extremes beside ordinary
 # values, so that some documents pass validation and overflow while they run.
-_limits = st.sampled_from([1.7e308, -1.7e308, 8.99e307, -8.99e307, 5e-324, 0.0, -0.0])
+_limits = st.sampled_from([1.7e308, -1.7e308, 8.99e307, -8.99e307, 5e-324, -5e-324,
+                           -2.2250738585072014e-308, 0.0, -0.0])
 _near_limit = st.one_of(_limits, st.sampled_from([0.5, 1.0]), st.floats(-2, 2))
 _complex_near_limit = st.lists(_near_limit, min_size=2, max_size=2)
 
@@ -1992,6 +2036,43 @@ def test_documents_near_the_double_limit_exit_0_3_or_4_without_warnings(fuzz_dir
     else:
         assert out.getvalue() == ""
         assert json.loads(err.getvalue())["error"]["exit_code"] == code
+
+
+# Schema-valid bb84 documents over the seed's whole range: small ints,
+# ints of up to 4300 digits (Python's default limit for converting a
+# decimal string), and integral floats up to the largest double.
+_bb84_seeds = st.one_of(
+    st.integers(0, 2 ** 64),
+    st.integers(1, 4300).flatmap(lambda n: st.integers(10 ** (n - 1), 10 ** n - 1)),
+    st.floats(0, 1.7976931348623157e308).map(math.floor).map(float),
+    st.just(1.7976931348623157e308))
+_bb84_documents = st.fixed_dictionaries({"kind": st.just("bb84"), "parameters": (
+    st.fixed_dictionaries({"slots": st.integers(1, 10 ** 4), "seed": _bb84_seeds,
+                           "attack": st.sampled_from(["none", "intercept_resend"]),
+                           "include_records": st.booleans()}))})
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(doc=_bb84_documents)
+@example(doc={"kind": "bb84", "parameters": {"slots": 10 ** 4, "seed": 10 ** 4300 - 1,
+                                             "attack": "intercept_resend",
+                                             "include_records": True}})
+def test_bb84_documents_over_the_whole_seed_range_exit_0(fuzz_dir, doc):
+    params = doc["parameters"]
+    path = write_scenario(fuzz_dir, doc)
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = cli.run(path)
+    assert (code, err.getvalue()) == (EXIT_OK, "")
+    result = json.loads(out.getvalue(), parse_constant=_reject_constant)
+    assert result["diagnostics"]["seed"] == int(params["seed"])
+    outputs = result["outputs"]
+    assert sum(map(sum, outputs["arrays"]["outcome_counts"]["values"])) == params["slots"]
+    if params["attack"] == "none":
+        assert outputs["scalars"]["flagged"] == 0
 
 
 # Documents for the fast-path property test: a schema-valid retrodict,
