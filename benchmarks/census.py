@@ -17,8 +17,10 @@ with and without records, under both attacks; intake faults of the
 whose numbers overflow near the top of the double range; ``bayes``
 documents whose joint entries fall below the normal double range; and
 byte-level intake documents: CR, CRLF and mixed line ends, a byte-order
-mark, bytes that are not UTF-8, parse errors after CR and CRLF lines, and
-a seed of more digits than Python converts to an int by default.
+mark, bytes that are not UTF-8, parse errors after CR and CRLF lines, a
+seed of more digits than Python converts to an int by default, and
+documents at the byte cap, the ``retrodict`` cell bound and its overlap
+bound, and one past each.
 
 Every document is written as bytes to one fixed path, because a parse
 error's message names the path.  A run holds an exclusive lock on a file
@@ -51,6 +53,9 @@ WORKLOADS = ("cli-cold", "optics-sweep", "retrodict-batch")
 FORMATS = ("json", "csv")
 #: A JSON integer no double can hold.
 HUGE = 10 ** 400
+#: The longest scenario file the CLI reads (``cli.SCENARIO_BYTE_CAP``),
+#: written out so that the documents stay the same bytes on every tree.
+BYTE_CAP = 16 * 2 ** 20
 
 
 def _qubit(*diagonal):
@@ -128,11 +133,26 @@ def _subnormal():
     return docs
 
 
+def _of_shape(k, m, d=1):
+    """A ``retrodict`` document of k events (states I/d of prior 1/k) and m
+    POM elements I/m on dimension d."""
+    def matrix(value):
+        return [[[value, 0] if i == j else [0, 0] for j in range(d)] for i in range(d)]
+
+    return json.dumps({"kind": "retrodict", "parameters": {
+        "events": [{"label": f"e{i}", "prior": 1 / k, "state": matrix(1 / d)}
+                   for i in range(k)],
+        "pom": [{"label": f"b{j}", "element": matrix(1 / m)} for j in range(m)]}}).encode()
+
+
 def _intake():
     """Byte-level documents: a bundled scenario with other line ends, a
     byte-order mark and bytes that are not UTF-8, parse errors whose line
     and column count translated line ends, and an integer of more digits
-    than Python converts by default, which ``json.dumps`` cannot write."""
+    than Python converts by default, which ``json.dumps`` cannot write;
+    then documents at each size bound and one past it: that scenario padded
+    to the byte cap, and ``retrodict`` shapes at the cell and overlap
+    bounds."""
     text = (workloads.SCENARIO_DIR / "bus-train.json").read_bytes()
     lines = text.split(b"\n")
     mixed = b"".join(line + (b"\r\n", b"\r", b"\n")[i % 3]
@@ -153,6 +173,12 @@ def _intake():
         "cr-in-string": b'{"kind": "bayes",\r\n "parameters": {"events": ["a\rb"]}}',
         "seed-past-digit-limit": b'{"kind": "bb84", "parameters": {"slots": 100, "seed": '
                                  + b"9" * 4301 + b"}}",
+        "at-byte-cap": text + b" " * (BYTE_CAP - len(text)),
+        "past-byte-cap": text + b" " * (BYTE_CAP + 1 - len(text)),
+        "at-cell-bound": _of_shape(1000, 1000),
+        "past-cell-bound": _of_shape(1001, 1000),
+        "at-overlap-bound": _of_shape(1000, 1000, 16),
+        "past-overlap-bound": _of_shape(1000, 1000, 17),
     }
 
 

@@ -47,8 +47,6 @@ from .optics import (
     BeamSplitter,
     FockSpace,
     ReferenceState,
-    beam_splitter_unitary,
-    compose_measurement_pom,
     inefficient_detector_retro,
     projection_synthesis_retro,
     scissors_output,
@@ -106,8 +104,6 @@ __all__ = [
     "FockSpace",
     "BeamSplitter",
     "ReferenceState",
-    "beam_splitter_unitary",
-    "compose_measurement_pom",
     "inefficient_detector_retro",
     "projection_synthesis_retro",
     "scissors_output",

@@ -24,7 +24,9 @@ either way:
   double-precision range where a real number is expected, or a result
   with no UTF-8 text (a CSV label holding a lone surrogate).  The schema
   caps ``truncation`` at 2000 photons and BB84 ``slots`` at 10^7, or 10^6
-  with records, so oversized documents exit 3 before any allocation;
+  with records, so oversized documents exit 3 before any allocation, as do
+  a file past ``SCENARIO_BYTE_CAP`` and a ``retrodict`` run past its shape
+  bounds;
 - 4 ``computation``: for example conditioning on an outcome of zero
   probability, or a scenario too large for the available memory, while
   it is read or run.
@@ -41,6 +43,7 @@ import io
 import itertools
 import json
 import os
+import stat
 import sys
 from dataclasses import dataclass, field
 from importlib import resources
@@ -68,6 +71,14 @@ EXIT_OK = 0
 #: The exit code of each error category: the one place the two meet.
 _EXIT_CODES = {"io": 1, "parse": 2, "validation": 3, "computation": 4}
 _, EXIT_PARSE, EXIT_VALIDATION, EXIT_COMPUTATION = _EXIT_CODES.values()
+
+#: The longest scenario file read, in bytes; parsing takes 6 to 24 times that.
+SCENARIO_BYTE_CAP = 16 * 2 ** 20
+_READ_CHUNK = 2 ** 16  # bytes per read of a scenario that is not a regular file
+#: The most cells of a ``retrodict`` table, k events by m POM elements, and
+#: the most overlap terms k*m*d^2 on dimension d: the cell bound at d = 16.
+RETRODICT_CELL_CAP = 10 ** 6
+RETRODICT_OVERLAP_CAP = 16 ** 2 * RETRODICT_CELL_CAP
 
 #: Python types of a JSON number, as a parsed document holds them.
 _NUMBER_TYPES = frozenset((int, float))
@@ -423,7 +434,22 @@ def _run_bayes(scenario: Scenario, result: ResultDocument):
         result.diagnostics["zero_probability_outcomes"] = skipped
 
 
+def _check_retrodict_shape(params: dict):
+    """Refuse a ``retrodict`` run whose tables would pass the cell or the
+    overlap bound, from its list lengths and its first state's rows."""
+    k, m, d = len(params["events"]), len(params["pom"]), len(params["events"][0]["state"])
+    shape = f"retrodict tables of k = {k} events by m = {m} POM elements"
+    if k * m > RETRODICT_CELL_CAP:
+        raise ValidationError(f"{shape} would hold k*m = {k * m} cells, more than "
+                              f"the bound of {RETRODICT_CELL_CAP}")
+    if k * m * d * d > RETRODICT_OVERLAP_CAP:
+        raise ValidationError(f"{shape} on dimension d = {d} would take k*m*d^2 = "
+                              f"{k * m * d * d} overlap terms, more than the bound of "
+                              f"{RETRODICT_OVERLAP_CAP}")
+
+
 def _run_retrodict(scenario: Scenario, result: ResultDocument):
+    _check_retrodict_shape(scenario.parameters)
     ens, events = _read_stack(scenario, "events", "state", retrodict.PreparationEnsemble)
     pom, elements = _read_stack(scenario, "pom", "element", retrodict.Pom)
     # Each matrix of floats is echoed from its array.
@@ -568,6 +594,25 @@ def validate_document(doc) -> Scenario:
                     document=doc, arrays=arrays)
 
 
+def _read_capped(file) -> bytes:
+    """Every byte of ``file``, an unbuffered binary file, or a
+    ValidationError once they pass ``SCENARIO_BYTE_CAP``: a regular file is
+    sized before it is read, and anything else read in ``_READ_CHUNK``s."""
+    info = os.fstat(file.fileno())
+    if stat.S_ISREG(info.st_mode):
+        if info.st_size <= SCENARIO_BYTE_CAP:
+            return file.read()
+    else:
+        chunks, size = [], 0
+        while size <= SCENARIO_BYTE_CAP:
+            chunk = file.read(_READ_CHUNK)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+            size += len(chunk)
+    raise ValidationError(f"scenario file is longer than the cap of {SCENARIO_BYTE_CAP} bytes")
+
+
 def load_scenario(path) -> Scenario:
     """Read and validate a scenario file.
 
@@ -575,13 +620,14 @@ def load_scenario(path) -> Scenario:
     json.JSONDecodeError for unreadable input, a plain ValueError for an
     integer of more digits than ``sys.get_int_max_str_digits()``,
     RecursionError for arrays or objects nested too deeply to read, and
-    ValidationError for schema violations.
+    ValidationError for a file longer than ``SCENARIO_BYTE_CAP`` bytes,
+    found before it is parsed, and for schema violations.
     """
     # Read as bytes, unbuffered, and decoded at once, with the newline
     # translation of a text-mode read: the text, and any fault's wording,
     # are those of ``Path(path).read_text(encoding="utf-8")``.
     with open(Path(path), "rb", buffering=0) as file:
-        text = file.read().decode("utf-8")
+        text = _read_capped(file).decode("utf-8")
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return validate_document(json.loads(text))

@@ -1,9 +1,9 @@
 """Truncated Fock-space optics: beam splitters, photodetection, state synthesis.
 
 Single modes are truncated at a maximum photon number N (dimension N+1).
-The beam-splitter coupling conserves total photon number, so its unitary
-is assembled exactly block-by-block and results whose physics lives
-entirely in the low-photon sectors carry no truncation error at all;
+The beam-splitter coupling conserves total photon number, so each of its
+photon-number blocks is exponentiated exactly and results whose physics
+lives entirely in the low-photon sectors carry no truncation error at all;
 projection synthesis and the scissors device touch only the block their
 photon counts select and compute their state on its n+m+1 number states.
 A block's generator depends only on its photon total, and the coupling
@@ -16,12 +16,10 @@ output grows with the truncation: no kernel the scenarios run
 multiplies (N+1) x (N+1) matrices.  The detector operators are
 truncated with a geometric tail that shrinks as N grows.
 
-Included here: the two-mode beam-splitter unitary, the reduction of a
-joint photon-count measurement behind a beam splitter to an effective
-single-mode POM element, the closed-form retrodictive state of an
-inefficient photon counter, projection synthesis of retrodictive states,
-and the quantum-scissors device that projects a truncated copy of a
-reference field out of an entangled single-photon resource.
+Included here: the closed-form retrodictive state of an inefficient
+photon counter, projection synthesis of retrodictive states, and the
+quantum-scissors device that projects a truncated copy of a reference
+field out of an entangled single-photon resource.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ import numpy as np
 
 from .errors import (TOL, ComputationError, DimensionMismatch, ValidationError,
                      ZeroProbabilityError)
-from .hilbert import ModeDims, Operator
+from .hilbert import Operator
 from .retrodict import _retro_states
 
 
@@ -155,52 +153,6 @@ def _photon_block(bs: BeamSplitter, space: FockSpace, total: int):
         raise ComputationError(f"theta = {bs.theta!r} overflows the phases of the "
                                f"{total}-photon block")
     return nb, (v * np.exp(1j * bs.theta * w)) @ vh
-
-
-def beam_splitter_unitary(bs: BeamSplitter, space: FockSpace) -> Operator:
-    """Two-mode unitary exp[i theta (b'c + c'b)] assembled per photon-number block.
-
-    The generator conserves total photon number, so each block is
-    exponentiated exactly: blocks whose total fits in the truncation are
-    free of truncation error.
-    """
-    dim = space.dim
-    u = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for total in range(2 * space.truncation + 1):
-        nb, block = _photon_block(bs, space, total)
-        idx = nb * dim + (total - nb)
-        u[np.ix_(idx, idx)] = block
-    return Operator(u, ModeDims((dim, dim)))
-
-
-def _require_single_mode(op: Operator, space: FockSpace, name: str):
-    if op.dims.dims != (space.dim,):
-        raise DimensionMismatch(
-            f"{name} must be a single-mode operator of dimension {space.dim}, "
-            f"got dims {op.dims.dims}"
-        )
-
-
-def compose_measurement_pom(rho_c: Operator, pi_b: Operator, pi_c: Operator,
-                            bs: BeamSplitter, space: FockSpace) -> Operator:
-    """Effective mode-b POM element of a joint measurement behind a beam splitter.
-
-    With a reference field ``rho_c`` fed into mode c and outcome elements
-    ``pi_b``, ``pi_c`` registered on the output modes, the element
-    returned reproduces the joint outcome probability for every mode-b
-    input via the ordinary trace rule on mode b alone.
-    """
-    for op, name in ((rho_c, "reference state"), (pi_b, "mode-b element"),
-                     (pi_c, "mode-c element")):
-        _require_single_mode(op, space, name)
-    dim = space.dim
-    u = beam_splitter_unitary(bs, space).mat.reshape(dim, dim, dim, dim)
-    # Contract U+ (pi_b x pi_c) U rho_c without forming two-mode matrices.
-    w = np.einsum("nN,NmjK->nmjK", pi_b.mat, u, optimize=True)
-    w = np.einsum("mM,nMjK->nmjK", pi_c.mat, w, optimize=True)
-    w = np.einsum("nmjk,kK->nmjK", w, rho_c.mat, optimize=True)
-    out = np.einsum("nmik,nmjk->ij", u.conj(), w, optimize=True)
-    return Operator((out + out.conj().T) / 2.0)
 
 
 def _lowering_power_band(n: int, dim: int) -> np.ndarray:

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import scipy.linalg
 
-from qretrodict import bb84
+from qretrodict import bb84, optics
 from qretrodict.errors import (
     TOL,
     ComputationError,
@@ -138,6 +138,54 @@ def photon_block(bs, space, total: int):
     generator[np.arange(nb.size - 1), np.arange(1, nb.size)] = hop
     w, v = np.linalg.eigh(generator)
     return nb, (v * np.exp(1j * bs.theta * w)) @ v.conj().T
+
+
+def beam_splitter_unitary(bs, space) -> Operator:
+    """Two-mode unitary exp[i theta (b'c + c'b)] assembled per photon-number block.
+
+    The generator conserves total photon number, so each block is
+    exponentiated exactly: blocks whose total fits in the truncation are
+    free of truncation error.  Each block is ``optics._photon_block``'s;
+    the dense (dim^2, dim^2) matrix, 16 dim^4 bytes, is the tests' two-mode
+    oracle of the per-block route.
+    """
+    dim = space.dim
+    u = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for total in range(2 * space.truncation + 1):
+        nb, block = optics._photon_block(bs, space, total)
+        idx = nb * dim + (total - nb)
+        u[np.ix_(idx, idx)] = block
+    return Operator(u, ModeDims((dim, dim)))
+
+
+def _require_single_mode(op: Operator, space, name: str):
+    if op.dims.dims != (space.dim,):
+        raise DimensionMismatch(
+            f"{name} must be a single-mode operator of dimension {space.dim}, "
+            f"got dims {op.dims.dims}"
+        )
+
+
+def compose_measurement_pom(rho_c: Operator, pi_b: Operator, pi_c: Operator,
+                            bs, space) -> Operator:
+    """Effective mode-b POM element of a joint measurement behind a beam splitter.
+
+    With a reference field ``rho_c`` fed into mode c and outcome elements
+    ``pi_b``, ``pi_c`` registered on the output modes, the element
+    returned reproduces the joint outcome probability for every mode-b
+    input via the ordinary trace rule on mode b alone.
+    """
+    for op, name in ((rho_c, "reference state"), (pi_b, "mode-b element"),
+                     (pi_c, "mode-c element")):
+        _require_single_mode(op, space, name)
+    dim = space.dim
+    u = beam_splitter_unitary(bs, space).mat.reshape(dim, dim, dim, dim)
+    # Contract U+ (pi_b x pi_c) U rho_c without forming two-mode matrices.
+    w = np.einsum("nN,NmjK->nmjK", pi_b.mat, u, optimize=True)
+    w = np.einsum("mM,nMjK->nmjK", pi_c.mat, w, optimize=True)
+    w = np.einsum("nmjk,kK->nmjK", w, rho_c.mat, optimize=True)
+    out = np.einsum("nmik,nmjk->ij", u.conj(), w, optimize=True)
+    return Operator((out + out.conj().T) / 2.0)
 
 
 def normal_ordered_damping(eta: float, space) -> Operator:

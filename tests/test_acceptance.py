@@ -15,6 +15,8 @@ import pytest
 from qretrodict import bayes, bb84, optics, retrodict
 from qretrodict.hilbert import Operator
 from support import (
+    beam_splitter_unitary,
+    compose_measurement_pom,
     identity,
     is_psd,
     number_projector,
@@ -113,7 +115,7 @@ def test_photon_counter_retrodiction_matches_the_binomial_closed_form():
                 f"the truncation tail {tail}")
 
             splitter = optics.BeamSplitter(math.acos(math.sqrt(eta)))
-            pipeline = retrodict.retro_state(optics.compose_measurement_pom(
+            pipeline = retrodict.retro_state(compose_measurement_pom(
                 vacuum, number_projector(space, n), ident,
                 splitter, space))
             np.testing.assert_allclose(pipeline.mat, np.diag(diag / sum(diag)),
@@ -172,7 +174,7 @@ def test_structural_invariants_hold_across_randomized_instances():
 
     for theta, truncation in ((0.3, 6), (math.pi / 4, 8), (1.2, 10)):
         space = optics.FockSpace(truncation)
-        u = optics.beam_splitter_unitary(optics.BeamSplitter(theta), space).mat
+        u = beam_splitter_unitary(optics.BeamSplitter(theta), space).mat
         for total_photons, idx in enumerate(total_photon_blocks(space)):
             if total_photons > space.truncation:
                 continue

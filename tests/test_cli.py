@@ -13,6 +13,7 @@ import re
 import runpy
 import subprocess
 import sys
+import threading
 import timeit
 import tracemalloc
 import warnings
@@ -1082,6 +1083,144 @@ class TestExitCodes:
             "category": category, "exit_code": code, "message": message}})
 
 
+def retrodict_of_shape(k, m, d=1):
+    """A valid retrodict document with k events and m POM elements on
+    dimension d: states I/d of prior 1/k, and elements I/m."""
+    def matrix(value):
+        return [[[value, 0] if i == j else [0, 0] for j in range(d)] for i in range(d)]
+
+    return {"kind": "retrodict", "parameters": {
+        "events": [{"label": f"e{i}", "prior": 1 / k, "state": matrix(1 / d)}
+                   for i in range(k)],
+        "pom": [{"label": f"b{j}", "element": matrix(1 / m)} for j in range(m)]}}
+
+
+def traced_peak(call):
+    """What ``call()`` returns and the tracemalloc peak while it runs."""
+    tracemalloc.start()
+    try:
+        value = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return value, peak
+
+
+def feed_fifo(path, data):
+    """A started thread that writes ``data`` to the FIFO ``path`` and closes it."""
+    def write():
+        with contextlib.suppress(BrokenPipeError), open(path, "wb") as fifo:
+            fifo.write(data)
+
+    os.mkfifo(path)
+    thread = threading.Thread(target=write, daemon=True)
+    thread.start()
+    return thread
+
+
+def padded_bus_train(size):
+    """The bundled bus-train scenario padded with spaces to ``size`` bytes."""
+    text = Path(next(info.path for info in list_examples()
+                     if info.name == "bus-train")).read_bytes()
+    return text + b" " * (size - len(text))
+
+
+class TestCaps:
+    """The byte cap of a scenario file and the shape bounds of a retrodict
+    run refuse a document with exit 3 before anything of its size is
+    allocated."""
+
+    @staticmethod
+    def refusal(capsys) -> str:
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)["error"]
+        assert (error["category"], error["exit_code"]) == ("validation", EXIT_VALIDATION)
+        return error["message"]
+
+    def test_a_file_one_byte_past_the_cap_exits_3_unread(self, tmp_path, capsys):
+        path = tmp_path / "long.json"
+        with open(path, "wb") as file:
+            file.truncate(cli.SCENARIO_BYTE_CAP + 1)
+        code, peak = traced_peak(lambda: main(["run", str(path)]))
+        assert code == EXIT_VALIDATION
+        assert self.refusal(capsys) == (
+            f"scenario file is longer than the cap of {cli.SCENARIO_BYTE_CAP} bytes")
+        assert peak < 4 * 2 ** 20
+
+    def test_a_file_at_the_cap_runs_as_its_unpadded_text(self, tmp_path, capsys):
+        path = tmp_path / "padded.json"
+        path.write_bytes(padded_bus_train(cli.SCENARIO_BYTE_CAP))
+        assert path.stat().st_size == cli.SCENARIO_BYTE_CAP
+        assert main(["run", str(path)]) == EXIT_OK
+        padded = capsys.readouterr()
+        assert main(["run", next(info.path for info in list_examples()
+                                 if info.name == "bus-train")]) == EXIT_OK
+        assert padded == capsys.readouterr()
+
+    def test_a_pipe_is_read_in_chunks_as_a_file_is(self, tmp_path, capsys):
+        data = padded_bus_train(3 * cli._READ_CHUNK + 1)
+        regular = tmp_path / "regular.json"
+        regular.write_bytes(data)
+        assert main(["run", str(regular)]) == EXIT_OK
+        expected = capsys.readouterr()
+        fifo = tmp_path / "fifo.json"
+        writer = feed_fifo(fifo, data)
+        assert main(["run", str(fifo)]) == EXIT_OK
+        writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert capsys.readouterr() == expected
+
+    def test_a_pipe_past_the_cap_exits_3_unparsed(self, tmp_path, capsys):
+        fifo = tmp_path / "fifo.json"
+        writer = feed_fifo(fifo, b" " * (cli.SCENARIO_BYTE_CAP + 1))
+        code, peak = traced_peak(lambda: main(["run", str(fifo)]))
+        writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert code == EXIT_VALIDATION
+        assert str(cli.SCENARIO_BYTE_CAP) in self.refusal(capsys)
+        # The chunks read so far, and no more: nothing is joined or parsed.
+        assert peak < cli.SCENARIO_BYTE_CAP + 4 * 2 ** 20
+
+    @pytest.mark.parametrize("k, m", [(1001, 1000), (1000, 1001)])
+    def test_one_cell_past_the_bound_exits_3_before_allocating(self, tmp_path, capsys, k, m):
+        path = write_scenario(tmp_path, retrodict_of_shape(k, m))
+        code, peak = traced_peak(lambda: main(["run", path]))
+        assert code == EXIT_VALIDATION
+        message = self.refusal(capsys)
+        assert f"k = {k} " in message and f"m = {m} " in message
+        assert str(cli.RETRODICT_CELL_CAP) in message
+        assert peak < 4 * 2 ** 20
+
+    def test_one_dimension_past_the_overlap_bound_exits_3_before_allocating(
+            self, tmp_path, capsys):
+        # At the cell bound, d = 16 is the largest dimension inside the
+        # overlap bound.  Parsing the document takes far more than 4 MB, so
+        # the peak is taken over execute.
+        doc = retrodict_of_shape(1000, 1000, 17)
+        assert main(["run", write_scenario(tmp_path, doc)]) == EXIT_VALIDATION
+        message = self.refusal(capsys)
+        assert "k = 1000 " in message and "m = 1000 " in message and "d = 17 " in message
+        assert str(cli.RETRODICT_OVERLAP_CAP) in message
+        # The bound is checked before any matrix scan is read.
+        scenario = cli.Scenario(kind="retrodict", parameters=doc["parameters"],
+                                document=doc, arrays={})
+        tracemalloc.start()
+        try:
+            with pytest.raises(cli.ValidationError, match=re.escape(message)):
+                execute(scenario)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+
+    @pytest.mark.parametrize("k, m, d", [(1000, 1000, 16), (1, 1000000, 16),
+                                         (250, 4000, 16), (16, 16, 1000)])
+    def test_shapes_at_the_bounds_pass_the_check(self, k, m, d):
+        cli._check_retrodict_shape({"events": [{"state": [None] * d}] * k,
+                                    "pom": [{}] * m})
+
+
 def test_only_the_writer_takes_a_standard_stream():
     # Every standard stream the package names is handed to ``cli._put``,
     # and nothing is printed.
@@ -2073,6 +2212,73 @@ def test_bb84_documents_over_the_whole_seed_range_exit_0(fuzz_dir, doc):
     assert sum(map(sum, outputs["arrays"]["outcome_counts"]["values"])) == params["slots"]
     if params["attack"] == "none":
         assert outputs["scalars"]["flagged"] == 0
+
+
+# Documents over the integers' range and at the schema's minimum sizes:
+# truncations from 1 to 256, above 64 one draw in eight, with every count
+# from 0 to the truncation; one amplitude, 1 x 1 matrices, one event and
+# one element; and, one retrodict draw in four, list lengths at the
+# table-cell bound or one past it.  Truncations from 257 to the schema's
+# 2000 are left to the documents at the truncation cap, whose runs take
+# about a second and several hundred MB each.
+def _rarely(common, rare, odds=8):
+    """``rare`` one draw in ``odds``, ``common`` otherwise."""
+    return st.sampled_from([common] * (odds - 1) + [rare]).flatmap(lambda strategy: strategy)
+
+
+_wide_truncation = _rarely(st.integers(1, 64), st.integers(65, 256))
+_one_amplitude = st.sampled_from([[[1, 0]], [[-1, 0]], [[0, 1]], [[0.6, -0.8]]])
+_minimal_retrodict = {"events": [{"label": "e", "prior": 1, "state": [[[1, 0]]]}],
+                      "pom": [{"label": "b", "element": [[[1, 0]]]}]}
+_bound_shapes = st.sampled_from([(1001, 1000), (1000, 1000), (1000, 1001)])
+
+
+@st.composite
+def _optics_over_the_range(draw, kind):
+    truncation = draw(_wide_truncation)
+    count = st.integers(0, truncation)
+    if kind == "detector":
+        return {"counts": draw(count), "truncation": truncation,
+                "efficiency": draw(st.floats(0.0, 1.0, exclude_min=True))}
+    params = {"reference": draw(_one_amplitude | _reference()), "theta": draw(_reals),
+              "truncation": truncation}
+    if kind == "synthesis":
+        params.update(counts_b=draw(count), counts_c=draw(count))
+    return params
+
+
+_range_parameters = {
+    "retrodict": _rarely(_retrodict() | st.just(_minimal_retrodict), _bound_shapes.map(
+        lambda km: retrodict_of_shape(*km)["parameters"]), odds=4),
+    **{kind: _optics_over_the_range(kind) for kind in ("detector", "synthesis", "scissors")},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_range_parameters))
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_documents_over_the_integer_range_exit_0_3_or_4_without_warnings(fuzz_dir, kind,
+                                                                         data):
+    params = data.draw(_range_parameters[kind], label="parameters")
+    path = write_scenario(fuzz_dir, {"kind": kind, "parameters": params})
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = cli.run(path)
+    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_COMPUTATION), err.getvalue()
+    past = kind == "retrodict" and (
+        len(params["events"]) * len(params["pom"]) > cli.RETRODICT_CELL_CAP)
+    if code == EXIT_OK:
+        assert not past
+        assert err.getvalue() == ""
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+    else:
+        assert out.getvalue() == ""
+        error = json.loads(err.getvalue())["error"]
+        assert error["exit_code"] == code
+        assert past == (str(cli.RETRODICT_CELL_CAP) in error["message"])
 
 
 # Documents for the fast-path property test: a schema-valid retrodict,

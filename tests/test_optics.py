@@ -25,8 +25,6 @@ from qretrodict.optics import (
     BeamSplitter,
     FockSpace,
     ReferenceState,
-    beam_splitter_unitary,
-    compose_measurement_pom,
     inefficient_detector_retro,
     projection_synthesis_retro,
     scissors_output,
@@ -34,6 +32,8 @@ from qretrodict.optics import (
 from support import (
     adjoint,
     annihilation,
+    beam_splitter_unitary,
+    compose_measurement_pom,
     creation,
     dense_detector_matrix,
     identity,
