@@ -20,7 +20,10 @@ byte-level intake documents: CR, CRLF and mixed line ends, a byte-order
 mark, bytes that are not UTF-8, parse errors after CR and CRLF lines, a
 seed of more digits than Python converts to an int by default, and
 documents at the byte cap, the ``retrodict`` cell bound and its overlap
-bound, and one past each.
+bound, and one past each; documents at the edge of a verdict: biased
+outcomes of weight just above ``TRACE_TOL`` and of zero overlaps, schema
+rejections of a long string and a long list, and detector counts up to
+64.
 
 Every document is written as bytes to one fixed path, because a parse
 error's message names the path.  A run holds an exclusive lock on a file
@@ -152,7 +155,11 @@ def _intake():
     than Python converts by default, which ``json.dumps`` cannot write;
     then documents at each size bound and one past it: that scenario padded
     to the byte cap, and ``retrodict`` shapes at the cell and overlap
-    bounds."""
+    bounds; then documents at the edge of a verdict: a biased outcome of
+    weight just above ``TRACE_TOL`` whose overlaps sum to exactly 1e-12, a
+    biased outcome whose overlaps are all exactly zero, schema rejections
+    of a 1 MB string and a 400 KB list, and detector counts 4, 8 and 64 at
+    N = 64."""
     text = (workloads.SCENARIO_DIR / "bus-train.json").read_bytes()
     lines = text.split(b"\n")
     mixed = b"".join(line + (b"\r\n", b"\r", b"\n")[i % 3]
@@ -160,6 +167,18 @@ def _intake():
     # Past the first 8 KiB, the default buffer size: a reader that decoded
     # in chunks would name another position.
     padded = text.rstrip()[:-1] + b" " * 9000 + b', "x": "\xff"}'
+    up = _qubit(1.0, 0.0)
+    edges = {
+        "biased-weight-just-above-trace-tol": _retrodict(
+            [(0.14398180055736376, _qubit(0.6493617754508143, 0.3506382245491857)),
+             (0.8560181994426362, _qubit(0.31646540577483634, 0.6835345942251636))],
+            [_qubit(2.7442640290106694e-12, 0.0), _qubit(0.9999999999972558, 1.0)]),
+        "biased-outcome-of-zero-overlaps": _retrodict([(0.3, up), (0.7, up)]),
+        "kind-of-a-million-characters": {"kind": "x" * 10 ** 6},
+        "list-of-100000-objects": [{}] * 10 ** 5,
+        **{f"detector-count-{n}-N64": {"kind": "detector", "parameters": {
+            "counts": n, "efficiency": 0.7, "truncation": 64}} for n in (4, 8, 64)},
+    }
     return {
         "crlf": text.replace(b"\n", b"\r\n"),
         "cr": text.replace(b"\n", b"\r"),
@@ -179,6 +198,7 @@ def _intake():
         "past-cell-bound": _of_shape(1001, 1000),
         "at-overlap-bound": _of_shape(1000, 1000, 16),
         "past-overlap-bound": _of_shape(1000, 1000, 17),
+        **{name: json.dumps(doc).encode() for name, doc in edges.items()},
     }
 
 

@@ -26,7 +26,8 @@ either way:
   caps ``truncation`` at 2000 photons and BB84 ``slots`` at 10^7, or 10^6
   with records, so oversized documents exit 3 before any allocation, as do
   a file past ``SCENARIO_BYTE_CAP`` and a ``retrodict`` run past its shape
-  bounds;
+  bounds.  A schema rejection quotes at most ``SCHEMA_QUOTE_CAP``
+  characters of each value it names;
 - 4 ``computation``: for example conditioning on an outcome of zero
   probability, or a scenario too large for the available memory, while
   it is read or run.
@@ -79,6 +80,8 @@ _READ_CHUNK = 2 ** 16  # bytes per read of a scenario that is not a regular file
 #: the most overlap terms k*m*d^2 on dimension d: the cell bound at d = 16.
 RETRODICT_CELL_CAP = 10 ** 6
 RETRODICT_OVERLAP_CAP = 16 ** 2 * RETRODICT_CELL_CAP
+#: The most characters of a document value's repr that a schema rejection quotes.
+SCHEMA_QUOTE_CAP = 4096
 
 #: Python types of a JSON number, as a parsed document holds them.
 _NUMBER_TYPES = frozenset((int, float))
@@ -173,6 +176,13 @@ _FAST_REFS = {"#/$defs/vector": lambda entries: [entries],
               "#/$defs/matrix": lambda rows: rows}
 
 
+def _quote(text: str) -> str:
+    """``text`` cut to ``SCHEMA_QUOTE_CAP`` characters, the cut marked."""
+    if len(text) <= SCHEMA_QUOTE_CAP:
+        return text
+    return f"{text[:SCHEMA_QUOTE_CAP]}... ({len(text) - SCHEMA_QUOTE_CAP} more characters)"
+
+
 def _errors(value, schema, path=(), arrays=None):
     """Every way ``value`` breaks ``schema``, as ``(path, node, value, message)``.
 
@@ -203,13 +213,13 @@ def _errors(value, schema, path=(), arrays=None):
                 arrays[path] = array
         elif keyword == "type":
             if not _TYPES[rule](value):
-                yield path, schema, value, f"{value!r} is not of type {rule!r}"
+                yield path, schema, value, f"{_quote(repr(value))} is not of type {rule!r}"
         elif keyword == "const":
             if not _equal(value, rule):
                 yield path, schema, value, f"{rule!r} was expected"
         elif keyword == "enum":
             if not any(_equal(value, e) for e in rule):
-                yield path, schema, value, f"{value!r} is not one of {rule!r}"
+                yield path, schema, value, f"{_quote(repr(value))} is not one of {rule!r}"
         elif keyword == "allOf":
             for sub in rule:
                 yield from _errors(value, sub, path, arrays)
@@ -228,7 +238,7 @@ def _errors(value, schema, path=(), arrays=None):
             elif keyword == "additionalProperties":
                 extra = [k for k in value if k not in schema.get("properties", ())]
                 if extra:
-                    names = ", ".join(map(repr, sorted(extra)))
+                    names = _quote(", ".join(map(repr, sorted(extra))))
                     verb = "was" if len(extra) == 1 else "were"
                     yield (path, schema, value, "Additional properties are not "
                            f"allowed ({names} {verb} unexpected)")
@@ -236,7 +246,7 @@ def _errors(value, schema, path=(), arrays=None):
             prefix = len(schema.get("prefixItems", ()))
             if keyword == "minItems" and len(value) < rule:
                 tail = "should be non-empty" if rule == 1 else "is too short"
-                yield path, schema, value, f"{value!r} {tail}"
+                yield path, schema, value, f"{_quote(repr(value))} {tail}"
             elif keyword == "prefixItems":
                 for i, (item, sub) in enumerate(zip(value, rule)):
                     yield from _errors(item, sub, path + (i,), arrays)
@@ -246,17 +256,17 @@ def _errors(value, schema, path=(), arrays=None):
                     rest = value[prefix:] if extra != 1 else value[prefix]
                     noun = "items" if prefix != 1 else "item"
                     yield (path, schema, value, f"Expected at most {prefix} "
-                           f"{noun} but found {extra} extra: {rest!r}")
+                           f"{noun} but found {extra} extra: {_quote(repr(rest))}")
                 else:
                     for i in range(prefix, len(value)):
                         yield from _errors(value[i], rule, path + (i,), arrays)
         elif _is_number(value):
             if keyword == "minimum" and value < rule:
                 yield (path, schema, value,
-                       f"{value!r} is less than the minimum of {rule!r}")
+                       f"{_quote(repr(value))} is less than the minimum of {rule!r}")
             elif keyword == "maximum" and value > rule:
                 yield (path, schema, value,
-                       f"{value!r} is greater than the maximum of {rule!r}")
+                       f"{_quote(repr(value))} is greater than the maximum of {rule!r}")
 
 
 def _relevance(error) -> tuple:

@@ -11,10 +11,11 @@ angle enters only through the phases of its eigenvalues, so the
 eigendecomposition of each narrow block is computed once and kept, and
 the scissors' one-photon resource is built once; both give the bits of
 a fresh computation.  The inefficient counter's state is diagonal and
-is built from its diagonal.  So only the zero-padded (N+1) x (N+1)
-output grows with the truncation: no kernel the scenarios run
-multiplies (N+1) x (N+1) matrices.  The detector operators are
-truncated with a geometric tail that shrinks as N grows.
+is built from its diagonal, with the band of b^n multiplied left to
+right.  So only the zero-padded (N+1) x (N+1) output grows with the
+truncation: no kernel the scenarios run multiplies (N+1) x (N+1)
+matrices.  The detector operators are truncated with a geometric tail
+that shrinks as N grows.
 
 Included here: the closed-form retrodictive state of an inefficient
 photon counter, projection synthesis of retrodictive states, and the
@@ -156,36 +157,21 @@ def _photon_block(bs: BeamSplitter, space: FockSpace, total: int):
 
 
 def _lowering_power_band(n: int, dim: int) -> np.ndarray:
-    """Entries (j, j+n) of b^n, multiplied in the order ``matrix_power`` takes.
-
-    The power of the lowering operator b has one nonzero superdiagonal, and
-    each entry of a product of two such bands is a single product of their
-    entries.  So the products ``numpy.linalg.matrix_power`` forms (n = 2
-    and 3 directly, larger n by binary powering) are replayed here on the
-    bands alone, and every entry has the bits of the dense power.
-    """
-    def times(x, y):
-        (xs, p), (ys, q) = x, y
-        return xs[:xs.size - q] * ys[p:], p + q
-
-    b = (np.sqrt(np.arange(1, dim, dtype=float)), 1)
-    if n == 3:
-        return times(times(b, b), b)[0]
-    z = result = None
-    while n > 0:
-        z = b if z is None else times(z, z)
-        n, bit = divmod(n, 2)
-        if bit:
-            result = z if result is None else times(result, z)
-    return np.ones(dim) if result is None else result[0]
+    """Entries (j, j+n) of b^n, the left-to-right product b b ... b:
+    sqrt(j+1) sqrt(j+2) ... sqrt(j+n), multiplied in that order."""
+    root = np.sqrt(np.arange(1, dim, dtype=float))
+    band = np.ones(dim)
+    for i in range(n):
+        band = band[:-1] * root[i:]
+    return band
 
 
-def _replayed_detector_diagonal(n: int, eta: float, dim: int):
-    """Entries k >= n of the diagonal of (eta^(n+1)/n!) b'^n D b^n with the
-    bits of the dense product, or None where n! or that product overflows.
+def _ladder_detector_diagonal(n: int, eta: float, dim: int):
+    """Entries k >= n of the diagonal of (eta^(n+1)/n!) b'^n D b^n, or None
+    where n! or that product overflows.
 
     b'^n D b^n is diagonal: entry k is (conj(v) d) v, for v the band of b^n
-    and d the damping entry k - n, each a single product in the dense route.
+    and d the damping entry k - n.
     """
     try:
         scale = eta ** (n + 1) / math.factorial(n)
@@ -218,11 +204,12 @@ def inefficient_detector_retro(n: int, eta: float, space: FockSpace) -> Operator
     The state is diagonal in the number basis, with entries
     eta^(n+1) C(k, n) (1-eta)^(k-n) for k >= n, and is built from its
     diagonal alone.  Wherever the ladder-operator form
-    (eta^(n+1)/n!) b'^n D b^n, with D the normal-ordered damping operator,
-    is finite in floating point, the entries carry its bits; where it
-    overflows (large counts), they are evaluated in log space.  The
-    trace approaches 1 from below as the truncation grows; the deficit is
-    the geometric tail beyond N photons.
+    (eta^(n+1)/n!) b'^n D b^n, with D the normal-ordered damping operator
+    and b^n the left-to-right product b b ... b, is finite in floating
+    point, the entries are that product; where it overflows (large
+    counts), they are evaluated in log space.  The trace approaches 1
+    from below as the truncation grows; the deficit is the geometric tail
+    beyond N photons.
     """
     n = int(n)
     eta = float(eta)
@@ -235,7 +222,7 @@ def inefficient_detector_retro(n: int, eta: float, space: FockSpace) -> Operator
             f"detector efficiency must lie in (0, 1], got {eta}; at zero "
             f"efficiency the outcome carries no retrodictive state"
         )
-    entries = _replayed_detector_diagonal(n, eta, space.dim)
+    entries = _ladder_detector_diagonal(n, eta, space.dim)
     if entries is None:
         entries = _log_detector_diagonal(n, eta, space.dim)
     mat = np.zeros((space.dim, space.dim), dtype=complex)

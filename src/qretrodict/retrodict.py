@@ -512,7 +512,7 @@ def retro_conditional_biased(lam: BiasedElements, element: Operator | np.ndarray
     ValidationError
         If ``event`` is not one of ``lam.labels``.
     ZeroProbabilityError
-        If every event has (numerically) zero overlap with the outcome.
+        If every event has exactly zero overlap with the outcome.
     """
     return _posterior(_biased_rows, lam, element, event)
 
@@ -549,7 +549,7 @@ def _biased_rows(lam: BiasedElements, elements: np.ndarray) -> np.ndarray:
     bad = (np.abs(raw.imag) > TOL) | (raw.real < -TOL)
     overlaps = np.where(raw.real < 0.0, 0.0, raw.real)
     denominators = overlaps.sum(axis=1)
-    faulty = bad.any(axis=1) | (denominators <= TRACE_TOL)
+    faulty = bad.any(axis=1) | (denominators <= 0.0)
     if faulty.any():
         row = int(np.argmax(faulty))
         if bad[row].any():

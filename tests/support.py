@@ -2,6 +2,7 @@
 Hilbert-space and Fock-space toolkit those oracles are built from, and the
 oracles of the CLI's output and of the BB84 tally."""
 
+import functools
 import math
 
 import numpy as np
@@ -228,15 +229,29 @@ def matrix_exp(op: Operator) -> Operator:
 
 def dense_detector_matrix(n, eta, space) -> np.ndarray:
     """The inefficient counter's retrodictive state as the ladder-operator
-    product (eta^(n+1)/n!) b'^n D b^n: ``matrix_power`` and two dense
-    (N+1)^3 matrix products, the oracle for the diagonal route.  The matrix
-    is returned as computed, non-finite entries included."""
-    b = annihilation(space).mat
-    lower_n = np.linalg.matrix_power(b, n)
+    product (eta^(n+1)/n!) b'^n D b^n, with b^n the left-to-right product
+    of dense b matrices and two dense (N+1)^3 matrix products after it, the
+    oracle for the diagonal route.  The matrix is returned as computed,
+    non-finite entries included."""
+    lower_n = _dense_lowering_power(n, space.dim)
     damping = normal_ordered_damping(eta, space).mat
     with np.errstate(over="ignore", invalid="ignore"):
         return (eta ** (n + 1) / math.factorial(n)) * (
             lower_n.conj().T @ damping @ lower_n)
+
+
+@functools.lru_cache(maxsize=2)
+def _dense_lowering_power(n, dim) -> np.ndarray:
+    """b^n as ((b b) b) ... b over dense dim x dim matrices, the identity at
+    n = 0.  Read-only; b^(n-1) is kept from the count before, so a sweep
+    over the counts of one truncation takes one product per count."""
+    if n == 0:
+        power = np.eye(dim, dtype=complex)
+    else:
+        b = annihilation(optics.FockSpace(dim - 1)).mat
+        power = _dense_lowering_power(n - 1, dim) @ b
+    power.flags.writeable = False
+    return power
 
 
 def dense_purity(op: Operator) -> float:
@@ -378,7 +393,7 @@ def born_one(state, element, tol=1e-9):
     return min(max(p, 0.0), 1.0)
 
 
-def biased_posterior_one_by_one(weighted_states, element, tol=1e-9, trace_tol=1e-12):
+def biased_posterior_one_by_one(weighted_states, element, tol=1e-9):
     """Biased posterior row: one einsum per prior-weighted state, then normalized."""
     overlaps = np.empty(len(weighted_states))
     for k, (label, op) in enumerate(weighted_states):
@@ -390,7 +405,7 @@ def biased_posterior_one_by_one(weighted_states, element, tol=1e-9, trace_tol=1e
             )
         overlaps[k] = max(raw.real, 0.0)
     denominator = float(overlaps.sum())
-    if denominator <= trace_tol:
+    if denominator <= 0.0:
         raise ZeroProbabilityError(
             "outcome has zero probability under every event; posterior undefined")
     return overlaps / denominator

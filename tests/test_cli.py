@@ -316,6 +316,31 @@ class TestSchema:
             f"scenario does not match the schema at "
             f"{expected.value.json_path}: {expected.value.message}")
 
+    @pytest.mark.parametrize("doc, quoted", [
+        ({"kind": "x" * 5000}, repr("x" * 5000)),
+        ([{}] * 2000, repr([{}] * 2000)),
+        (bus_train_doc(**{f"extra{i:03}": 0 for i in range(500)}),
+         ", ".join(repr(f"extra{i:03}") for i in range(500))),
+        ({"kind": "detector", "parameters": {"counts": -10 ** 4200, "efficiency": 0.5,
+                                             "truncation": 4}}, repr(-10 ** 4200)),
+        ({"kind": "detector", "parameters": {"counts": 0, "efficiency": 0.5,
+                                             "truncation": 10 ** 4200}}, repr(10 ** 4200)),
+        ({"kind": "retrodict", "parameters": {
+            "events": [{"label": "a", "prior": 1, "state": [[[1, 0, *[0] * 3000]]]}],
+            "pom": [{"label": "b", "element": [[[1, 0]]]}]}}, repr([0] * 3000)),
+    ], ids=["enum", "type", "additional-properties", "minimum", "maximum", "items-false"])
+    def test_quotes_at_most_the_cap_of_each_long_value(self, doc, quoted):
+        with pytest.raises(jsonschema.ValidationError) as expected:
+            jsonschema.validate(doc, bundled_schema())
+        with pytest.raises(cli.ValidationError) as got:
+            validate_document(doc)
+        cap = cli.SCHEMA_QUOTE_CAP
+        assert len(quoted) > cap and quoted in expected.value.message
+        cut = f"{quoted[:cap]}... ({len(quoted) - cap} more characters)"
+        assert str(got.value) == (
+            f"scenario does not match the schema at "
+            f"{expected.value.json_path}: {expected.value.message.replace(quoted, cut)}")
+
     def test_importing_the_cli_does_not_load_scipy(self):
         probe = ("import sys, qretrodict.cli; "
                  "print(sorted(m for m in sys.modules "
@@ -1182,6 +1207,22 @@ class TestCaps:
         # The chunks read so far, and no more: nothing is joined or parsed.
         assert peak < cli.SCENARIO_BYTE_CAP + 4 * 2 ** 20
 
+    @pytest.mark.parametrize("doc", [{"kind": "x" * 10 ** 6}, [{}] * 10 ** 5],
+                             ids=["1-MB-kind", "400-KB-list"])
+    def test_a_schema_rejection_of_a_long_value_writes_a_short_error(self, tmp_path,
+                                                                    capsys, doc):
+        path = write_scenario(tmp_path, doc)
+        assert Path(path).stat().st_size >= 4 * 10 ** 5
+        assert main(["run", path]) == EXIT_VALIDATION
+        # The message quotes SCHEMA_QUOTE_CAP characters of the value, and
+        # the error document around it stays under 8 KiB.
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.encode("utf-8")) < 8192
+        error = json.loads(captured.err)["error"]
+        assert (error["category"], error["exit_code"]) == ("validation", EXIT_VALIDATION)
+        assert "more characters)" in error["message"]
+
     @pytest.mark.parametrize("k, m", [(1001, 1000), (1000, 1001)])
     def test_one_cell_past_the_bound_exits_3_before_allocating(self, tmp_path, capsys, k, m):
         path = write_scenario(tmp_path, retrodict_of_shape(k, m))
@@ -1305,9 +1346,6 @@ def run_edge_of_tolerance_source(tmp_path, capsys, pom_vectors):
     return document
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "an outcome judged possible on its emitted weight is judged again on the biased "
-    "overlap sum, exactly TRACE_TOL: CHANGES.md's FOUND, ROADMAP item 10"))
 def test_an_outcome_of_weight_just_above_trace_tol_has_a_posterior(tmp_path, capsys):
     # The weight of "tiny" is emitted as 1.0000000000000002e-12; the sum of
     # its overlaps, which the posterior divides by, is exactly 1e-12.

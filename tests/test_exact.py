@@ -250,7 +250,7 @@ def test_detector_weights_are_within_their_relative_budget(case):
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "a weight with a subnormal factor is lost by the replayed ladder-operator route: "
+    "a weight with a subnormal factor is lost by the ladder-operator route: "
     "CHANGES.md's detector FOUND, ROADMAP item 4"))
 @pytest.mark.parametrize("n, eta, truncation, k", [
     (35, 1e-8, 40, 35),  # eta^36/35! is below the double range: 0.0 against 1.0e-288

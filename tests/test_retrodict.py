@@ -448,6 +448,18 @@ class TestRetroConditionalBiased:
         with pytest.raises(ZeroProbabilityError):
             retro_conditional_biased(lam, ket([0, 1]), "0")
 
+    def test_only_an_exactly_zero_overlap_sum_is_an_impossible_outcome(self):
+        ens = PreparationEnsemble((("0", 0.5, ket([1, 0])), ("1", 0.5, ket([0, 1]))))
+        lam = BiasedElements.from_ensemble(ens)
+        faint = Operator(np.diag([1e-12, 1e-12]).astype(complex))
+        assert [float(np.trace(op.mat @ faint.mat).real) for _, op in lam.elements] == [
+            5e-13, 5e-13]
+        assert retro_conditional_biased(lam, faint).tolist() == [0.5, 0.5]
+        smallest = Operator(np.diag([5e-324, 0.0]).astype(complex))
+        assert retro_conditional_biased(self.skewed_source(), smallest).tolist() == [1.0, 0.0]
+        with pytest.raises(ZeroProbabilityError):
+            retro_conditional_biased(lam, Operator(np.zeros((2, 2), dtype=complex)))
+
     def test_unknown_event_label(self):
         lam = self.skewed_source()
         with pytest.raises(ValidationError, match="unknown event label 'X'"):
